@@ -7,9 +7,11 @@ sum(balances) + fees collected == sum(endowments). Operations validate
 everything up front and only then mutate, so a failed call leaves the
 ledger byte-identical.
 
-The ledger persists in the same dense-offset line format as the event log
-(`offset<TAB>kind<TAB>timestamp<TAB>json payload`) and rebuilds itself by
-replaying those entries.
+The ledger's state changes only by folding one entry at a time into it
+(`Ledger._apply`): the live operations fold each entry they commit,
+`verify_entries` folds with its checks around each step, and `Ledger.load`
+keeps the state its verifying fold built. The ledger persists in the
+dense-offset line format of `zerebro.offsetlog`.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import offsetlog
 from .clock import SimClock
 from .errors import (
     BadSymbolError,
@@ -165,6 +168,7 @@ class Ledger:
     # --- operations -----------------------------------------------------------
 
     def _append(self, kind: str, src: str, dst: str, amount: int, payload: dict) -> LedgerEntry:
+        """Commit one entry and fold it into the state; callers validate first."""
         entry = LedgerEntry(
             sequence=len(self._entries),
             kind=kind,
@@ -176,20 +180,54 @@ class Ledger:
             payload_hash=_entry_hash(kind, src, dst, amount, payload),
         )
         self._entries.append(entry)
+        self._apply(entry)
         return entry
+
+    def _apply(self, e: LedgerEntry) -> None:
+        """The ledger's state transition: fold one entry into the state.
+
+        Live operations, verify_entries and load all change state only
+        through here. It checks nothing; verify_entries checks around it.
+        """
+        kind, payload, balances = e.kind, e.payload, self._balances
+        if kind == "transfer":
+            if e.src == GENESIS:
+                self._endowed += e.amount
+            else:
+                balances[e.src] = balances.get(e.src, 0) - e.amount
+            balances[e.dst] = balances.get(e.dst, 0) + e.amount
+        elif kind == "fee":
+            balances[e.src] = balances.get(e.src, 0) - e.amount
+            self._fees_collected += e.amount
+        elif kind == "sale":
+            balances[e.src] = balances.get(e.src, 0) - e.amount
+            balances[e.dst] = balances.get(e.dst, 0) + e.amount
+            if "token" in payload:
+                holdings = self._token_balances.setdefault(payload["token"], {})
+                units = int(payload["units"])
+                holdings[e.dst] = holdings.get(e.dst, 0) - units
+                holdings[e.src] = holdings.get(e.src, 0) + units
+            else:
+                self._nft_owner[payload.get("nft")] = e.src
+        elif kind == "mint":
+            token_id, art_hash = payload.get("token_id"), payload.get("art_hash")
+            self._mints.append(MintRecord(token_id, e.src, art_hash, e.timestamp))
+            self._art_index.setdefault(art_hash, token_id)
+            self._nft_owner[token_id] = e.src
+        elif kind == "deploy":
+            symbol = payload.get("symbol")
+            supply = int(payload.get("total_supply", 0))
+            self._tokens[symbol] = TokenRecord(payload.get("name"), symbol, supply, e.src)
+            self._token_balances.setdefault(symbol, {})[e.src] = supply
 
     def create_wallet(self, seed: int, endowment: int = 0) -> Wallet:
         """Derive a stable address from the seed and endow it from genesis."""
         if endowment < 0:
             raise ValueError("endowment must be non-negative")
         address = wallet_address(seed)
-        with self._lock:
-            if address not in self._balances:
-                self._balances[address] = 0
-            if endowment > 0:
+        if endowment > 0:
+            with self._lock:
                 self._append("transfer", GENESIS, address, endowment, {"endowment": True})
-                self._balances[address] += endowment
-                self._endowed += endowment
         return Wallet(address=address)
 
     def transfer(self, src: str, dst: str, amount: int) -> LedgerEntry:
@@ -201,10 +239,7 @@ class Ledger:
                     f"{src} holds {format_nanos(self.balance(src))}, "
                     f"needs {format_nanos(amount)}"
                 )
-            entry = self._append("transfer", src, dst, amount, {})
-            self._balances[src] -= amount
-            self._balances[dst] = self.balance(dst) + amount
-        return entry
+            return self._append("transfer", src, dst, amount, {})
 
     def mint_nft(self, wallet: Wallet | str, art: bytes, fee: int | None = None) -> MintRecord:
         """Mint art bytes as an NFT; duplicate art is rejected by content hash."""
@@ -221,21 +256,12 @@ class Ledger:
                 raise DuplicateArtError(f"art {art_hash[:16]} already minted "
                                         f"as token {self._art_index[art_hash]}")
             token_id = len(self._mints)
-            mint_entry = self._append(
+            self._append(
                 "mint", address, address, 0,
                 {"token_id": token_id, "art_hash": art_hash},
             )
             self._append("fee", address, FEE_SINK, fee, {"for": "mint", "token_id": token_id})
-            self._balances[address] -= fee
-            self._fees_collected += fee
-            record = MintRecord(
-                token_id=token_id, creator=address, art_hash=art_hash,
-                timestamp=mint_entry.timestamp,
-            )
-            self._mints.append(record)
-            self._art_index[art_hash] = token_id
-            self._nft_owner[token_id] = address
-        return record
+            return self._mints[token_id]
 
     def deploy_token(
         self,
@@ -250,7 +276,7 @@ class Ledger:
         if not _valid_symbol(symbol):
             raise BadSymbolError(f"symbol {symbol!r} must be 1-10 uppercase ASCII letters")
         if total_supply < 1:
-            raise ValueError("total_supply must be positive")
+            raise ValueError(f"total_supply must be positive, got {total_supply}")
         with self._lock:
             if symbol in self._tokens:
                 raise SymbolTakenError(f"symbol {symbol} already deployed")
@@ -264,14 +290,7 @@ class Ledger:
                 {"name": name, "symbol": symbol, "total_supply": total_supply},
             )
             self._append("fee", address, FEE_SINK, fee, {"for": "deploy", "symbol": symbol})
-            self._balances[address] -= fee
-            self._fees_collected += fee
-            record = TokenRecord(
-                name=name, symbol=symbol, total_supply=total_supply, deployer=address
-            )
-            self._tokens[symbol] = record
-            self._token_balances[symbol] = {address: total_supply}
-        return record
+            return self._tokens[symbol]
 
     def execute_sale(self, asset, seller: str, buyer: str, price: int) -> LedgerEntry:
         """Sell an NFT (asset=token_id) or token units (asset=(symbol, units)).
@@ -302,18 +321,7 @@ class Ledger:
                     f"buyer {buyer} holds {format_nanos(self.balance(buyer))}, "
                     f"price is {format_nanos(price)}"
                 )
-
-            entry = self._append("sale", buyer, seller, price, payload)
-            self._balances[buyer] -= price
-            self._balances[seller] = self.balance(seller) + price
-            if isinstance(asset, int):
-                self._nft_owner[asset] = buyer
-            else:
-                symbol, units = asset
-                holdings = self._token_balances[symbol]
-                holdings[seller] -= units
-                holdings[buyer] = holdings.get(buyer, 0) + units
-        return entry
+            return self._append("sale", buyer, seller, price, payload)
 
     # --- verification ------------------------------------------------------------
 
@@ -323,14 +331,13 @@ class Ledger:
     # --- persistence ---------------------------------------------------------------
 
     def serialize(self) -> str:
-        lines = []
-        for e in self._entries:
-            body = {
+        return "".join(
+            offsetlog.encode(e.sequence, e.kind, e.timestamp, {
                 "src": e.src, "dst": e.dst, "amount": e.amount,
                 "payload": e.payload, "payload_hash": e.payload_hash,
-            }
-            lines.append(f"{e.sequence}\t{e.kind}\t{e.timestamp}\t{json.dumps(body, sort_keys=True)}")
-        return "".join(line + "\n" for line in lines)
+            })
+            for e in self._entries
+        )
 
     def save(self, path) -> None:
         try:
@@ -341,78 +348,23 @@ class Ledger:
 
     @classmethod
     def load(cls, path, fees: ChainFees = ChainFees()) -> "Ledger":
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                lines = fh.read().splitlines()
-        except OSError as exc:
-            raise IoFailureError(f"cannot read ledger {path}: {exc}") from exc
+        """Rebuild a ledger from its file; the verifying fold builds the state."""
         entries = []
-        for expected, line in enumerate(lines):
-            parts = line.split("\t", 3)
-            if len(parts) != 4:
-                raise CorruptLogError(f"{path}: malformed ledger line {expected}")
+        for sequence, kind, timestamp, body in offsetlog.read(path, ENTRY_KINDS):
             try:
-                sequence, kind, timestamp = int(parts[0]), parts[1], int(parts[2])
-                body = json.loads(parts[3])
-                entry = LedgerEntry(
+                entries.append(LedgerEntry(
                     sequence=sequence, kind=kind, src=body["src"], dst=body["dst"],
                     amount=int(body["amount"]), timestamp=timestamp,
                     payload=body["payload"], payload_hash=body["payload_hash"],
-                )
-            except (ValueError, KeyError) as exc:
-                raise CorruptLogError(f"{path}: bad ledger line {expected}: {exc}") from exc
-            if entry.sequence != expected:
-                raise CorruptLogError(
-                    f"{path}: sequence gap, expected {expected} found {entry.sequence}"
-                )
-            entries.append(entry)
+                ))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise CorruptLogError(f"{path}: bad ledger line {sequence}: {exc}") from exc
         ledger = cls(fees=fees)
-        ledger._apply_entries(entries)
+        violations = _fold_checked(entries, ledger)
+        if violations:
+            raise CorruptLogError("ledger entries fail verification: " + "; ".join(violations))
+        ledger._entries = entries
         return ledger
-
-    def _apply_entries(self, entries: Sequence[LedgerEntry]) -> None:
-        """Rebuild all state by replaying entries (no validation beyond verify)."""
-        report = verify_entries(entries)
-        if not report.ok:
-            raise CorruptLogError("ledger entries fail verification: "
-                                  + "; ".join(report.violations))
-        self._entries = list(entries)
-        for e in entries:
-            if e.kind == "transfer":
-                if e.src == GENESIS:
-                    self._endowed += e.amount
-                else:
-                    self._balances[e.src] = self.balance(e.src) - e.amount
-                self._balances[e.dst] = self.balance(e.dst) + e.amount
-            elif e.kind == "fee":
-                self._balances[e.src] = self.balance(e.src) - e.amount
-                self._fees_collected += e.amount
-            elif e.kind == "mint":
-                token_id = e.payload["token_id"]
-                record = MintRecord(
-                    token_id=token_id, creator=e.src,
-                    art_hash=e.payload["art_hash"], timestamp=e.timestamp,
-                )
-                self._mints.append(record)
-                self._art_index[record.art_hash] = token_id
-                self._nft_owner[token_id] = e.src
-            elif e.kind == "deploy":
-                record = TokenRecord(
-                    name=e.payload["name"], symbol=e.payload["symbol"],
-                    total_supply=int(e.payload["total_supply"]), deployer=e.src,
-                )
-                self._tokens[record.symbol] = record
-                self._token_balances[record.symbol] = {e.src: record.total_supply}
-            elif e.kind == "sale":
-                self._balances[e.src] = self.balance(e.src) - e.amount
-                self._balances[e.dst] = self.balance(e.dst) + e.amount
-                if "nft" in e.payload:
-                    self._nft_owner[e.payload["nft"]] = e.src
-                else:
-                    symbol, units = e.payload["token"], int(e.payload["units"])
-                    holdings = self._token_balances[symbol]
-                    holdings[e.dst] -= units
-                    holdings[e.src] = holdings.get(e.src, 0) + units
 
 
 def verify_entries(entries: Sequence[LedgerEntry]) -> VerifyReport:
@@ -421,16 +373,15 @@ def verify_entries(entries: Sequence[LedgerEntry]) -> VerifyReport:
     Violations are reported (never raised) and name the first failing
     sequence number per category.
     """
+    violations = _fold_checked(entries, Ledger())
+    return VerifyReport(ok=not violations, violations=tuple(violations))
+
+
+def _fold_checked(entries: Sequence[LedgerEntry], ledger: Ledger) -> list[str]:
+    """Fold entries into an empty ledger with Ledger._apply, checking each
+    one before and after; returns verify_entries' violations."""
     violations: list[str] = []
-    balances: dict[str, int] = {}
-    endowed = 0
-    fees = 0
-    art_seen: dict[str, int] = {}
     next_token_id = 0
-    supplies: dict[str, int] = {}
-    holdings: dict[str, dict[str, int]] = {}
-    symbols_seen: set[str] = set()
-    nft_owner: dict[int, str] = {}
 
     def fail(seq: int, message: str) -> None:
         violations.append(f"seq {seq}: {message}")
@@ -448,67 +399,45 @@ def verify_entries(entries: Sequence[LedgerEntry]) -> VerifyReport:
         if _entry_hash(e.kind, e.src, e.dst, e.amount, e.payload) != e.payload_hash:
             fail(e.sequence, "entry content hash mismatch")
 
-        if e.kind == "transfer":
-            if e.src == GENESIS:
-                endowed += e.amount
-            else:
-                balances[e.src] = balances.get(e.src, 0) - e.amount
-            balances[e.dst] = balances.get(e.dst, 0) + e.amount
-        elif e.kind == "fee":
-            if e.dst != FEE_SINK:
-                fail(e.sequence, f"fee routed to {e.dst!r}, not the fee sink")
-            balances[e.src] = balances.get(e.src, 0) - e.amount
-            fees += e.amount
-        elif e.kind == "sale":
-            balances[e.src] = balances.get(e.src, 0) - e.amount
-            balances[e.dst] = balances.get(e.dst, 0) + e.amount
-            if "token" in e.payload:
-                symbol, units = e.payload["token"], int(e.payload["units"])
-                h = holdings.setdefault(symbol, {})
-                h[e.dst] = h.get(e.dst, 0) - units
-                h[e.src] = h.get(e.src, 0) + units
-                if h[e.dst] < 0:
-                    fail(e.sequence, f"seller overdraws {symbol} units")
-            else:
-                nft = e.payload.get("nft")
-                if nft_owner.get(nft) != e.dst:
-                    fail(e.sequence, f"NFT {nft} sold by non-owner {e.dst}")
-                nft_owner[nft] = e.src
+        payload = e.payload
+        token_sale = e.kind == "sale" and "token" in payload
+        if e.kind == "fee" and e.dst != FEE_SINK:
+            fail(e.sequence, f"fee routed to {e.dst!r}, not the fee sink")
+        elif e.kind == "sale" and not token_sale:
+            nft = payload.get("nft")
+            if ledger._nft_owner.get(nft) != e.dst:
+                fail(e.sequence, f"NFT {nft} sold by non-owner {e.dst}")
         elif e.kind == "mint":
-            art_hash = e.payload.get("art_hash")
-            token_id = e.payload.get("token_id")
-            if art_hash in art_seen:
+            art_hash = payload.get("art_hash")
+            token_id = payload.get("token_id")
+            if art_hash in ledger._art_index:
                 fail(e.sequence, f"duplicate art hash {str(art_hash)[:16]} "
-                                 f"(first minted seq for token {art_seen[art_hash]})")
-            else:
-                art_seen[art_hash] = token_id
+                                 f"(first minted seq for token {ledger._art_index[art_hash]})")
             if token_id != next_token_id:
                 fail(e.sequence, f"token id not dense, expected {next_token_id} got {token_id}")
             next_token_id = (token_id + 1) if isinstance(token_id, int) else next_token_id
-            nft_owner[token_id] = e.src
-        elif e.kind == "deploy":
-            symbol = e.payload.get("symbol")
-            if symbol in symbols_seen:
-                fail(e.sequence, f"symbol {symbol} deployed twice")
-            symbols_seen.add(symbol)
-            supply = int(e.payload.get("total_supply", 0))
-            supplies[symbol] = supply
-            holdings.setdefault(symbol, {})[e.src] = supply
+        elif e.kind == "deploy" and payload.get("symbol") in ledger._tokens:
+            fail(e.sequence, f"symbol {payload.get('symbol')} deployed twice")
 
-        negative = [a for a, b in balances.items() if b < 0]
+        ledger._apply(e)
+
+        if token_sale and ledger._token_balances[payload["token"]][e.dst] < 0:
+            fail(e.sequence, f"seller overdraws {payload['token']} units")
+        negative = [a for a, b in ledger._balances.items() if b < 0]
         if negative:
             fail(e.sequence, f"negative balance for {sorted(negative)[0]}")
             break
-        if sum(balances.values()) + fees != endowed:
+        if sum(ledger._balances.values()) + ledger._fees_collected != ledger._endowed:
             fail(e.sequence, "conservation violated: balances + fees != endowments")
             break
 
-    for symbol, supply in supplies.items():
-        circulating = sum(holdings.get(symbol, {}).values())
-        if circulating != supply:
-            violations.append(f"token {symbol}: circulating {circulating} != supply {supply}")
-
-    return VerifyReport(ok=not violations, violations=tuple(violations))
+    for symbol, token in ledger._tokens.items():
+        circulating = sum(ledger._token_balances.get(symbol, {}).values())
+        if circulating != token.total_supply:
+            violations.append(
+                f"token {symbol}: circulating {circulating} != supply {token.total_supply}"
+            )
+    return violations
 
 
 def implied_market_cap(total_supply: int, price_nanos_per_unit: int) -> int:

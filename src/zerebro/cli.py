@@ -5,7 +5,8 @@ Every command resolves its configuration (config file overridden by
 flags), runs under simulated clocks, writes its artifacts beneath --out,
 and records a run manifest sufficient to reproduce the run byte for byte.
 
-Exit codes: 0 success, 1 runtime failure, 2 usage error.
+Exit codes: 0 success, 1 runtime failure, 2 usage error (including a bad
+flag or config value).
 """
 
 from __future__ import annotations
@@ -446,6 +447,9 @@ def main(argv: list[str] | None = None) -> int:
     except ZerebroError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 1

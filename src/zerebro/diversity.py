@@ -14,7 +14,6 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .embedding import cosine_similarity
 from .errors import (
     DimensionMismatchError,
     EmptyHistogramError,
@@ -121,12 +120,10 @@ class DiversityReport:
         )
 
 
-# re-exported for callers that compute similarities alongside dispersion
 __all__ = [
     "shannon_entropy",
     "distinct_n",
     "embedding_dispersion",
     "tail_mass",
     "DiversityReport",
-    "cosine_similarity",
 ]

@@ -301,6 +301,8 @@ class MemoryStore:
                     timestamp=int(payload["timestamp"]),
                     screened=bool(payload["screened"]),
                 )
+                if record.id in store:
+                    raise CorruptSnapshotError(f"duplicate record id {record.id!r}")
                 store.upsert(record)
             except (ValueError, KeyError, TypeError, ZerebroError) as exc:
                 raise CorruptSnapshotError(f"{path}: bad record at line {lineno}: {exc}") from exc

@@ -6,15 +6,14 @@ elsewhere). Engagement is a pure seeded function of content length and
 distinct-1 token diversity, monotone in diversity at fixed length, which
 lets the feedback loop reward diverse output end to end.
 
-The event log is the remote-logging analog: a local file of dense-offset
-entries (`offset<TAB>kind<TAB>timestamp<TAB>json payload`). Replaying a
-session's log reproduces the live run's final state hash.
+The event log is the remote-logging analog: a local file in the
+dense-offset line format of `zerebro.offsetlog`. Replaying a session's log
+reproduces the live run's final state hash.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import threading
 from dataclasses import dataclass
@@ -23,10 +22,11 @@ from typing import Callable
 import numpy as np
 
 from . import agent as agent_mod
+from . import offsetlog
 from .clock import SimClock
+from .diversity import distinct_n
 from .errors import (
     ConnectorDownError,
-    CorruptLogError,
     IoFailureError,
     TooLongError,
     UnknownPostError,
@@ -59,13 +59,6 @@ class LogEntry:
     kind: str
     timestamp: int
     payload: dict
-
-
-def _distinct_1(content: str) -> float:
-    tokens = content.split()
-    if not tokens:
-        return 0.0
-    return len(set(tokens)) / len(tokens)
 
 
 class SimulatedConnector:
@@ -139,7 +132,8 @@ class SimulatedConnector:
         """Seeded engagement, monotone in distinct-1 diversity at fixed length."""
         content = self.get_post(post_id)
         length = len(content)
-        diversity = _distinct_1(content)
+        # post accepts whitespace-only content, which has no 1-grams
+        diversity = distinct_n([content], 1) if content.strip() else 0.0
         digest = hashlib.blake2b(
             f"{self.seed}:{length}".encode("ascii"), digest_size=8
         ).digest()
@@ -186,7 +180,10 @@ def load_connector_config(
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        fields = dict(part.split("=", 1) for part in line.split())
+        try:
+            fields = dict(part.split("=", 1) for part in line.split())
+        except ValueError:
+            raise ValueError(f"connector config line {raw!r} is not key=value fields") from None
         if "platform" not in fields:
             raise ValueError(f"connector config line {raw!r} lacks platform=")
         outages = []
@@ -209,17 +206,18 @@ def load_connector_config(
 
 
 class EventLog:
-    """Append-only log file with dense offsets. One writer at a time."""
+    """Append-only log file with dense offsets. One writer at a time.
+
+    Opening an existing log resumes its offsets; a torn last line raises
+    CorruptLogError instead of being appended to.
+    """
 
     def __init__(self, path, clock: Callable[[], int] | None = None):
         self.path = path
         self._clock = clock or SimClock()
         self._lock = threading.Lock()
         try:
-            # resume dense offsets when appending to an existing log
-            with open(path, "a+", encoding="utf-8", newline="\n") as probe:
-                probe.seek(0)
-                self._offset = sum(1 for _ in probe)
+            self._offset = offsetlog.resume(path)
             self._fh = open(path, "a", encoding="utf-8", newline="\n")
         except OSError as exc:
             raise IoFailureError(f"cannot open log {path}: {exc}") from exc
@@ -229,7 +227,7 @@ class EventLog:
             raise ValueError(f"unknown log kind {kind!r}")
         with self._lock:
             offset = self._offset
-            line = f"{offset}\t{kind}\t{self._clock()}\t{json.dumps(payload, sort_keys=True)}\n"
+            line = offsetlog.encode(offset, kind, self._clock(), payload)
             try:
                 self._fh.write(line)
                 self._fh.flush()
@@ -250,28 +248,7 @@ class EventLog:
 
 def read_log(path) -> list[LogEntry]:
     """Parse and validate a log file; offsets must be dense from 0."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise IoFailureError(f"cannot read log {path}: {exc}") from exc
-    entries: list[LogEntry] = []
-    for expected, line in enumerate(lines):
-        parts = line.split("\t", 3)
-        if len(parts) != 4:
-            raise CorruptLogError(f"{path}: malformed line at offset {expected}")
-        try:
-            offset = int(parts[0])
-            timestamp = int(parts[2])
-            payload = json.loads(parts[3])
-        except ValueError as exc:
-            raise CorruptLogError(f"{path}: unparseable line at offset {expected}: {exc}") from exc
-        if offset != expected:
-            raise CorruptLogError(f"{path}: offset gap, expected {expected} found {offset}")
-        if parts[1] not in LOG_KINDS:
-            raise CorruptLogError(f"{path}: unknown kind {parts[1]!r} at offset {offset}")
-        entries.append(LogEntry(offset=offset, kind=parts[1], timestamp=timestamp, payload=payload))
-    return entries
+    return [LogEntry(*row) for row in offsetlog.read(path, LOG_KINDS)]
 
 
 def replay_log(

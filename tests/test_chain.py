@@ -59,6 +59,13 @@ class TestWallets:
         assert (entry.kind, entry.src, entry.dst) == ("transfer", GENESIS, w.address)
         assert ledger.balance(w.address) == to_nanos("10")
 
+    def test_zero_transfer_from_unseen_address(self):
+        ledger, (a,) = fresh_ledger(1)
+        stranger = wallet_address(99)
+        ledger.transfer(stranger, a.address, 0)
+        assert ledger.balance(stranger) == 0
+        assert ledger.verify().ok
+
 
 class TestMint:
     def test_fee_arithmetic(self):
@@ -241,6 +248,33 @@ class TestPersistence:
         assert loaded.balance(a.address) == ledger.balance(a.address)
         assert loaded.token_balance("TOK", b.address) == 100
         assert loaded.verify().ok
+
+    def test_load_rebuilds_every_view(self, tmp_path):
+        ledger, wallets = fresh_ledger(3, endowment="20")
+        a, b, c = (w.address for w in wallets)
+        ledger.deploy_token(a, "tok", "TOK", 500)
+        ledger.deploy_token(b, "ore", "ORE", 90)
+        first = ledger.mint_nft(b, generate_art(7, "weir", 8, 8))
+        ledger.mint_nft(c, generate_art(8, "weir", 8, 8))
+        ledger.execute_sale(first.token_id, b, a, to_nanos("3"))
+        ledger.execute_sale(("TOK", 120), a, c, to_nanos("1"))
+        ledger.execute_sale(("TOK", 20), c, b, 0)
+        ledger.transfer(c, a, to_nanos("0.5"))
+        path = tmp_path / "ledger.log"
+        ledger.save(path)
+        loaded = Ledger.load(path)
+
+        def views(led):
+            return (
+                [led.balance(x) for x in (a, b, c)],
+                [led.token_balance(s, x) for s in ("TOK", "ORE") for x in (a, b, c)],
+                [led.token(s) for s in ("TOK", "ORE")],
+                [(m, led.nft_owner(m.token_id)) for m in led.mints()],
+                led.fees_collected(),
+                led.entries,
+            )
+
+        assert views(loaded) == views(ledger)
 
     def test_gap_detected_on_load(self, tmp_path):
         ledger, _ = fresh_ledger(2)

@@ -34,6 +34,28 @@ class TestExitCodes:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, connectors, named",
+        [
+            (["memory", "upsert", "--id", "m1", "--text", "t", "--source", "bogus"],
+             None, "'bogus'"),
+            (["chain", "deploy", "--name", "x", "--symbol", "TOK", "--supply", "0"],
+             None, "got 0"),
+            (["agent", "--turns", "1"], "platform=x limit\n", "'platform=x limit'"),
+        ],
+        ids=["memory-source", "deploy-supply", "connector-line"],
+    )
+    def test_bad_value_is_usage_error(self, tmp_path, capsys, argv, connectors, named):
+        if connectors is not None:
+            path = tmp_path / "connectors.conf"
+            path.write_text(connectors, encoding="utf-8")
+            argv = [*argv, "--connectors", str(path)]
+        code = run_cli(*argv, "--out", str(tmp_path))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert named in err
+
     def test_success_is_zero(self, tmp_path, capsys):
         assert run_cli("chain", "verify", "--out", str(tmp_path)) == 0
         assert capsys.readouterr().out.strip() == "ok"

@@ -255,6 +255,20 @@ class TestPersistence:
         with pytest.raises(CorruptSnapshotError):
             MemoryStore.load(path)
 
+    def test_duplicate_id_is_corrupt(self, tmp_path):
+        import hashlib
+
+        store = MemoryStore(CFG)
+        store.add_text("r1", "the first of two")
+        path = tmp_path / "store.snapshot"
+        store.persist(path)
+        lines = path.read_bytes().split(b"\n")
+        body = b"\n".join([lines[0], lines[1], lines[1]]) + b"\n"
+        checksum = hashlib.sha256(body).hexdigest()
+        path.write_bytes(body + f"checksum={checksum}\n".encode())
+        with pytest.raises(CorruptSnapshotError, match="duplicate record id 'r1'"):
+            MemoryStore.load(path)
+
     def test_flipped_byte_detected(self, tmp_path):
         rng = np.random.default_rng(41)
         store = fresh_store(rng, 5)

@@ -79,6 +79,12 @@ class TestConnector:
         assert lo.shares <= hi.shares
         assert lo.comments <= hi.comments
 
+    def test_whitespace_only_post_has_engagement(self):
+        # post accepts it; it has no tokens, so its diversity scores 0.0
+        connector = SimulatedConnector("twitter", seed=3)
+        pid = connector.post("   ").post_id
+        assert connector.fetch_engagement(pid).post_id == pid
+
     def test_concurrent_ids_gap_free(self):
         connector = SimulatedConnector("warpcast")
         ids = []
@@ -176,6 +182,38 @@ class TestEventLog:
         with EventLog(tmp_path / "x.log") as log:
             with pytest.raises(ValueError):
                 log.append("telemetry", {})
+
+    def test_torn_tail_refused_on_open(self, tmp_path):
+        path = tmp_path / "x.log"
+        with EventLog(path) as log:
+            log.append("observation", {"n": 1})
+            log.append("observation", {"text": "cut off mid-line"})
+        intact = path.read_bytes()
+        path.write_bytes(intact[: intact.index(b"mid-line")])
+        with pytest.raises(CorruptLogError, match="offset 1 is torn"):
+            EventLog(path)
+        assert intact.startswith(path.read_bytes())  # nothing was appended
+
+    def test_every_truncation_reads_a_prefix_or_raises(self, tmp_path):
+        path = tmp_path / "x.log"
+        with EventLog(path) as log:
+            for n in range(3):
+                log.append("observation", {"n": n, "text": "tab\there"})
+        intact = path.read_bytes()
+        full = read_log(path)
+        for cut in range(len(intact)):
+            path.write_bytes(intact[:cut])
+            try:
+                prefix = read_log(path)
+            except CorruptLogError:
+                prefix = None
+            assert prefix is None or prefix == full[: len(prefix)]
+            if cut == 0 or intact[cut - 1 : cut] == b"\n":
+                with EventLog(path) as log:
+                    assert log.append("observation", {}) == intact[:cut].count(b"\n")
+            else:
+                with pytest.raises(CorruptLogError):
+                    EventLog(path)
 
     def test_reopen_resumes_dense_offsets(self, tmp_path):
         path = tmp_path / "x.log"
