@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -26,7 +27,6 @@ ACTION_KINDS = ("post_text", "generate_image", "mint_art", "deploy_token")
 DEFAULT_WEIGHTS = {kind: 0.25 for kind in ACTION_KINDS}
 DEFAULT_MAX_ACTIONS = 3
 DEFAULT_ETA = 0.1
-DEFAULT_TOP_K = 5
 
 
 @dataclass(frozen=True)
@@ -139,7 +139,6 @@ def plan(
     generator: Generator | None,
     *,
     targets: Sequence[str] = ("twitter",),
-    top_k: int = DEFAULT_TOP_K,
     max_actions: int = DEFAULT_MAX_ACTIONS,
 ) -> list[ActionRequest]:
     """Plan up to max_actions requests; deterministic per (state, memory, observation)."""
@@ -150,7 +149,7 @@ def plan(
     if not targets:
         raise ValueError("at least one posting target is required")
 
-    retrieved = memory.retrieve(observation, top_k) if len(memory) else []
+    retrieved = memory.retrieve(observation) if len(memory) else []
     context = [r.record.text for r in retrieved]
     provenance = tuple(r.record.id for r in retrieved)
 
@@ -217,6 +216,10 @@ def integrate_feedback(
 # --- the step ------------------------------------------------------------------
 
 
+# the event log of a turn run without one: every append is dropped
+_NO_LOG = SimpleNamespace(append=lambda kind, payload: None)
+
+
 def step(
     state: AgentState,
     memory: MemoryStore,
@@ -227,17 +230,17 @@ def step(
     generator: Generator,
     log=None,
     clock: Callable[[], int] | None = None,
-    observation_source: str = "human",
-    top_k: int = DEFAULT_TOP_K,
     max_actions: int = DEFAULT_MAX_ACTIONS,
 ) -> tuple[AgentState, list[ActionReceipt]]:
     """One full turn: plan, gate, dispatch, log, remember.
 
     Connector and chain errors are logged per-request and do not abort the
     turn. Blocked requests are logged, never dispatched. The observation is
-    always remembered; generated text is remembered only once dispatched.
+    always remembered, as human-sourced; generated text is remembered only
+    once dispatched.
     """
     clock = clock or SimClock()
+    log = _NO_LOG if log is None else log
     turn = state.turn_counter
     requests = plan(
         state,
@@ -245,50 +248,34 @@ def step(
         observation,
         generator,
         targets=tuple(sorted(connectors)) or ("twitter",),
-        top_k=top_k,
         max_actions=max_actions,
     )
 
     obs_id = f"obs-{turn:06d}"
-    memory.upsert(memory.make_record(obs_id, observation, observation_source, clock()))
-    if log is not None:
-        log.append(
-            "observation",
-            {"turn": turn, "id": obs_id, "text": observation, "source": observation_source},
-        )
-        log.append("plan", {"turn": turn, "requests": [_request_payload(r) for r in requests]})
+    memory.upsert(memory.make_record(obs_id, observation, "human", clock()))
+    log.append("observation", {"turn": turn, "id": obs_id, "text": observation,
+                               "source": "human"})
+    log.append("plan", {"turn": turn, "requests": [_request_payload(r) for r in requests]})
 
     decisions = [gate(request, state.sentiment_threshold) for request in requests]
-    if log is not None:
-        log.append(
-            "gate",
-            {"turn": turn, "results": [
-                {"index": i, "kind": r.kind, "passed": d.passed,
-                 "reason": d.reason, "score": d.score}
-                for i, (r, d) in enumerate(zip(requests, decisions))
-            ]},
-        )
+    log.append("gate", {"turn": turn, "results": [
+        {"index": i, "kind": r.kind, "passed": d.passed, "reason": d.reason, "score": d.score}
+        for i, (r, d) in enumerate(zip(requests, decisions))
+    ]})
 
     receipts: list[ActionReceipt] = []
     dispatched = 0
     for index, (request, decision) in enumerate(zip(requests, decisions)):
         if not decision.passed:
             continue
-        if log is not None:
-            log.append(
-                "dispatch", {"turn": turn, "index": index, "kind": request.kind,
-                             "target": request.target}
-            )
+        log.append("dispatch", {"turn": turn, "index": index, "kind": request.kind,
+                                "target": request.target})
         try:
             receipt = _dispatch(request, connectors, chain_client, clock)
         except ZerebroError as exc:
-            if log is not None:
-                log.append(
-                    "error",
-                    {"turn": turn, "index": index, "kind": request.kind,
-                     "target": request.target, "error": type(exc).__name__,
-                     "message": str(exc)},
-                )
+            log.append("error", {"turn": turn, "index": index, "kind": request.kind,
+                                 "target": request.target, "error": type(exc).__name__,
+                                 "message": str(exc)})
             continue
         receipts.append(receipt)
         payload = {"turn": turn, "index": index, "kind": request.kind,
@@ -299,8 +286,7 @@ def step(
             memory.upsert(memory.make_record(gen_id, request.content, "agent", clock()))
             payload["memory_id"] = gen_id
             payload["post_id"] = int(receipt.ref.rsplit(":", 1)[1])
-        if log is not None:
-            log.append("receipt", payload)
+        log.append("receipt", payload)
 
     return replace(state, turn_counter=turn + 1), receipts
 
@@ -399,6 +385,7 @@ def run_session(
     the log file reproduces the same hash.
     """
     clock = clock or SimClock()
+    log = _NO_LOG if log is None else log
     for turn in range(turns):
         state, receipts = step(
             state, memory, connectors, chain_client, observations(turn),
@@ -421,6 +408,6 @@ def run_session(
                  "comments": metrics.comments}
             )
         state = integrate_feedback(state, engagements, kinds=kinds, eta=eta)
-        if log is not None and fb_payload:
+        if fb_payload:
             log.append("feedback", {"turn": turn, "eta": eta, "engagements": fb_payload})
     return state, session_state_hash(state, memory, connectors)

@@ -70,13 +70,6 @@ class TurnError(ZerebroError):
         self.turn = turn
 
 
-def _length_baseline(corpus: Sequence[str]) -> tuple[float, float]:
-    lengths = [len(s.split()) for s in corpus]
-    mu = statistics.fmean(lengths)
-    sigma = statistics.pstdev(lengths)
-    return mu, (sigma if sigma > 0 else 1.0)
-
-
 def _window_report(
     texts: Sequence[str],
     vectors: Sequence[np.ndarray],
@@ -102,18 +95,17 @@ def run_backrooms(
     *,
     memory: MemoryStore,
     generator: Generator,
-    corpus: Sequence[str] | None = None,
 ) -> DialogueTranscript:
     """Run the dialogue; deterministic for a given config and components.
 
-    The injection coin and the corpus pick consume the random stream every
-    turn regardless of outcome, so runs at different injection rates with
-    the same seed stay aligned (common random numbers).
+    Injected sentences come from the bundled human corpus. The injection
+    coin and the corpus pick consume the random stream every turn
+    regardless of outcome, so runs at different injection rates with the
+    same seed stay aligned (common random numbers).
     """
-    pool = tuple(corpus) if corpus is not None else human_corpus()
-    if not pool:
-        raise BadConfigError("injection corpus is empty")
-    baseline = _length_baseline(pool)
+    pool = human_corpus()
+    lengths = [len(s.split()) for s in pool]
+    baseline = statistics.fmean(lengths), statistics.pstdev(lengths)
     rng = np.random.default_rng(config.seed)
 
     window_texts: list[str] = []

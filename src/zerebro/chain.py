@@ -241,10 +241,10 @@ class Ledger:
                 )
             return self._append("transfer", src, dst, amount, {})
 
-    def mint_nft(self, wallet: Wallet | str, art: bytes, fee: int | None = None) -> MintRecord:
+    def mint_nft(self, wallet: Wallet | str, art: bytes) -> MintRecord:
         """Mint art bytes as an NFT; duplicate art is rejected by content hash."""
         address = wallet.address if isinstance(wallet, Wallet) else wallet
-        fee = self.fees.mint if fee is None else fee
+        fee = self.fees.mint
         art_hash = hashlib.sha256(art).hexdigest()
         with self._lock:
             if self.balance(address) < fee:
@@ -264,15 +264,10 @@ class Ledger:
             return self._mints[token_id]
 
     def deploy_token(
-        self,
-        wallet: Wallet | str,
-        name: str,
-        symbol: str,
-        total_supply: int,
-        fee: int | None = None,
+        self, wallet: Wallet | str, name: str, symbol: str, total_supply: int
     ) -> TokenRecord:
         address = wallet.address if isinstance(wallet, Wallet) else wallet
-        fee = self.fees.deploy if fee is None else fee
+        fee = self.fees.deploy
         if not _valid_symbol(symbol):
             raise BadSymbolError(f"symbol {symbol!r} must be 1-10 uppercase ASCII letters")
         if total_supply < 1:
@@ -349,22 +344,37 @@ class Ledger:
     @classmethod
     def load(cls, path, fees: ChainFees = ChainFees()) -> "Ledger":
         """Rebuild a ledger from its file; the verifying fold builds the state."""
-        entries = []
-        for sequence, kind, timestamp, body in offsetlog.read(path, ENTRY_KINDS):
-            try:
-                entries.append(LedgerEntry(
-                    sequence=sequence, kind=kind, src=body["src"], dst=body["dst"],
-                    amount=int(body["amount"]), timestamp=timestamp,
-                    payload=body["payload"], payload_hash=body["payload_hash"],
-                ))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise CorruptLogError(f"{path}: bad ledger line {sequence}: {exc}") from exc
+        entries = read_entries(path)
         ledger = cls(fees=fees)
         violations = _fold_checked(entries, ledger)
         if violations:
             raise CorruptLogError("ledger entries fail verification: " + "; ".join(violations))
         ledger._entries = entries
         return ledger
+
+
+def read_entries(path) -> list[LedgerEntry]:
+    """A ledger file's entries, unverified; CorruptLogError on a bad line."""
+    entries = []
+    for sequence, kind, timestamp, body in offsetlog.read(path, ENTRY_KINDS):
+        try:
+            entries.append(LedgerEntry(
+                sequence=sequence, kind=kind, src=body["src"], dst=body["dst"],
+                amount=int(body["amount"]), timestamp=timestamp,
+                payload=body["payload"], payload_hash=body["payload_hash"],
+            ))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CorruptLogError(f"{path}: bad ledger line {sequence}: {exc}") from exc
+    return entries
+
+
+def _counts(value) -> bool:
+    """Whether the fold can count with value, as int(value)."""
+    try:
+        int(value)
+    except (TypeError, ValueError, OverflowError):
+        return False
+    return True
 
 
 def verify_entries(entries: Sequence[LedgerEntry]) -> VerifyReport:
@@ -407,6 +417,9 @@ def _fold_checked(entries: Sequence[LedgerEntry], ledger: Ledger) -> list[str]:
             nft = payload.get("nft")
             if ledger._nft_owner.get(nft) != e.dst:
                 fail(e.sequence, f"NFT {nft} sold by non-owner {e.dst}")
+        elif token_sale and not _counts(payload.get("units")):
+            fail(e.sequence, f"token sale units {payload.get('units')!r} not an integer")
+            continue
         elif e.kind == "mint":
             art_hash = payload.get("art_hash")
             token_id = payload.get("token_id")
@@ -416,6 +429,9 @@ def _fold_checked(entries: Sequence[LedgerEntry], ledger: Ledger) -> list[str]:
             if token_id != next_token_id:
                 fail(e.sequence, f"token id not dense, expected {next_token_id} got {token_id}")
             next_token_id = (token_id + 1) if isinstance(token_id, int) else next_token_id
+        elif e.kind == "deploy" and not _counts(payload.get("total_supply", 0)):
+            fail(e.sequence, f"total_supply {payload.get('total_supply')!r} not an integer")
+            continue
         elif e.kind == "deploy" and payload.get("symbol") in ledger._tokens:
             fail(e.sequence, f"symbol {payload.get('symbol')} deployed twice")
 
@@ -530,6 +546,6 @@ class AgentChainClient:
 __all__ = [
     "NANO", "GENESIS", "FEE_SINK", "to_nanos", "format_nanos",
     "Wallet", "LedgerEntry", "MintRecord", "TokenRecord", "ChainFees",
-    "VerifyReport", "Ledger", "verify_entries", "implied_market_cap",
+    "VerifyReport", "Ledger", "read_entries", "verify_entries", "implied_market_cap",
     "generate_art", "parse_ppm_size", "AgentChainClient", "wallet_address",
 ]

@@ -267,10 +267,23 @@ def cmd_chain(args, config: dict[str, str]) -> int:
     t0 = time.perf_counter()
     out = _out_dir(args)
     ledger_path = Path(args.ledger) if args.ledger else out / "ledger.log"
-    ledger = chain_mod.Ledger.load(ledger_path) if ledger_path.exists() else chain_mod.Ledger()
     seed = args.seed if args.seed is not None else 0
 
     artifacts = [ledger_path.name]
+    if args.chain_op == "verify":
+        # the entries as read, since Ledger.load refuses a ledger that fails verification
+        entries = chain_mod.read_entries(ledger_path) if ledger_path.exists() else []
+        report = chain_mod.verify_entries(entries)
+        if report.ok:
+            print("ok")
+        else:
+            for violation in report.violations:
+                print(f"violation: {violation}")
+        resolved = {"op": "verify", "ledger": str(ledger_path), "seed": seed}
+        _write_manifest(out, "chain", resolved, artifacts, t0)
+        return 0 if report.ok else 1
+
+    ledger = chain_mod.Ledger.load(ledger_path) if ledger_path.exists() else chain_mod.Ledger()
     if args.chain_op == "mint":
         wallet = ledger.create_wallet(seed=seed, endowment=chain_mod.to_nanos(args.endowment))
         art = chain_mod.generate_art(args.art_seed, args.theme)
@@ -280,21 +293,11 @@ def cmd_chain(args, config: dict[str, str]) -> int:
         artifacts.append(art_path.name)
         ledger.save(ledger_path)
         print(f"chain: minted token {record.token_id} (art {record.art_hash[:16]}...)")
-    elif args.chain_op == "deploy":
+    else:
         wallet = ledger.create_wallet(seed=seed, endowment=chain_mod.to_nanos(args.endowment))
         record = ledger.deploy_token(wallet, args.name, args.symbol, args.supply)
         ledger.save(ledger_path)
         print(f"chain: deployed {record.symbol} supply {record.total_supply}")
-    else:
-        report = ledger.verify()
-        if report.ok:
-            print("ok")
-        else:
-            for violation in report.violations:
-                print(f"violation: {violation}")
-        resolved = {"op": "verify", "ledger": str(ledger_path), "seed": seed}
-        _write_manifest(out, "chain", resolved, artifacts, t0)
-        return 0 if report.ok else 1
 
     resolved = {"op": args.chain_op, "ledger": str(ledger_path), "seed": seed}
     _write_manifest(out, "chain", resolved, artifacts, t0)

@@ -9,19 +9,19 @@ from __future__ import annotations
 
 import threading
 
-DEFAULT_EPOCH_MS = 1_700_000_000_000
+EPOCH_MS = 1_700_000_000_000
+STEP_MS = 1000
 
 
 class SimClock:
-    """Monotonic fake clock: each call returns epoch + step * calls_so_far."""
+    """Monotonic fake clock: each call returns EPOCH_MS + STEP_MS * calls_so_far."""
 
-    def __init__(self, epoch_ms: int = DEFAULT_EPOCH_MS, step_ms: int = 1000):
-        self._now = epoch_ms
-        self._step = step_ms
+    def __init__(self):
+        self._now = EPOCH_MS
         self._lock = threading.Lock()
 
     def __call__(self) -> int:
         with self._lock:
             now = self._now
-            self._now += self._step
+            self._now += STEP_MS
             return now

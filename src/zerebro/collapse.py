@@ -14,17 +14,24 @@ Each generation draws round(rho*m) samples from the immutable origin
 ("human" pool) and the rest from the current model ("synthetic" pool),
 sharing one underlying random stream per generation so runs at different
 rho values with the same seed are driven by common random numbers.
+
+Tail mass is `diversity.tail_mass` of each generation's samples in the
+origin frame (origin mean and std; categorical symbols at their index in
+the sorted origin support, so non-numeric symbols work too). Generation 0
+carries the origin's analytic tail mass; a one-symbol origin has none.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
+from .diversity import tail_mass
 from .errors import BadConfigError, DegenerateFitError
 
 MODEL_KINDS = ("gaussian", "categorical")
@@ -155,80 +162,56 @@ def step_generation(model, origin, m: int, rho: float, rng: np.random.Generator)
     model_symbols, model_cdf = _cdf(model)
     samples = _draw_categorical(origin_symbols, origin_cdf, u[:h])
     samples += _draw_categorical(model_symbols, model_cdf, u[h:])
-    counts: dict = {}
-    for s in samples:
-        counts[s] = counts.get(s, 0) + 1
-    probs = {s: c / m for s, c in counts.items()}
+    probs = {s: c / m for s, c in Counter(samples).items()}
     return samples, CategoricalModel(probs)
 
 
-class _OriginFrame:
-    """Reference frame for tail mass: origin mean/std on the value axis.
-
-    Categorical symbols are mapped to their index in the sorted origin
-    support so tail mass is well defined for non-numeric symbols too.
-    """
-
-    def __init__(self, config: RecursionConfig):
-        if config.model_kind == "gaussian":
-            self.mu0 = config.origin.mu
-            self.sigma0 = math.sqrt(config.origin.sigma2)
-            self.value_of = None
-        else:
-            symbols = config.origin.support()
-            self.value_of = {s: float(i) for i, s in enumerate(symbols)}
-            probs = np.array([config.origin.probabilities[s] for s in symbols])
-            values = np.arange(len(symbols), dtype=np.float64)
-            self.mu0 = float(probs @ values)
-            self.sigma0 = float(math.sqrt(max(0.0, probs @ (values - self.mu0) ** 2)))
-
-    def sample_tail(self, samples) -> float:
-        if self.value_of is not None:
-            samples = [self.value_of[s] for s in samples]
-        arr = np.asarray(samples, dtype=np.float64)
-        if self.sigma0 == 0.0:
-            return float(np.mean(arr != self.mu0))
-        return float(np.mean(np.abs(arr - self.mu0) > TAIL_K * self.sigma0))
-
-    def model_tail(self, model) -> float:
-        """Analytic tail mass of a model against this frame."""
-        if isinstance(model, GaussianModel):
-            if self.sigma0 == 0.0:
-                return 1.0
-            # mass of N(mu, sigma2) outside [mu0 - k s0, mu0 + k s0]
-            sd = math.sqrt(model.sigma2)
-            lo = (self.mu0 - TAIL_K * self.sigma0 - model.mu) / sd
-            hi = (self.mu0 + TAIL_K * self.sigma0 - model.mu) / sd
-            phi = lambda t: 0.5 * math.erfc(-t / math.sqrt(2.0))
-            return 1.0 - (phi(hi) - phi(lo))
-        mass = 0.0
-        for s, p in model.probabilities.items():
-            v = self.value_of[s]
-            outside = (v != self.mu0) if self.sigma0 == 0.0 else (
-                abs(v - self.mu0) > TAIL_K * self.sigma0
-            )
-            if outside:
-                mass += p
-        return mass
+def _origin_frame(origin) -> tuple[float, float, dict | None]:
+    """The origin frame: (mu0, sigma0, symbol -> value map, or None for Gaussians)."""
+    if isinstance(origin, GaussianModel):
+        return origin.mu, math.sqrt(origin.sigma2), None
+    symbols = origin.support()
+    probs = np.array([origin.probabilities[s] for s in symbols])
+    values = np.arange(len(symbols), dtype=np.float64)
+    mu0 = float(probs @ values)
+    sigma0 = float(math.sqrt(max(0.0, probs @ (values - mu0) ** 2)))
+    return mu0, sigma0, {s: float(i) for i, s in enumerate(symbols)}
 
 
-def _record(generation: int, model, frame: _OriginFrame, samples=None) -> GenerationRecord:
-    tail = frame.model_tail(model) if samples is None else frame.sample_tail(samples)
-    if isinstance(model, GaussianModel):
-        return GenerationRecord(
-            generation=generation,
-            model=model,
-            variance=model.sigma2,
-            entropy_bits=None,
-            distinct=None,
-            tail_mass=tail,
-        )
+def _origin_tail(origin, mu0: float, sigma0: float, value_of: dict | None) -> float:
+    """Analytic tail mass of the origin itself, for generation 0."""
+    if value_of is None:
+        # mass of N(mu0, sigma0**2) outside [mu0 - k s0, mu0 + k s0]; the
+        # bounds keep their float rounding (a spread far below mu0's ulp
+        # rounds to a zero-width window, tail 1.0), so lo is not simply -k
+        phi = lambda t: 0.5 * math.erfc(-t / math.sqrt(2.0))
+        lo = (mu0 - TAIL_K * sigma0 - mu0) / sigma0
+        hi = (mu0 + TAIL_K * sigma0 - mu0) / sigma0
+        return 1.0 - (phi(hi) - phi(lo))
+    mass = 0.0
+    for s, p in origin.probabilities.items():
+        if abs(value_of[s] - mu0) > TAIL_K * sigma0:
+            mass += p
+    return mass
+
+
+def _sample_tail(samples, mu0: float, sigma0: float, value_of: dict | None) -> float:
+    if sigma0 == 0.0:
+        # a one-symbol origin: every sample is its only symbol, at mu0
+        return 0.0
+    if value_of is not None:
+        samples = [value_of[s] for s in samples]
+    return tail_mass(samples, mu0, sigma0, TAIL_K)
+
+
+def _record(generation: int, model, tail: float) -> GenerationRecord:
+    gaussian = isinstance(model, GaussianModel)
     return GenerationRecord(
         generation=generation,
         model=model,
-        variance=None,
-        entropy_bits=model.entropy_bits(),
-        distinct=len(model.probabilities),
+        variance=model.sigma2 if gaussian else None,
+        entropy_bits=None if gaussian else model.entropy_bits(),
+        distinct=None if gaussian else len(model.probabilities),
         tail_mass=tail,
     )
 
@@ -236,8 +219,8 @@ def _record(generation: int, model, frame: _OriginFrame, samples=None) -> Genera
 def run_recursion(config: RecursionConfig) -> CollapseTrajectory:
     """Run the full recursion; deterministic for a given config."""
     rng = np.random.default_rng(config.seed)
-    frame = _OriginFrame(config)
-    records = [_record(0, config.origin, frame)]
+    frame = _origin_frame(config.origin)
+    records = [_record(0, config.origin, _origin_tail(config.origin, *frame))]
     model = config.origin
     status = "completed"
     for t in range(1, config.generations + 1):
@@ -246,7 +229,7 @@ def run_recursion(config: RecursionConfig) -> CollapseTrajectory:
         except DegenerateFitError:
             status = "collapsed"
             break
-        records.append(_record(t, model, frame, samples))
+        records.append(_record(t, model, _sample_tail(samples, *frame)))
     return CollapseTrajectory(config=config, records=tuple(records), status=status)
 
 
@@ -302,26 +285,16 @@ def compare_regimens(
         raise BadConfigError(f"n_seeds must be positive, got {n_seeds}")
     rows = []
     for rho in rhos:
-        ratios: list[float] = []
-        entropies: list[float] = []
-        distincts: list[int] = []
-        for i in range(n_seeds):
-            cfg = replace(base, rho=rho, seed=seed_for(base.seed, i))
-            final = run_recursion(cfg).final()
-            if final.variance is not None:
-                ratios.append(final.variance / base.origin.sigma2)
-            if final.entropy_bits is not None:
-                entropies.append(final.entropy_bits)
-            if final.distinct is not None:
-                distincts.append(final.distinct)
-        rows.append(
-            RegimenRow(
-                rho=float(rho),
-                final_variance_ratios=tuple(ratios),
-                final_entropies=tuple(entropies),
-                final_distincts=tuple(distincts),
-            )
-        )
+        finals = [
+            run_recursion(replace(base, rho=rho, seed=seed_for(base.seed, i))).final()
+            for i in range(n_seeds)
+        ]
+        if base.model_kind == "gaussian":
+            ratios = tuple(f.variance / base.origin.sigma2 for f in finals)
+            rows.append(RegimenRow(float(rho), ratios, (), ()))
+        else:
+            entropies = tuple(f.entropy_bits for f in finals)
+            rows.append(RegimenRow(float(rho), (), entropies, tuple(f.distinct for f in finals)))
     return RegimenReport(base=base, n_seeds=n_seeds, rows=tuple(rows))
 
 

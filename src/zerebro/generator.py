@@ -1,7 +1,8 @@
 """Pluggable text generation behind a tiny interface.
 
 The default generator is a seeded Markov walk over the bundled corpus,
-biased toward the vocabulary of the prompt and the retrieved context.
+biased toward the vocabulary of the prompt and the retrieved context; its
+bias, restart probability and length range are fixed constants.
 That bias is what makes the recursive experiments meaningful: an agent
 feeding on its own output keeps re-walking the same neighborhoods, while
 fresh human sentences open new ones.
@@ -19,7 +20,6 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from .corpus import human_corpus
-from .errors import EmptyTextError
 
 
 class Generator(Protocol):
@@ -37,39 +37,28 @@ def _derive_rng(seed: int, prompt: str, retrieved_context: Sequence[str]) -> np.
 
 
 class MarkovGenerator:
-    """Order-1 word chain with focus-vocabulary bias.
+    """Order-1 word chain over the bundled corpus, with focus-vocabulary bias.
 
-    focus_bias is the probability of preferring a successor that already
-    appears in the prompt/context vocabulary; jump_prob restarts the walk
-    at a focus word. Higher values tighten the feedback loop.
+    The knobs are constants. focus_bias is the probability of preferring a
+    successor that already appears in the prompt/context vocabulary;
+    jump_prob restarts the walk at a focus word; each text has between
+    min_tokens and max_tokens tokens. Higher bias tightens the feedback loop.
     """
 
-    def __init__(
-        self,
-        corpus: Sequence[str] | None = None,
-        focus_bias: float = 0.55,
-        jump_prob: float = 0.3,
-        min_tokens: int = 6,
-        max_tokens: int = 20,
-    ):
-        sentences = list(corpus) if corpus is not None else list(human_corpus())
-        if not sentences:
-            raise EmptyTextError("generator corpus is empty")
+    focus_bias = 0.55
+    jump_prob = 0.3
+    min_tokens = 6
+    max_tokens = 20
+
+    def __init__(self):
         self._chain: dict[str, list[str]] = {}
         self._starts: list[str] = []
-        for sentence in sentences:
+        # the corpus loader drops blank lines, so every sentence has a token
+        for sentence in human_corpus():
             tokens = sentence.split()
-            if not tokens:
-                continue
             self._starts.append(tokens[0])
             for a, b in zip(tokens, tokens[1:]):
                 self._chain.setdefault(a, []).append(b)
-        if not self._starts:
-            raise EmptyTextError("generator corpus has no usable tokens")
-        self.focus_bias = focus_bias
-        self.jump_prob = jump_prob
-        self.min_tokens = min_tokens
-        self.max_tokens = max_tokens
 
     def generate(self, prompt: str, retrieved_context: Sequence[str], seed: int) -> str:
         rng = _derive_rng(seed, prompt, retrieved_context)

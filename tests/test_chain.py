@@ -308,3 +308,60 @@ class TestArt:
             digest = hashlib.sha256(generate_art(seed, "collision", 16, 16)).hexdigest()
             assert digest not in seen
             seen.add(digest)
+
+
+def rehashed(entry, payload):
+    """The entry with a new payload and a recomputed content hash."""
+    from dataclasses import replace
+
+    from zerebro.chain import _entry_hash
+
+    return replace(entry, payload=payload, payload_hash=_entry_hash(
+        entry.kind, entry.src, entry.dst, entry.amount, payload))
+
+
+def token_ledger():
+    ledger, (a, b) = fresh_ledger(2)
+    ledger.deploy_token(a, "moth token", "MOTH", 1000)
+    ledger.execute_sale(("MOTH", 250), a.address, b.address, to_nanos("1"))
+    return ledger
+
+
+class TestUncountablePayloads:
+    """Units or a supply the fold cannot count with are violations, not crashes."""
+
+    @pytest.mark.parametrize("units", ["missing", None, "many", [1]])
+    def test_token_sale_units(self, units):
+        entries = list(token_ledger().entries)
+        sale = entries[-1]
+        payload = {k: v for k, v in sale.payload.items() if k != "units"}
+        if units != "missing":
+            payload["units"] = units
+        entries[-1] = rehashed(sale, payload)
+        expected = None if units == "missing" else units
+        report = verify_entries(entries)
+        assert not report.ok
+        assert f"seq {sale.sequence}: token sale units {expected!r} not an integer" in (
+            report.violations
+        )
+
+    @pytest.mark.parametrize("supply", [None, "lots", [1000]])
+    def test_deploy_total_supply(self, supply):
+        entries = list(token_ledger().entries)
+        index = next(i for i, e in enumerate(entries) if e.kind == "deploy")
+        deploy = entries[index]
+        entries[index] = rehashed(deploy, {**deploy.payload, "total_supply": supply})
+        report = verify_entries(entries)
+        assert not report.ok
+        assert f"seq {index}: total_supply {supply!r} not an integer" in report.violations
+
+    def test_load_raises_corrupt_log(self, tmp_path):
+        ledger = token_ledger()
+        sale = ledger.entries[-1]
+        tampered = Ledger()
+        tampered._entries = [*ledger.entries[:-1], rehashed(sale, {
+            k: v for k, v in sale.payload.items() if k != "units"})]
+        path = tmp_path / "ledger.log"
+        path.write_text(tampered.serialize(), encoding="utf-8")
+        with pytest.raises(CorruptLogError, match="token sale units None not an integer"):
+            Ledger.load(path)

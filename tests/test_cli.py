@@ -278,3 +278,30 @@ class TestOutEnvDefault:
         monkeypatch.setenv("ZEREBRO_OUT", str(tmp_path / "envout"))
         assert run_cli("chain", "verify") == 0
         assert (tmp_path / "envout" / "manifest.json").exists()
+
+
+class TestChainVerifyViolations:
+    def test_token_sale_without_units(self, tmp_path, capsys):
+        from dataclasses import replace
+
+        from zerebro.chain import Ledger, _entry_hash, to_nanos
+
+        ledger = Ledger()
+        a = ledger.create_wallet(seed=1, endowment=to_nanos("10"))
+        b = ledger.create_wallet(seed=2, endowment=to_nanos("10"))
+        ledger.deploy_token(a, "moth token", "MOTH", 1000)
+        ledger.execute_sale(("MOTH", 250), a.address, b.address, to_nanos("1"))
+        sale = ledger.entries[-1]
+        payload = {"token": "MOTH", "price": sale.payload["price"]}
+        tampered = Ledger()
+        tampered._entries = [*ledger.entries[:-1], replace(
+            sale, payload=payload,
+            payload_hash=_entry_hash(sale.kind, sale.src, sale.dst, sale.amount, payload),
+        )]
+        path = tmp_path / "ledger.log"
+        path.write_text(tampered.serialize(), encoding="utf-8")
+
+        code = run_cli("chain", "verify", "--ledger", str(path), "--out", str(tmp_path))
+        assert code == 1
+        out = capsys.readouterr().out
+        assert f"violation: seq {sale.sequence}: token sale units None not an integer" in out

@@ -1,9 +1,11 @@
 """Byte-identity pins for the replayable files.
 
 The agent's event log, its ledger and state hash, a serialized ledger after
-a fixed mix of operations, and verify_entries' reports on two tampered
-copies are all pinned by sha256. Any change to the log line format, the
-ledger's state transition or its verification messages fails here.
+a fixed mix of operations, verify_entries' reports on two tampered copies,
+and the collapse lab's trajectory files and regimen reports are all pinned
+by sha256. Any change to the log line format, the ledger's state
+transition, its verification messages, or the collapse lab's sampling,
+refitting or tail-mass scoring fails here.
 """
 
 import hashlib
@@ -13,6 +15,16 @@ import pytest
 
 from zerebro.chain import Ledger, generate_art, to_nanos, verify_entries
 from zerebro.cli import main
+from zerebro.collapse import (
+    CategoricalModel,
+    GaussianModel,
+    RecursionConfig,
+    compare_regimens,
+    format_regimen_report,
+    run_recursion,
+    uniform_categorical,
+    write_trajectory,
+)
 from zerebro.errors import InsufficientFundsError
 
 AGENT_DIGESTS = {
@@ -23,6 +35,32 @@ AGENT_DIGESTS = {
 LEDGER_DIGEST = "a5c42612c8e43a02dd7a39541a2f70253cfd2d296be6a602e79b9ce2a27fab08"
 AMOUNT_BUMP_DIGEST = "1af6f185c3757843a9086aca0a8e66dc976710f493d5041c03293572768bf1e3"
 DUPLICATE_ART_DIGEST = "89326e8773c2d403a2527f2e23b9ac5c9a8974a93c76803ec0a8adbe96aa331d"
+
+# trajectory.tsv per config; the one-symbol origin has sigma0 == 0 in the
+# tail-mass frame, and the 1e-40 variance run collapses at generation 1
+TRAJECTORY_CONFIGS = {
+    "gaussian-rho0.25": RecursionConfig(
+        "gaussian", 100, 20, 0.25, 7, GaussianModel(mu=0.0, sigma2=1.0)
+    ),
+    "uniform-1000": RecursionConfig("categorical", 100, 20, 0.0, 11, uniform_categorical(1000)),
+    "string-symbols": RecursionConfig(
+        "categorical", 50, 15, 0.5, 5,
+        CategoricalModel({"a": 0.1, "b": 0.2, "zz": 0.3, "c": 0.4}),
+    ),
+    "one-symbol": RecursionConfig("categorical", 10, 5, 0.0, 2, uniform_categorical(1)),
+    "collapsed": RecursionConfig("gaussian", 10, 5, 0.0, 0, GaussianModel(mu=1.0, sigma2=1e-40)),
+}
+TRAJECTORY_DIGESTS = {
+    "gaussian-rho0.25": "fb1f930ca221d7578566e6c270cc0fcd23148d7ddf320521cec0e59625d85863",
+    "uniform-1000": "d769f004cc632fb654bc6978d4e5407897e05776798669b12cb0dfeab67d9428",
+    "string-symbols": "86c33f5b0126d84c86f0bf412898fbfdd3dc1175100b7bbbeea59549454a7715",
+    "one-symbol": "1246a2eaa433426796cbfa9f37aa8ab613266f00c941a0999c39b743e2a20ac4",
+    "collapsed": "a0a3faf3a2c43fc52966cada11cbfe04410cd0639b276df8aea650784cceee63",
+}
+REPORT_DIGESTS = {
+    "gaussian": "5962728460c38f626c4d2fd1d2c5f9e74e1cc091ac0a5695f568bc9dd0e35ee1",
+    "categorical": "d0fe3531c3c7b57e4e75b2e0a172b4f4ba822dc8e41fee24e64b3d52d64bc2fd",
+}
 
 
 def sha256(data: bytes) -> str:
@@ -75,3 +113,18 @@ def test_tampered_ledger_reports():
         second, payload={**second.payload, "art_hash": first.payload["art_hash"]}
     )
     assert violations_digest(copied) == DUPLICATE_ART_DIGEST
+
+
+@pytest.mark.parametrize("name", sorted(TRAJECTORY_CONFIGS))
+def test_collapse_trajectory(tmp_path, name):
+    path = tmp_path / "trajectory.tsv"
+    write_trajectory(run_recursion(TRAJECTORY_CONFIGS[name]), path)
+    assert sha256(path.read_bytes()) == TRAJECTORY_DIGESTS[name]
+
+
+@pytest.mark.parametrize("family", sorted(REPORT_DIGESTS))
+def test_regimen_report(family):
+    base = (TRAJECTORY_CONFIGS["gaussian-rho0.25"] if family == "gaussian"
+            else TRAJECTORY_CONFIGS["uniform-1000"])
+    report = compare_regimens(base, [0.0, 0.5, 1.0], n_seeds=4)
+    assert sha256(format_regimen_report(report).encode("utf-8")) == REPORT_DIGESTS[family]
