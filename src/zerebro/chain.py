@@ -27,6 +27,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import offsetlog
+from .atomic import write_atomic
 from .clock import SimClock
 from .errors import (
     BadSymbolError,
@@ -122,6 +123,12 @@ def _entry_hash(kind: str, src: str, dst: str, amount: int, payload: dict) -> st
 
 def _valid_symbol(symbol: str) -> bool:
     return 1 <= len(symbol) <= 10 and all("A" <= ch <= "Z" for ch in symbol)
+
+
+def _check_count(name: str, value) -> None:
+    """Live ops commit whole counts only: the fold would truncate a float."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an int, got {value!r}")
 
 
 class Ledger:
@@ -270,6 +277,7 @@ class Ledger:
         fee = self.fees.deploy
         if not _valid_symbol(symbol):
             raise BadSymbolError(f"symbol {symbol!r} must be 1-10 uppercase ASCII letters")
+        _check_count("total_supply", total_supply)
         if total_supply < 1:
             raise ValueError(f"total_supply must be positive, got {total_supply}")
         with self._lock:
@@ -303,6 +311,7 @@ class Ledger:
                 payload = {"nft": asset, "price": price}
             else:
                 symbol, units = asset
+                _check_count("units", units)
                 if units < 1:
                     raise ValueError("units must be positive")
                 if self.token_balance(symbol, seller) < units:
@@ -336,8 +345,7 @@ class Ledger:
 
     def save(self, path) -> None:
         try:
-            with open(path, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(self.serialize())
+            write_atomic(path, self.serialize().encode("utf-8"))
         except OSError as exc:
             raise IoFailureError(f"cannot write ledger {path}: {exc}") from exc
 
@@ -377,6 +385,21 @@ def _counts(value) -> bool:
     return True
 
 
+def _key_fields(e: LedgerEntry) -> list[tuple[str, object]]:
+    """(field, value) for each value Ledger._apply uses as a dict key."""
+    payload = e.payload
+    if e.kind == "transfer":
+        return [("src", e.src), ("dst", e.dst)]
+    if e.kind == "fee":
+        return [("src", e.src)]
+    if e.kind == "sale":
+        asset = "token" if "token" in payload else "nft"
+        return [("src", e.src), ("dst", e.dst), (asset, payload.get(asset))]
+    if e.kind == "mint":
+        return [("token_id", payload.get("token_id")), ("art_hash", payload.get("art_hash"))]
+    return [("src", e.src), ("symbol", payload.get("symbol"))]
+
+
 def verify_entries(entries: Sequence[LedgerEntry]) -> VerifyReport:
     """Check sequencing, prefix-wise balances and conservation, provenance.
 
@@ -411,15 +434,23 @@ def _fold_checked(entries: Sequence[LedgerEntry], ledger: Ledger) -> list[str]:
 
         payload = e.payload
         token_sale = e.kind == "sale" and "token" in payload
+        if token_sale and not _counts(payload.get("units")):
+            fail(e.sequence, f"token sale units {payload.get('units')!r} not an integer")
+            continue
+        if e.kind == "deploy" and not _counts(payload.get("total_supply", 0)):
+            fail(e.sequence, f"total_supply {payload.get('total_supply')!r} not an integer")
+            continue
+        unkeyable = [(f, v) for f, v in _key_fields(e) if isinstance(v, (list, dict))]
+        if unkeyable:
+            field, value = unkeyable[0]
+            fail(e.sequence, f"{e.kind} {field} {value!r} is a JSON list or object")
+            continue
         if e.kind == "fee" and e.dst != FEE_SINK:
             fail(e.sequence, f"fee routed to {e.dst!r}, not the fee sink")
         elif e.kind == "sale" and not token_sale:
             nft = payload.get("nft")
             if ledger._nft_owner.get(nft) != e.dst:
                 fail(e.sequence, f"NFT {nft} sold by non-owner {e.dst}")
-        elif token_sale and not _counts(payload.get("units")):
-            fail(e.sequence, f"token sale units {payload.get('units')!r} not an integer")
-            continue
         elif e.kind == "mint":
             art_hash = payload.get("art_hash")
             token_id = payload.get("token_id")
@@ -429,9 +460,6 @@ def _fold_checked(entries: Sequence[LedgerEntry], ledger: Ledger) -> list[str]:
             if token_id != next_token_id:
                 fail(e.sequence, f"token id not dense, expected {next_token_id} got {token_id}")
             next_token_id = (token_id + 1) if isinstance(token_id, int) else next_token_id
-        elif e.kind == "deploy" and not _counts(payload.get("total_supply", 0)):
-            fail(e.sequence, f"total_supply {payload.get('total_supply')!r} not an integer")
-            continue
         elif e.kind == "deploy" and payload.get("symbol") in ledger._tokens:
             fail(e.sequence, f"symbol {payload.get('symbol')} deployed twice")
 

@@ -2,8 +2,10 @@
 chain operations, and report generation.
 
 Every command resolves its configuration (config file overridden by
-flags), runs under simulated clocks, writes its artifacts beneath --out,
-and records a run manifest sufficient to reproduce the run byte for byte.
+flags), runs under simulated clocks and writes its artifacts beneath
+--out. `main` then writes manifest.json: the command, every resolved
+value (each flag plus each config-file value the command read) and the
+artifact names, enough to reproduce the run byte for byte.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage error (including a bad
 flag or config value).
@@ -15,7 +17,6 @@ import argparse
 import json
 import os
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ from . import agent as agent_mod
 from . import backrooms as backrooms_mod
 from . import chain as chain_mod
 from . import collapse as collapse_mod
+from .atomic import write_atomic
 from .clock import SimClock
 from .corpus import human_corpus
 from .embedding import EmbeddingConfig
@@ -52,47 +54,24 @@ def parse_config_file(path: str | None) -> dict[str, str]:
     return values
 
 
-def _resolve(flag_value, config: dict[str, str], key: str, cast, default):
-    if flag_value is not None:
-        return flag_value
-    if key in config:
-        return cast(config[key])
-    return default
-
-
-def _write_manifest(out: Path, command: str, resolved: dict, artifacts: list[str], t0: float) -> None:
-    manifest = {
-        "command": command,
-        "config": resolved,
-        "seed": resolved.get("seed"),
-        "artifacts": artifacts,
-        "duration_s": round(time.perf_counter() - t0, 3),
-    }
-    (out / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-
-
-def _out_dir(args) -> Path:
-    out = Path(args.out or os.environ.get(OUT_ENV) or "zerebro-out")
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _resolve(args, config: dict[str, str], dest: str, key: str, cast, default) -> None:
+    """Set args.<dest> from its flag, else the config key, else the default."""
+    if getattr(args, dest, None) is None:
+        setattr(args, dest, cast(config[key]) if key in config else default)
 
 
 # --- collapse --------------------------------------------------------------------
 
 
-def cmd_collapse(args, config: dict[str, str]) -> int:
-    t0 = time.perf_counter()
-    out = _out_dir(args)
-    seed = _resolve(args.seed, config, "collapse.seed", int, 0)
+def cmd_collapse(args, config: dict[str, str], out: Path) -> tuple[int, list[str]]:
+    _resolve(args, config, "seed", "collapse.seed", int, 0)
     if args.model == "gaussian":
         origin = collapse_mod.GaussianModel(mu=args.mu, sigma2=args.sigma2)
     else:
         origin = collapse_mod.uniform_categorical(args.symbols)
     base = collapse_mod.RecursionConfig(
         model_kind=args.model, m=args.m, generations=args.G,
-        rho=args.rho, seed=seed, origin=origin,
+        rho=args.rho, seed=args.seed, origin=origin,
     )
 
     trajectory = collapse_mod.run_recursion(base)
@@ -108,65 +87,50 @@ def cmd_collapse(args, config: dict[str, str]) -> int:
         lines.append(f"analytic_rho0_variance_ratio={analytic!r}")
     report_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
-    resolved = {
-        "model": args.model, "m": args.m, "G": args.G, "rho": args.rho,
-        "seeds": args.seeds, "seed": seed, "mu": args.mu, "sigma2": args.sigma2,
-        "symbols": args.symbols,
-    }
-    _write_manifest(out, "collapse", resolved, [traj_path.name, report_path.name], t0)
     mean = row.mean_variance_ratio if row.mean_variance_ratio is not None else row.mean_entropy_bits
     print(f"collapse: wrote {traj_path} and {report_path} (final metric mean {mean:.6f})")
-    return 0
+    return 0, [traj_path.name, report_path.name]
 
 
 # --- backrooms -------------------------------------------------------------------
 
 
-def cmd_backrooms(args, config: dict[str, str]) -> int:
-    t0 = time.perf_counter()
-    out = _out_dir(args)
-    seed = _resolve(args.seed, config, "backrooms.seed", int, 0)
-    dimension = int(config.get("embedding.dimension", EmbeddingConfig().dimension))
+def cmd_backrooms(args, config: dict[str, str], out: Path) -> tuple[int, list[str]]:
+    _resolve(args, config, "seed", "backrooms.seed", int, 0)
+    _resolve(args, config, "dimension", "embedding.dimension", int, EmbeddingConfig().dimension)
+    _resolve(args, config, "backend", "embedding.backend", str, "hashed")
     cfg = backrooms_mod.BackroomsConfig(
-        turns=args.turns, seed=seed, injection_rate=args.injection_rate,
+        turns=args.turns, seed=args.seed, injection_rate=args.injection_rate,
         opening_prompt=args.prompt, store_injected=args.store_injected,
     )
     memory = MemoryStore(
-        EmbeddingConfig(dimension=dimension, seed=seed),
-        backend=config.get("embedding.backend", "hashed"),
+        EmbeddingConfig(dimension=args.dimension, seed=args.seed), backend=args.backend
     )
     transcript = backrooms_mod.run_backrooms(cfg, memory=memory, generator=MarkovGenerator())
     transcript_path = out / "transcript.txt"
     backrooms_mod.write_transcript(transcript, transcript_path)
 
-    resolved = {
-        "turns": args.turns, "seed": seed, "injection_rate": args.injection_rate,
-        "prompt": args.prompt, "store_injected": args.store_injected,
-        "dimension": dimension,
-    }
-    _write_manifest(out, "backrooms", resolved, [transcript_path.name], t0)
     final = transcript.final_report()
     print(
         f"backrooms: {args.turns} turns, final distinct_2={final.distinct_2:.4f} "
         f"dispersion={final.embedding_dispersion:.4f} -> {transcript_path}"
     )
-    return 0
+    return 0, [transcript_path.name]
 
 
 # --- agent -----------------------------------------------------------------------
 
 
-def cmd_agent(args, config: dict[str, str]) -> int:
-    t0 = time.perf_counter()
-    out = _out_dir(args)
-    seed = _resolve(args.seed, config, "agent.seed", int, 0)
-    threshold = _resolve(args.threshold, config, "agent.sentiment_threshold", float, 0.0)
-    max_actions = _resolve(args.max_actions, config, "agent.max_actions_per_turn", int, 3)
-    eta = _resolve(args.eta, config, "agent.eta", float, agent_mod.DEFAULT_ETA)
-    dimension = int(config.get("embedding.dimension", 256))
+def cmd_agent(args, config: dict[str, str], out: Path) -> tuple[int, list[str]]:
+    _resolve(args, config, "seed", "agent.seed", int, 0)
+    _resolve(args, config, "threshold", "agent.sentiment_threshold", float, 0.0)
+    _resolve(args, config, "max_actions", "agent.max_actions_per_turn", int, 3)
+    _resolve(args, config, "eta", "agent.eta", float, agent_mod.DEFAULT_ETA)
+    _resolve(args, config, "dimension", "embedding.dimension", int, 256)
+    seed = args.seed
 
     clock = SimClock()
-    memory = MemoryStore(EmbeddingConfig(dimension=dimension, seed=seed))
+    memory = MemoryStore(EmbeddingConfig(dimension=args.dimension, seed=seed))
     if args.connectors:
         connectors = load_connector_config(args.connectors, clock=clock)
     else:
@@ -179,7 +143,7 @@ def cmd_agent(args, config: dict[str, str]) -> int:
         ledger, wallet,
         art_sink=lambda art_hash, art: (art_dir / f"{art_hash}.ppm").write_bytes(art),
     )
-    state = agent_mod.initial_state(seed, sentiment_threshold=threshold)
+    state = agent_mod.initial_state(seed, sentiment_threshold=args.threshold)
 
     corpus = human_corpus()
     obs_rng = np.random.default_rng(seed)
@@ -193,53 +157,45 @@ def cmd_agent(args, config: dict[str, str]) -> int:
     with EventLog(log_path, clock=clock) as log:
         final, state_digest = agent_mod.run_session(
             state, memory, connectors, client, MarkovGenerator(), observations,
-            args.turns, log=log, clock=clock, eta=eta, max_actions=max_actions,
+            args.turns, log=log, clock=clock, eta=args.eta, max_actions=args.max_actions,
         )
     ledger_path = out / "ledger.log"
     ledger.save(ledger_path)
     hash_path = out / "state_hash.txt"
     hash_path.write_text(state_digest + "\n", encoding="utf-8")
 
-    resolved = {
-        "turns": args.turns, "seed": seed, "threshold": threshold,
-        "max_actions": max_actions, "eta": eta, "endowment": args.endowment,
-        "dimension": dimension, "connectors": args.connectors,
-    }
-    _write_manifest(
-        out, "agent", resolved, [log_path.name, ledger_path.name, hash_path.name], t0
-    )
     print(
         f"agent: {final.turn_counter} turns, memory {len(memory)} records, "
         f"state hash {state_digest[:16]}... -> {out}"
     )
-    return 0
+    return 0, [log_path.name, ledger_path.name, hash_path.name]
 
 
 # --- memory ----------------------------------------------------------------------
 
 
-def _open_store(path: Path, config: dict[str, str]) -> MemoryStore:
-    if path.exists():
-        return MemoryStore.load(path)
-    dimension = int(config.get("embedding.dimension", EmbeddingConfig().dimension))
-    cfg = EmbeddingConfig(dimension=dimension, seed=int(config.get("embedding.seed", 0)))
-    return MemoryStore(cfg, backend=config.get("embedding.backend", "hashed"))
-
-
-def cmd_memory(args, config: dict[str, str]) -> int:
-    t0 = time.perf_counter()
-    out = _out_dir(args)
+def cmd_memory(args, config: dict[str, str], out: Path) -> tuple[int, list[str]]:
     store_path = Path(args.store) if args.store else out / "memory.snapshot"
-    store = _open_store(store_path, config)
+    if store_path.exists():
+        store = MemoryStore.load(store_path)
+    else:
+        _resolve(args, config, "dimension", "embedding.dimension", int,
+                 EmbeddingConfig().dimension)
+        _resolve(args, config, "embedding_seed", "embedding.seed", int, 0)
+        _resolve(args, config, "backend", "embedding.backend", str, "hashed")
+        store = MemoryStore(
+            EmbeddingConfig(dimension=args.dimension, seed=args.embedding_seed),
+            backend=args.backend,
+        )
 
-    if args.memory_op == "upsert":
+    if args.op == "upsert":
         record = store.make_record(
             args.id, args.text, source=args.source, timestamp=SimClock()()
         )
         store.upsert(record)
         store.persist(store_path)
         print(f"memory: upserted {args.id!r}, store now holds {len(store)} records")
-    elif args.memory_op == "query":
+    elif args.op == "query":
         results = store.retrieve(args.text, args.k)
         for r in results:
             print(f"{r.similarity:+.6f}  {r.record.id}  {r.record.text}")
@@ -251,26 +207,16 @@ def cmd_memory(args, config: dict[str, str]) -> int:
             f"count={stats.count} dispersion={stats.dispersion:.6f} "
             f"histogram={json.dumps(stats.source_histogram, sort_keys=True)}"
         )
-
-    resolved = {
-        "op": args.memory_op, "store": str(store_path), "seed": args.seed,
-        "id": getattr(args, "id", None), "k": getattr(args, "k", None),
-    }
-    _write_manifest(out, "memory", resolved, [store_path.name], t0)
-    return 0
+    return 0, [store_path.name]
 
 
 # --- chain -----------------------------------------------------------------------
 
 
-def cmd_chain(args, config: dict[str, str]) -> int:
-    t0 = time.perf_counter()
-    out = _out_dir(args)
+def cmd_chain(args, config: dict[str, str], out: Path) -> tuple[int, list[str]]:
     ledger_path = Path(args.ledger) if args.ledger else out / "ledger.log"
-    seed = args.seed if args.seed is not None else 0
-
     artifacts = [ledger_path.name]
-    if args.chain_op == "verify":
+    if args.op == "verify":
         # the entries as read, since Ledger.load refuses a ledger that fails verification
         entries = chain_mod.read_entries(ledger_path) if ledger_path.exists() else []
         report = chain_mod.verify_entries(entries)
@@ -279,29 +225,23 @@ def cmd_chain(args, config: dict[str, str]) -> int:
         else:
             for violation in report.violations:
                 print(f"violation: {violation}")
-        resolved = {"op": "verify", "ledger": str(ledger_path), "seed": seed}
-        _write_manifest(out, "chain", resolved, artifacts, t0)
-        return 0 if report.ok else 1
+        return (0 if report.ok else 1), artifacts
 
     ledger = chain_mod.Ledger.load(ledger_path) if ledger_path.exists() else chain_mod.Ledger()
-    if args.chain_op == "mint":
-        wallet = ledger.create_wallet(seed=seed, endowment=chain_mod.to_nanos(args.endowment))
+    wallet = ledger.create_wallet(seed=args.seed, endowment=chain_mod.to_nanos(args.endowment))
+    if args.op == "mint":
         art = chain_mod.generate_art(args.art_seed, args.theme)
         record = ledger.mint_nft(wallet, art)
         art_path = out / f"{record.art_hash}.ppm"
         art_path.write_bytes(art)
         artifacts.append(art_path.name)
-        ledger.save(ledger_path)
-        print(f"chain: minted token {record.token_id} (art {record.art_hash[:16]}...)")
+        done = f"minted token {record.token_id} (art {record.art_hash[:16]}...)"
     else:
-        wallet = ledger.create_wallet(seed=seed, endowment=chain_mod.to_nanos(args.endowment))
         record = ledger.deploy_token(wallet, args.name, args.symbol, args.supply)
-        ledger.save(ledger_path)
-        print(f"chain: deployed {record.symbol} supply {record.total_supply}")
-
-    resolved = {"op": args.chain_op, "ledger": str(ledger_path), "seed": seed}
-    _write_manifest(out, "chain", resolved, artifacts, t0)
-    return 0
+        done = f"deployed {record.symbol} supply {record.total_supply}"
+    ledger.save(ledger_path)
+    print(f"chain: {done}")
+    return 0, artifacts
 
 
 # --- report ----------------------------------------------------------------------
@@ -319,9 +259,7 @@ def _collapse_section(path: Path) -> str:
                       f"final [{columns}]: {rows[-1]}"])
 
 
-def cmd_report(args, config: dict[str, str]) -> int:
-    t0 = time.perf_counter()
-    out = _out_dir(args)
+def cmd_report(args, config: dict[str, str], out: Path) -> tuple[int, list[str]]:
     sections = []
     if args.collapse:
         sections.append("== collapse ==")
@@ -332,15 +270,12 @@ def cmd_report(args, config: dict[str, str]) -> int:
         sections.append("== backrooms ==")
         sections.append(summary[0] if summary else text.splitlines()[0])
     if not sections:
-        print("report: nothing to merge (pass --collapse and/or --backrooms)", file=sys.stderr)
-        return 1
+        raise ZerebroError("report: nothing to merge (pass --collapse and/or --backrooms)")
     merged = "\n".join(sections) + "\n"
     report_path = out / "report.txt"
     report_path.write_text(merged, encoding="utf-8")
     print(merged, end="")
-    resolved = {"collapse": args.collapse, "backrooms": args.backrooms, "seed": args.seed}
-    _write_manifest(out, "report", resolved, [report_path.name], t0)
-    return 0
+    return 0, [report_path.name]
 
 
 # --- parser ----------------------------------------------------------------------
@@ -390,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_agent)
 
     p = sub.add_parser("memory", help="inspect or edit a memory snapshot")
-    mem_sub = p.add_subparsers(dest="memory_op", required=True)
+    mem_sub = p.add_subparsers(dest="op", required=True)
     mp = mem_sub.add_parser("upsert")
     mp.add_argument("--id", required=True)
     mp.add_argument("--text", required=True)
@@ -410,14 +345,14 @@ def build_parser() -> argparse.ArgumentParser:
     mp.set_defaults(func=cmd_memory)
 
     p = sub.add_parser("chain", help="simulated ledger operations")
-    chain_sub = p.add_subparsers(dest="chain_op", required=True)
+    chain_sub = p.add_subparsers(dest="op", required=True)
     cp = chain_sub.add_parser("mint")
     cp.add_argument("--art-seed", dest="art_seed", type=int, default=1)
     cp.add_argument("--theme", default="corridor")
     cp.add_argument("--endowment", default="1")
     cp.add_argument("--ledger", default=None)
     common(cp)
-    cp.set_defaults(func=cmd_chain)
+    cp.set_defaults(func=cmd_chain, seed=0)
     cp = chain_sub.add_parser("deploy")
     cp.add_argument("--name", required=True)
     cp.add_argument("--symbol", required=True)
@@ -425,11 +360,11 @@ def build_parser() -> argparse.ArgumentParser:
     cp.add_argument("--endowment", default="1")
     cp.add_argument("--ledger", default=None)
     common(cp)
-    cp.set_defaults(func=cmd_chain)
+    cp.set_defaults(func=cmd_chain, seed=0)
     cp = chain_sub.add_parser("verify")
     cp.add_argument("--ledger", default=None)
     common(cp)
-    cp.set_defaults(func=cmd_chain)
+    cp.set_defaults(func=cmd_chain, seed=0)
 
     p = sub.add_parser("report", help="merge experiment outputs into one summary")
     p.add_argument("--collapse", default=None, help="collapse report file")
@@ -441,12 +376,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    config = {}
+    args = build_parser().parse_args(argv)
     try:
         config = parse_config_file(args.config)
-        return args.func(args, config)
+        out = Path(args.out or os.environ.get(OUT_ENV) or "zerebro-out")
+        out.mkdir(parents=True, exist_ok=True)
+        code, artifacts = args.func(args, config, out)
+        resolved = {k: v for k, v in vars(args).items() if k not in ("func", "config", "out")}
+        manifest = {"command": args.command, "config": resolved, "artifacts": artifacts}
+        text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+        write_atomic(out / "manifest.json", text.encode("utf-8"))
+        return code
     except ZerebroError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

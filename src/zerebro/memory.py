@@ -22,6 +22,7 @@ from typing import Iterator
 
 import numpy as np
 
+from .atomic import write_atomic
 from .embedding import EmbeddingConfig, cosine_similarity, make_engine
 from .errors import (
     CorruptSnapshotError,
@@ -246,9 +247,7 @@ class MemoryStore:
         body = ("\n".join(lines) + "\n").encode("utf-8")
         checksum = hashlib.sha256(body).hexdigest()
         try:
-            with open(path, "wb") as fh:
-                fh.write(body)
-                fh.write(f"checksum={checksum}\n".encode("ascii"))
+            write_atomic(path, body + f"checksum={checksum}\n".encode("ascii"))
         except OSError as exc:
             raise IoFailureError(f"cannot write snapshot {path}: {exc}") from exc
 

@@ -365,3 +365,67 @@ class TestUncountablePayloads:
         path.write_text(tampered.serialize(), encoding="utf-8")
         with pytest.raises(CorruptLogError, match="token sale units None not an integer"):
             Ledger.load(path)
+
+
+def mixed_entries():
+    """Endowments, a mint with its fee, a deploy, an NFT sale, a token sale."""
+    ledger, (a, b) = fresh_ledger(2)
+    first = ledger.mint_nft(a, generate_art(1, "moth", 8, 8))
+    ledger.deploy_token(a, "moth token", "MOTH", 1000)
+    ledger.execute_sale(first.token_id, a.address, b.address, to_nanos("1"))
+    ledger.execute_sale(("MOTH", 250), a.address, b.address, to_nanos("1"))
+    return list(ledger.entries)
+
+
+class TestUnkeyablePayloads:
+    """A JSON list or object where the fold needs a dict key is a violation."""
+
+    @pytest.mark.parametrize("kind, field, value", [
+        ("mint", "token_id", [0]),
+        ("mint", "art_hash", {"h": 1}),
+        ("deploy", "symbol", ["MOTH"]),
+        ("sale", "nft", [0]),
+        ("sale", "token", {"s": "MOTH"}),
+    ])
+    def test_reported_not_raised(self, tmp_path, kind, field, value):
+        entries = mixed_entries()
+        index = next(i for i, e in enumerate(entries)
+                     if e.kind == kind and field in e.payload)
+        entries[index] = rehashed(entries[index], {**entries[index].payload, field: value})
+        report = verify_entries(entries)
+        assert f"seq {index}: {kind} {field} {value!r} is a JSON list or object" in (
+            report.violations)
+
+        tampered = Ledger()
+        tampered._entries = entries
+        path = tmp_path / "ledger.log"
+        path.write_text(tampered.serialize(), encoding="utf-8")
+        with pytest.raises(CorruptLogError, match="is a JSON list or object"):
+            Ledger.load(path)
+
+    def test_float_token_id_still_verifies(self):
+        entries = mixed_entries()
+        index = next(i for i, e in enumerate(entries) if e.kind == "mint")
+        entries[index] = rehashed(entries[index], {**entries[index].payload, "token_id": 0.0})
+        assert verify_entries(entries).ok
+
+
+class TestWholeCounts:
+    """Live ops refuse a count the fold would truncate, before committing."""
+
+    @pytest.mark.parametrize("units", [2.5, 2.0, True, "2"])
+    def test_sale_units(self, units):
+        ledger = token_ledger()
+        a, b = (e.dst for e in ledger.entries[:2])
+        before = ledger.serialize()
+        with pytest.raises(ValueError, match="units must be an int"):
+            ledger.execute_sale(("MOTH", units), a, b, to_nanos("1"))
+        assert ledger.serialize() == before
+
+    @pytest.mark.parametrize("supply", [7.5, 7.0, "7"])
+    def test_deploy_supply(self, supply):
+        ledger, (a,) = fresh_ledger(1)
+        before = ledger.serialize()
+        with pytest.raises(ValueError, match="total_supply must be an int"):
+            ledger.deploy_token(a, "moth token", "MOTH", supply)
+        assert ledger.serialize() == before

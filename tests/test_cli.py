@@ -305,3 +305,101 @@ class TestChainVerifyViolations:
         assert code == 1
         out = capsys.readouterr().out
         assert f"violation: seq {sale.sequence}: token sale units None not an integer" in out
+
+
+def tree(root) -> dict[str, bytes]:
+    """Every file under root, by relative path."""
+    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def argv_from_manifest(config: dict) -> list[str]:
+    """The argv that re-runs a command from its manifest's config alone."""
+    argv = [config["command"], *([config["op"]] if "op" in config else [])]
+    for dest, value in sorted(config.items()):
+        flag = "--" + dest.replace("_", "-")
+        if dest in ("command", "op") or value is None or value is False:
+            continue
+        argv += [flag] if value is True else [flag, str(value)]
+    return argv
+
+
+BYTE_STABLE_RUNS = {
+    "collapse": ["collapse", "--model", "categorical", "--m", "30", "--G", "4",
+                 "--rho", "0.5", "--seeds", "2", "--symbols", "50"],
+    "backrooms": ["backrooms", "--turns", "6", "--seed", "2", "--injection-rate", "0.5"],
+    "agent": ["agent", "--turns", "6", "--seed", "4"],
+    "memory-upsert": ["memory", "upsert", "--id", "m1", "--text", "the lantern at dusk"],
+    "chain-mint": ["chain", "mint", "--art-seed", "4", "--theme", "well", "--seed", "2"],
+    "report": ["report"],
+}
+
+
+class TestManifestIsWholeRun:
+    """manifest.json records the whole resolved run and no wall-clock time."""
+
+    @pytest.mark.parametrize("name", sorted(BYTE_STABLE_RUNS))
+    def test_rerun_directory_byte_identical(self, tmp_path, capsys, name):
+        argv = list(BYTE_STABLE_RUNS[name])
+        if name == "report":
+            assert run_cli("collapse", "--model", "gaussian", "--G", "3",
+                           "--out", str(tmp_path / "input")) == 0
+            argv += ["--collapse", str(tmp_path / "input" / "collapse_report.txt")]
+        for out in ("a", "b"):
+            assert run_cli(*argv, "--out", str(tmp_path / out)) == 0
+        first = tree(tmp_path / "a")
+        assert "manifest.json" in first
+        assert first == tree(tmp_path / "b")
+
+    @pytest.mark.parametrize("argv", [
+        ["collapse", "--model", "gaussian", "--G", "2"],
+        ["backrooms", "--turns", "3"],
+        ["agent", "--turns", "3"],
+        ["memory", "upsert", "--id", "m1", "--text", "a lantern"],
+        ["memory", "query", "--text", "a lantern"],
+        ["memory", "stats"],
+        ["chain", "mint"],
+        ["chain", "deploy", "--name", "moth token", "--symbol", "MOTH"],
+        ["chain", "verify"],
+        ["report", "--backrooms", "{out}/transcript.txt"],
+    ], ids=lambda argv: "-".join(argv[:2]))
+    def test_config_covers_every_dest(self, tmp_path, capsys, argv):
+        from zerebro.cli import build_parser
+
+        out = str(tmp_path)
+        assert run_cli("backrooms", "--turns", "2", "--out", out) == 0
+        argv = [a.replace("{out}", out) for a in argv]
+        assert run_cli(*argv, "--out", out) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        dests = set(vars(build_parser().parse_args(argv))) - {"func", "config", "out"}
+        assert dests <= set(manifest["config"])
+        assert manifest["command"] == argv[0]
+        assert set(manifest) == {"command", "config", "artifacts"}
+
+    def test_chain_mint_rerun_from_manifest_alone(self, tmp_path, capsys):
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert run_cli("chain", "mint", "--art-seed", "4", "--theme", "well",
+                       "--seed", "2", "--endowment", "3", "--out", str(first)) == 0
+        config = json.loads((first / "manifest.json").read_text())["config"]
+        assert run_cli(*argv_from_manifest(config), "--out", str(second)) == 0
+        assert tree(first) == tree(second)
+
+    def test_config_file_values_recorded(self, tmp_path, capsys):
+        conf = tmp_path / "conf"
+        conf.write_text("embedding.backend=remote-stub\nembedding.dimension=64\n"
+                        "embedding.seed=7\nbackrooms.seed=5\n", encoding="utf-8")
+        runs = [
+            (["memory", "upsert", "--id", "m1", "--text", "a lantern"], "embedding_seed", 7),
+            (["backrooms", "--turns", "3"], "seed", 5),
+        ]
+        for argv, seed_key, seed in runs:
+            out = tmp_path / argv[0]
+            assert run_cli(*argv, "--config", str(conf), "--out", str(out)) == 0
+            config = json.loads((out / "manifest.json").read_text())["config"]
+            assert (config["backend"], config["dimension"]) == ("remote-stub", 64)
+            assert config[seed_key] == seed
+
+    def test_empty_report_error_line(self, tmp_path, capsys):
+        assert run_cli("report", "--out", str(tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "manifest.json").exists()
