@@ -433,6 +433,9 @@ def _fold_checked(entries: Sequence[LedgerEntry], ledger: Ledger) -> list[str]:
             fail(e.sequence, "entry content hash mismatch")
 
         payload = e.payload
+        if e.kind in ("sale", "mint", "deploy") and not isinstance(payload, dict):
+            fail(e.sequence, f"payload {payload!r} is not a JSON object")
+            continue
         token_sale = e.kind == "sale" and "token" in payload
         if token_sale and not _counts(payload.get("units")):
             fail(e.sequence, f"token sale units {payload.get('units')!r} not an integer")

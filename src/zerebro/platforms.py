@@ -274,21 +274,21 @@ def replay_log(
     plan_contents: dict[int, str | dict] = {}
     turns = 0
 
-    for entry in read_log(path):
-        p = entry.payload
-        if entry.kind == "observation":
+    # folded as the lines are read: the log is never held whole
+    for _, kind, _, p in offsetlog.read(path, LOG_KINDS):
+        if kind == "observation":
             turns += 1
             memory_items.append((p["id"], p["text"]))
-        elif entry.kind == "plan":
+        elif kind == "plan":
             plan_contents = {i: r["content"] for i, r in enumerate(p["requests"])}
-        elif entry.kind == "receipt":
+        elif kind == "receipt":
             if p["kind"] != "post_text":
                 continue
             platform = p["target"]
             count, _ = post_counters.get(platform, (0, -1))
             post_counters[platform] = (count + 1, p["post_id"])
             memory_items.append((p["memory_id"], plan_contents[p["index"]]))
-        elif entry.kind == "feedback":
+        elif kind == "feedback":
             engagements = [
                 EngagementMetrics(
                     post_id=e["post_id"], likes=e["likes"],

@@ -410,6 +410,35 @@ class TestUnkeyablePayloads:
         assert verify_entries(entries).ok
 
 
+class TestNonObjectPayloads:
+    """A payload the fold reads must be a JSON object; others are violations."""
+
+    @pytest.mark.parametrize("kind, asset", [
+        ("mint", None), ("deploy", None), ("sale", "nft"), ("sale", "token"),
+    ])
+    @pytest.mark.parametrize("payload", [[0, "token"], "tokens", None, 7])
+    def test_reported_not_raised(self, tmp_path, kind, asset, payload):
+        entries = mixed_entries()
+        index = next(i for i, e in enumerate(entries)
+                     if e.kind == kind and (asset is None or asset in e.payload))
+        entries[index] = rehashed(entries[index], payload)
+        report = verify_entries(entries)
+        assert f"seq {index}: payload {payload!r} is not a JSON object" in report.violations
+
+        tampered = Ledger()
+        tampered._entries = entries
+        path = tmp_path / "ledger.log"
+        path.write_text(tampered.serialize(), encoding="utf-8")
+        with pytest.raises(CorruptLogError, match="is not a JSON object"):
+            Ledger.load(path)
+
+    def test_transfer_payload_is_not_read(self):
+        entries = mixed_entries()
+        index = next(i for i, e in enumerate(entries) if e.kind == "transfer")
+        entries[index] = rehashed(entries[index], ["anything"])
+        assert verify_entries(entries).ok
+
+
 class TestWholeCounts:
     """Live ops refuse a count the fold would truncate, before committing."""
 

@@ -306,6 +306,33 @@ class TestChainVerifyViolations:
         out = capsys.readouterr().out
         assert f"violation: seq {sale.sequence}: token sale units None not an integer" in out
 
+    def test_sale_payload_not_an_object(self, tmp_path, capsys):
+        from dataclasses import replace
+
+        from zerebro.chain import Ledger, _entry_hash, generate_art, to_nanos
+
+        ledger = Ledger()
+        a = ledger.create_wallet(seed=1, endowment=to_nanos("10"))
+        b = ledger.create_wallet(seed=2, endowment=to_nanos("10"))
+        minted = ledger.mint_nft(a, generate_art(1, "moth", 8, 8))
+        ledger.execute_sale(minted.token_id, a.address, b.address, to_nanos("1"))
+        sale = ledger.entries[-1]
+        payload = [sale.payload["nft"]]
+        tampered = Ledger()
+        tampered._entries = [*ledger.entries[:-1], replace(
+            sale, payload=payload,
+            payload_hash=_entry_hash(sale.kind, sale.src, sale.dst, sale.amount, payload),
+        )]
+        path = tmp_path / "ledger.log"
+        path.write_text(tampered.serialize(), encoding="utf-8")
+
+        code = run_cli("chain", "verify", "--ledger", str(path), "--out", str(tmp_path))
+        assert code == 1
+        captured = capsys.readouterr()
+        assert (f"violation: seq {sale.sequence}: payload {payload!r} is not a JSON object"
+                in captured.out)
+        assert "Traceback" not in captured.out + captured.err
+
 
 def tree(root) -> dict[str, bytes]:
     """Every file under root, by relative path."""

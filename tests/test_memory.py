@@ -11,6 +11,8 @@ from zerebro.errors import (
     EmptyTextError,
 )
 from zerebro.memory import (
+    BLOCK_ROWS,
+    SOURCES,
     AdmissionPolicy,
     MemoryRecord,
     MemoryStore,
@@ -328,3 +330,247 @@ class TestPersistence:
         loaded = MemoryStore.load(path)
         assert loaded.backend == "remote-stub"
         assert (loaded.get("r1").vector == store.get("r1").vector).all()
+
+
+# --- the block store against the per-pair oracle --------------------------------------
+# Every comparison below is exact (==): the store's vectorised scan must give
+# the very floats that cosine_similarity gives record by record.
+
+BIG = 600  # more rows than one block of the store holds (BLOCK_ROWS)
+CFG16 = EmbeddingConfig(dimension=16)  # filled_store's default
+# sha256 of the two snapshots test_persist_bytes_unchanged writes, recorded
+# with the dict-backed store this one replaced
+PERSIST_DIGESTS = [
+    "9cdb23590df938bc9500d49337f9bf92f445c930ca83ec2e933d62b6e7ff3438",
+    "abaa50b4268ac74c4113b151b229705bbe79e71f8b895ca66cf1795197b28aa7",
+]
+
+
+def oracle_admission(store: MemoryStore, vector, tau: float):
+    """(admitted, max_similarity) as the per-record screen computes them:
+    rejected at the first record, in insertion order, over the threshold."""
+    worst = 0.0
+    for record in store.records():
+        s = cosine_similarity(vector, record.vector)
+        if s > worst:
+            worst = s
+            if worst > tau:
+                return False, worst
+    return True, worst
+
+
+def filled_store(size: int, dimension: int = 16, backend: str = "hashed", seed: int = 5):
+    rng = np.random.default_rng(seed)
+    store = MemoryStore(EmbeddingConfig(dimension=dimension), backend=backend)
+    i = 0
+    while len(store) < size:
+        text = f"{random_text(rng)} #{i}"
+        i += 1
+        try:  # at dimension 2 some texts hash to the zero vector
+            store.add_text(f"r{len(store):04d}", text, timestamp=len(store))
+        except EmptyTextError:
+            pass
+    return store
+
+
+def assert_matches_oracle(store: MemoryStore, rng, queries: int = 8):
+    engine_store = MemoryStore(store.config, backend=store.backend)
+    for _ in range(queries):
+        query = random_text(rng)
+        try:
+            q = engine_store.make_record("q", query).vector
+        except EmptyTextError:
+            continue
+        expected = sorted(
+            ((cosine_similarity(q, r.vector), r.id) for r in store.records()),
+            key=lambda pair: (-pair[0], pair[1]),
+        )
+        for k in (1, 3, len(store)):
+            got = store.retrieve(query, k)
+            assert [(r.similarity, r.record.id) for r in got] == expected[:k]
+            assert all(type(r.similarity) is float for r in got)
+
+
+class TestBlockStoreOracle:
+    @pytest.mark.parametrize("dimension", [2, 37, 257])
+    @pytest.mark.parametrize("backend", ["hashed", "remote-stub"])
+    def test_odd_dimensions_and_backends(self, dimension, backend):
+        store = filled_store(60, dimension, backend)
+        assert_matches_oracle(store, np.random.default_rng(dimension))
+
+    def test_store_larger_than_one_block(self):
+        assert BIG > BLOCK_ROWS
+        store = filled_store(BIG)
+        assert_matches_oracle(store, np.random.default_rng(1))
+        assert store.ids() == [f"r{i:04d}" for i in range(BIG)]
+
+    def test_upsert_replaces_in_place(self):
+        store = filled_store(BIG)
+        held = store.get("r0003")
+        held_vector = held.vector
+        before = held_vector.copy()
+        store.add_text("r0003", "an entirely different sentence now")
+        store.add_text("r0550", "and a second replacement past the first block")
+        assert len(store) == BIG
+        assert store.ids() == [f"r{i:04d}" for i in range(BIG)]
+        assert store.get("r0003").text == "an entirely different sentence now"
+        # a record or vector handed out never changes
+        assert (held.vector == before).all() and (held_vector == before).all()
+        assert store.retrieve("an entirely different sentence now", 1)[0].record.id == "r0003"
+        assert_matches_oracle(store, np.random.default_rng(2))
+
+    def test_top_k_cuts_through_a_tie(self):
+        store = filled_store(30)
+        for rid in ("d3", "d1", "d4", "d0", "d2"):
+            store.add_text(rid, "the same words stored five times")
+        expected = sorted(
+            ((cosine_similarity(embed("the same words stored five times", CFG16), r.vector), r.id)
+             for r in store.records()),
+            key=lambda pair: (-pair[0], pair[1]),
+        )
+        for k in (1, 2, 4, 5, 6):
+            got = store.retrieve("the same words stored five times", k)
+            assert [(r.similarity, r.record.id) for r in got] == expected[:k]
+        assert [r.record.id for r in store.retrieve("the same words stored five times", 3)] == [
+            "d0", "d1", "d2"]
+
+    def test_admission_reports_first_record_over_threshold(self):
+        store = MemoryStore(EmbeddingConfig(dimension=3))
+        for rid, vector in [("low", [0.0, 1.0, 0.0]), ("first", [0.95, 0.3122, 0.0]),
+                            ("closer", [0.99, 0.141, 0.0])]:
+            store.upsert(MemoryRecord(id=rid, text=rid, vector=np.array(vector),
+                                      source="human", timestamp=0))
+        candidate = MemoryRecord(id="c", text="c", vector=np.array([1.0, 0.0, 0.0]),
+                                 source="agent", timestamp=1)
+        admitted, first = oracle_admission(store, candidate.vector, 0.9)
+        decision = store.admit_with_diversity(candidate, AdmissionPolicy(0.9))
+        assert (decision.admitted, decision.max_similarity) == (admitted, first)
+        assert not admitted
+        assert first == cosine_similarity(candidate.vector, store.get("first").vector)
+        assert first < cosine_similarity(candidate.vector, store.get("closer").vector)
+
+    def test_admission_below_zero_reports_zero(self):
+        store = MemoryStore(EmbeddingConfig(dimension=2))
+        store.upsert(MemoryRecord(id="a", text="a", vector=np.array([-1.0, 0.0]),
+                                  source="human", timestamp=0))
+        candidate = MemoryRecord(id="c", text="c", vector=np.array([1.0, 0.5]),
+                                 source="agent", timestamp=1)
+        decision = store.admit_with_diversity(candidate, AdmissionPolicy(0.5))
+        assert decision.admitted and decision.max_similarity == 0.0
+
+    @pytest.mark.parametrize("tau", [-0.2, 0.0, 0.3, 0.6, 0.9, 0.98])
+    def test_admission_matches_oracle(self, tau):
+        rng = np.random.default_rng(int(tau * 100) + 50)
+        store = filled_store(BIG, seed=9)
+        for i in range(40):
+            candidate = store.make_record(f"c{i:02d}", f"{random_text(rng)} #c{i}")
+            expected = oracle_admission(store, candidate.vector, tau)
+            decision = store.admit_with_diversity(candidate, AdmissionPolicy(tau))
+            assert (decision.admitted, decision.max_similarity) == expected
+            assert (candidate.id in store) == decision.admitted
+
+    def test_reloaded_snapshot(self, tmp_path):
+        store = filled_store(BIG, dimension=37)
+        path = tmp_path / "store.snapshot"
+        store.persist(path)
+        loaded = MemoryStore.load(path)
+        assert loaded.ids() == store.ids()
+        assert_matches_oracle(loaded, np.random.default_rng(4))
+        for query in ("river lantern", "owl canal mill"):
+            assert [(r.similarity, r.record.id) for r in loaded.retrieve(query, 7)] == [
+                (r.similarity, r.record.id) for r in store.retrieve(query, 7)]
+
+    def test_stored_vectors_are_read_only(self):
+        store = filled_store(3)
+        candidate = store.make_record("c", "admitted through the screen")
+        store.admit_with_diversity(candidate, AdmissionPolicy(0.999))
+        for record in store.records():
+            assert not record.vector.flags.writeable
+            with pytest.raises(ValueError):
+                record.vector[0] = 0.0
+
+    def test_unstorable_vector_leaves_store_unchanged(self):
+        store = filled_store(BLOCK_ROWS)  # the next row would open a new block
+        bad = MemoryRecord(id="bad", text="bad", vector=np.array(["x"] * 16),
+                           source="human", timestamp=0)
+        with pytest.raises(ValueError):
+            store.upsert(bad)
+        assert "bad" not in store and len(store) == BLOCK_ROWS
+        store.add_text("next", "the record after the failed one")
+        assert store.ids()[-1] == "next"
+        assert_matches_oracle(store, np.random.default_rng(6), queries=3)
+
+    def test_threads_write_replace_and_scan(self):
+        """Writers cross a block boundary and replace ids while readers scan;
+        every result and every stored record stays whole."""
+        import sys
+        import threading
+
+        store = filled_store(BLOCK_ROWS - 30)
+        errors: list[BaseException] = []
+
+        def writer(w):
+            try:
+                for i in range(25):
+                    store.add_text(f"w{w}-{i:02d}", f"writer {w} wrote record {i}")
+                    store.add_text(f"r{i:04d}", f"record {i} replaced by writer {w}")
+            except BaseException as exc:  # pragma: no cover - failure reporting
+                errors.append(exc)
+
+        def reader():
+            try:
+                q = store.make_record("q", "record replaced by writer").vector
+                for _ in range(25):
+                    for r in store.retrieve("record replaced by writer", 5):
+                        assert r.similarity == cosine_similarity(q, r.record.vector)
+                        assert (r.record.vector == embed(r.record.text, CFG16)).all()
+            except BaseException as exc:  # pragma: no cover - failure reporting
+                errors.append(exc)
+
+        threads = [threading.Thread(target=writer, args=(w,)) for w in range(3)]
+        threads += [threading.Thread(target=reader) for _ in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
+        assert len(store) == BLOCK_ROWS - 30 + 3 * 25
+        assert store.ids()[: BLOCK_ROWS - 30] == [f"r{i:04d}" for i in range(BLOCK_ROWS - 30)]
+        for record in store.records():
+            assert (record.vector == embed(record.text, CFG16)).all()
+        assert_matches_oracle(store, np.random.default_rng(8), queries=3)
+
+    def test_zero_vector_is_undefined(self):
+        store = MemoryStore(EmbeddingConfig(dimension=4))
+        store.upsert(MemoryRecord(id="z", text="z", vector=np.zeros(4),
+                                  source="human", timestamp=0))
+        with pytest.raises(ValueError, match="zero-norm"):
+            store.retrieve("anything at all", 1)
+
+    def test_persist_bytes_unchanged(self, tmp_path):
+        """Snapshot bytes equal those of the dict-backed store."""
+        import hashlib
+
+        rng = np.random.default_rng(77)
+        store = MemoryStore(EmbeddingConfig(dimension=37, seed=3))
+        for i in range(BIG):
+            store.add_text(f"r{i:04d}", f"{random_text(rng)} #{i}", source=SOURCES[i % 3],
+                           timestamp=i)
+        store.add_text("r0007", "replaced in place", source="agent", timestamp=BIG)
+        for i in range(5):
+            store.admit_with_diversity(store.make_record(f"c{i}", random_text(rng)))
+        stub = MemoryStore(EmbeddingConfig(dimension=257), backend="remote-stub")
+        for i in range(20):
+            stub.add_text(f"s{i}", f"stub text {i}", timestamp=i)
+        digests = []
+        for name, s in (("hashed", store), ("stub", stub)):
+            path = tmp_path / f"{name}.snapshot"
+            s.persist(path)
+            digests.append(hashlib.sha256(path.read_bytes()).hexdigest())
+        assert digests == PERSIST_DIGESTS

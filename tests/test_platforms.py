@@ -272,3 +272,20 @@ class TestReplay:
                 break
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         assert replay_log(path, persona_seed=77) != digest
+
+    def test_replay_reads_the_log_line_by_line(self, tmp_path):
+        """Lines the fold ignores cost no memory: the log is never held whole."""
+        import tracemalloc
+
+        path = tmp_path / "big.log"
+        with EventLog(path) as log:
+            for i in range(2000):
+                log.append("gate", {"turn": i, "results": ["x" * 400]})
+        size = path.stat().st_size
+        tracemalloc.start()
+        try:
+            replay_log(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < size / 10
