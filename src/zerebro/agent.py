@@ -22,6 +22,7 @@ from .corpus import negative_words, positive_words
 from .errors import EmptyTextError, NoGeneratorError, ZerebroError
 from .generator import Generator
 from .memory import MemoryStore
+from .seeding import stream, u64
 
 ACTION_KINDS = ("post_text", "generate_image", "mint_art", "deploy_token")
 DEFAULT_WEIGHTS = {kind: 0.25 for kind in ACTION_KINDS}
@@ -124,14 +125,6 @@ def gate(request: ActionRequest, threshold: float) -> GateDecision:
 # --- planning ------------------------------------------------------------------
 
 
-def _plan_rng(state: AgentState, observation: str) -> np.random.Generator:
-    h = hashlib.blake2b(digest_size=8)
-    h.update(state.persona_seed.to_bytes(8, "little", signed=False))
-    h.update(state.turn_counter.to_bytes(8, "little", signed=False))
-    h.update(observation.encode("utf-8"))
-    return np.random.default_rng(int.from_bytes(h.digest(), "little"))
-
-
 def plan(
     state: AgentState,
     memory: MemoryStore,
@@ -153,7 +146,7 @@ def plan(
     context = [r.record.text for r in retrieved]
     provenance = tuple(r.record.id for r in retrieved)
 
-    rng = _plan_rng(state, observation)
+    rng = stream(u64(state.persona_seed), u64(state.turn_counter), observation.encode("utf-8"))
     kinds = [k for k in ACTION_KINDS if state.strategy_weights.get(k, 0.0) > 0]
     probs = np.array([state.strategy_weights[k] for k in kinds], dtype=np.float64)
     probs /= probs.sum()
@@ -167,7 +160,7 @@ def plan(
             content: str | dict = generator.generate(observation, context, action_seed)
             target = targets[int(rng.integers(len(targets)))]
         else:
-            theme_pool = observation.split() or ["untitled"]
+            theme_pool = observation.split()
             theme = theme_pool[int(rng.integers(len(theme_pool)))]
             content = {"theme": theme, "seed": action_seed}
             target = "simchain"
@@ -247,7 +240,7 @@ def step(
         memory,
         observation,
         generator,
-        targets=tuple(sorted(connectors)) or ("twitter",),
+        targets=tuple(sorted(connectors)),
         max_actions=max_actions,
     )
 
@@ -381,8 +374,8 @@ def run_session(
 ) -> tuple[AgentState, str]:
     """Drive the loop for `turns` turns with per-turn engagement feedback.
 
-    Returns the final state and its hash. With a log attached, replaying
-    the log file reproduces the same hash.
+    Returns the final state and its hash. With a log attached and the
+    default starting weights, replaying the log file reproduces the hash.
     """
     clock = clock or SimClock()
     log = _NO_LOG if log is None else log
@@ -392,7 +385,6 @@ def run_session(
             generator=generator, log=log, clock=clock, max_actions=max_actions,
         )
         engagements = []
-        kinds = []
         fb_payload = []
         for receipt in receipts:
             if receipt.request.kind != "post_text":
@@ -401,13 +393,12 @@ def run_session(
             post_id = int(receipt.ref.rsplit(":", 1)[1])
             metrics = connectors[platform].fetch_engagement(post_id)
             engagements.append(metrics)
-            kinds.append(receipt.request.kind)
             fb_payload.append(
                 {"platform": platform, "post_id": post_id, "kind": receipt.request.kind,
                  "likes": metrics.likes, "shares": metrics.shares,
                  "comments": metrics.comments}
             )
-        state = integrate_feedback(state, engagements, kinds=kinds, eta=eta)
+        state = integrate_feedback(state, engagements, eta=eta)
         if fb_payload:
             log.append("feedback", {"turn": turn, "eta": eta, "engagements": fb_payload})
     return state, session_state_hash(state, memory, connectors)

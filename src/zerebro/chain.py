@@ -38,6 +38,7 @@ from .errors import (
     NotOwnerError,
     SymbolTakenError,
 )
+from .seeding import stream, u64
 
 NANO = 10**9
 GENESIS = "genesis"
@@ -497,10 +498,7 @@ def implied_market_cap(total_supply: int, price_nanos_per_unit: int) -> int:
 
 def generate_art(seed: int, theme: str, width: int = 64, height: int = 64) -> bytes:
     """Deterministic plasma-style image as binary PPM (P6) bytes."""
-    digest = hashlib.blake2b(
-        theme.encode("utf-8"), digest_size=8, key=(seed % 2**64).to_bytes(8, "little")
-    ).digest()
-    rng = np.random.default_rng(int.from_bytes(digest, "little"))
+    rng = stream(theme.encode("utf-8"), key=u64(seed % 2**64))
     ys, xs = np.mgrid[0:height, 0:width].astype(np.float64)
     xs = xs / width
     ys = ys / height

@@ -247,14 +247,30 @@ def cmd_chain(args, config: dict[str, str], out: Path) -> tuple[int, list[str]]:
 # --- report ----------------------------------------------------------------------
 
 
-def _collapse_section(path: Path) -> str:
-    text = path.read_text(encoding="utf-8").rstrip("\n")
+def _report_input(path: str) -> str:
+    """The text of a file to merge, trailing newlines stripped; a file that
+    is empty or not UTF-8 is a runtime error."""
+    try:
+        text = Path(path).read_bytes().decode("utf-8").rstrip("\n")
+    except UnicodeDecodeError as exc:
+        raise ZerebroError(f"report: {path} is not UTF-8 text ({exc})") from None
+    if not text.strip():
+        raise ZerebroError(f"report: {path} is empty")
+    return text
+
+
+def _collapse_section(path: str) -> str:
+    text = _report_input(path)
     if not text.startswith("# collapse trajectory v1"):
         return text  # already a regimen report
     lines = text.splitlines()
-    config_line = next(line[2:] for line in lines if line.startswith("# config"))
+    config_line = next((line[2:] for line in lines if line.startswith("# config")), None)
+    columns = next((line for line in lines if line.startswith("generation")), None)
     rows = [line for line in lines if line and not line.startswith(("#", "generation"))]
-    columns = next(line for line in lines if line.startswith("generation"))
+    if config_line is None or columns is None or not rows:
+        raise ZerebroError(
+            f"report: {path} is a collapse trajectory without its config, column or data lines"
+        )
     return "\n".join([config_line, f"generations={len(rows) - 1}",
                       f"final [{columns}]: {rows[-1]}"])
 
@@ -263,9 +279,9 @@ def cmd_report(args, config: dict[str, str], out: Path) -> tuple[int, list[str]]
     sections = []
     if args.collapse:
         sections.append("== collapse ==")
-        sections.append(_collapse_section(Path(args.collapse)))
+        sections.append(_collapse_section(args.collapse))
     if args.backrooms:
-        text = Path(args.backrooms).read_text(encoding="utf-8").rstrip("\n")
+        text = _report_input(args.backrooms)
         summary = [line for line in text.splitlines() if line.startswith("summary ")]
         sections.append("== backrooms ==")
         sections.append(summary[0] if summary else text.splitlines()[0])

@@ -1,6 +1,7 @@
 """Deterministic text embeddings via signed character n-gram hashing.
 
-Every n-gram of the utf-8 byte stream is hashed into one of D buckets and
+Every n-gram of the utf-8 byte stream, for the fixed range of n from
+NGRAM_MIN = 3 to NGRAM_MAX = 5, is hashed into one of D buckets and
 contributes +1 or -1 (second hash bit), then the bucket vector is
 L2-normalized. The result is a unit vector that is bit-reproducible for a
 given (text, config) pair, with no model files and no network. An
@@ -12,14 +13,15 @@ Vectors are plain float64 numpy arrays of shape (dimension,).
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BadConfigError, DimensionMismatchError, EmptyTextError
+from .seeding import stream, u64
 
 DEFAULT_DIMENSION = 768
+NGRAM_MIN, NGRAM_MAX = 3, 5
 
 # splitmix64 constants; keep the hash family stable across releases,
 # persisted snapshots depend on it.
@@ -34,17 +36,11 @@ class EmbeddingConfig:
     """Hash-family parameters. Same config + same text = same vector."""
 
     dimension: int = DEFAULT_DIMENSION
-    ngram_min: int = 3
-    ngram_max: int = 5
     seed: int = 0
 
     def __post_init__(self):
         if self.dimension < 2:
             raise BadConfigError(f"dimension must be >= 2, got {self.dimension}")
-        if self.ngram_min < 1 or self.ngram_max < self.ngram_min:
-            raise BadConfigError(
-                f"need 1 <= ngram_min <= ngram_max, got [{self.ngram_min}, {self.ngram_max}]"
-            )
         if not 0 <= self.seed < 2**64:
             raise BadConfigError("seed must fit in 64 unsigned bits")
 
@@ -70,7 +66,7 @@ def _window_hashes(data: np.ndarray, n: int, seed: int) -> np.ndarray:
 def embed(text: str, config: EmbeddingConfig = EmbeddingConfig()) -> np.ndarray:
     """Embed text as a unit-norm vector of config.dimension.
 
-    Texts shorter than ngram_min hash as a single whole-text gram so any
+    Texts shorter than NGRAM_MIN bytes hash as a single whole-text gram so any
     non-blank input still produces a valid vector. Raises EmptyTextError
     for empty or whitespace-only text.
     """
@@ -80,7 +76,7 @@ def embed(text: str, config: EmbeddingConfig = EmbeddingConfig()) -> np.ndarray:
     data = np.frombuffer(text.encode("utf-8"), dtype=np.uint8).astype(np.uint64)
     hashes = [
         _window_hashes(data, n, config.seed)
-        for n in range(config.ngram_min, min(config.ngram_max, len(data)) + 1)
+        for n in range(NGRAM_MIN, min(NGRAM_MAX, len(data)) + 1)
     ]
     if not hashes:
         hashes = [_window_hashes(data, len(data), config.seed)]
@@ -147,12 +143,7 @@ class RemoteStubEngine:
     def embed_text(self, text: str) -> np.ndarray:
         if not text or not text.strip():
             raise EmptyTextError("cannot embed empty or whitespace-only text")
-        digest = hashlib.blake2b(
-            text.encode("utf-8"),
-            digest_size=8,
-            key=self.config.seed.to_bytes(8, "little"),
-        ).digest()
-        rng = np.random.default_rng(int.from_bytes(digest, "little"))
+        rng = stream(text.encode("utf-8"), key=u64(self.config.seed))
         vec = rng.standard_normal(self.config.dimension)
         return vec / float(np.linalg.norm(vec))
 

@@ -14,26 +14,14 @@ can be dropped in.
 
 from __future__ import annotations
 
-import hashlib
 from typing import Protocol, Sequence
 
-import numpy as np
-
 from .corpus import human_corpus
+from .seeding import stream, u64
 
 
 class Generator(Protocol):
     def generate(self, prompt: str, retrieved_context: Sequence[str], seed: int) -> str: ...
-
-
-def _derive_rng(seed: int, prompt: str, retrieved_context: Sequence[str]) -> np.random.Generator:
-    h = hashlib.blake2b(digest_size=8)
-    h.update(seed.to_bytes(8, "little", signed=False))
-    h.update(prompt.encode("utf-8"))
-    for ctx in retrieved_context:
-        h.update(b"\x1f")
-        h.update(ctx.encode("utf-8"))
-    return np.random.default_rng(int.from_bytes(h.digest(), "little"))
 
 
 class MarkovGenerator:
@@ -61,7 +49,8 @@ class MarkovGenerator:
                 self._chain.setdefault(a, []).append(b)
 
     def generate(self, prompt: str, retrieved_context: Sequence[str], seed: int) -> str:
-        rng = _derive_rng(seed, prompt, retrieved_context)
+        rng = stream(u64(seed), prompt.encode("utf-8"),
+                     *(b"\x1f" + ctx.encode("utf-8") for ctx in retrieved_context))
         focus: list[str] = []
         seen: set[str] = set()
         for text in [prompt, *retrieved_context]:

@@ -28,9 +28,11 @@ filled rows are scanned: the tail of an np.empty block is uninitialised
 memory.
 
 Snapshot format (utf-8, "\\n" line endings):
-    memstore v1 dim=<D> ngram_min=<a> ngram_max=<b> seed=<s> backend=<name>
+    memstore v1 dim=<D> ngram_min=3 ngram_max=5 seed=<s> backend=<name>
     <one JSON record per line, vector as base64 little-endian float64>
     checksum=<sha256 hex of every prior byte>
+The n-gram range is embedding's fixed NGRAM_MIN..NGRAM_MAX; a snapshot
+stating any other range is refused as corrupt.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from typing import Iterator
 import numpy as np
 
 from .atomic import write_atomic
-from .embedding import EmbeddingConfig, make_engine
+from .embedding import NGRAM_MAX, NGRAM_MIN, EmbeddingConfig, make_engine
 from .errors import (
     CorruptSnapshotError,
     DimensionMismatchError,
@@ -168,7 +170,6 @@ class MemoryStore:
         text: str,
         source: str = "human",
         timestamp: int = 0,
-        screened: bool = False,
     ) -> MemoryRecord:
         """Embed text and wrap it as a record for this store."""
         return MemoryRecord(
@@ -177,7 +178,6 @@ class MemoryStore:
             vector=self._engine.embed_text(text),
             source=source,
             timestamp=timestamp,
-            screened=screened,
         )
 
     def upsert(self, record: MemoryRecord) -> str:
@@ -317,8 +317,8 @@ class MemoryStore:
         """Write the snapshot; vectors round-trip bit-exact."""
         cfg = self.config
         lines = [
-            f"{SNAPSHOT_VERSION} dim={cfg.dimension} ngram_min={cfg.ngram_min} "
-            f"ngram_max={cfg.ngram_max} seed={cfg.seed} backend={self.backend}"
+            f"{SNAPSHOT_VERSION} dim={cfg.dimension} ngram_min={NGRAM_MIN} "
+            f"ngram_max={NGRAM_MAX} seed={cfg.seed} backend={self.backend}"
         ]
         for r in self.records():
             payload = {
@@ -363,15 +363,15 @@ class MemoryStore:
             raise CorruptSnapshotError(f"{path}: bad header {header!r}")
         fields = dict(part.split("=", 1) for part in header.split(" ")[2:])
         try:
-            config = EmbeddingConfig(
-                dimension=int(fields["dim"]),
-                ngram_min=int(fields["ngram_min"]),
-                ngram_max=int(fields["ngram_max"]),
-                seed=int(fields["seed"]),
-            )
+            ngrams = int(fields["ngram_min"]), int(fields["ngram_max"])
+            config = EmbeddingConfig(dimension=int(fields["dim"]), seed=int(fields["seed"]))
             backend = fields.get("backend", "hashed")
         except (KeyError, ValueError) as exc:
             raise CorruptSnapshotError(f"{path}: unreadable header {header!r}") from exc
+        if ngrams != (NGRAM_MIN, NGRAM_MAX):
+            raise CorruptSnapshotError(
+                f"{path}: n-gram range {list(ngrams)} is not [{NGRAM_MIN}, {NGRAM_MAX}]"
+            )
 
         store = cls(config, backend=backend)
         for lineno, line in enumerate(lines[1:-2], start=2):

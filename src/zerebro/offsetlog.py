@@ -23,17 +23,21 @@ def read(path, kinds: Collection[str]) -> Iterator[tuple[int, str, int, dict]]:
     """Yield (offset, kind, timestamp, body) for each line of a log file.
 
     Raises IoFailureError when the file cannot be opened and CorruptLogError
-    on a malformed line, a kind outside `kinds`, or an offset gap. The file
-    is read line by line and rows are yielded as they are parsed, so a
-    caller that folds them holds one line and one parsed body at a time.
+    on a line that is not UTF-8 or is malformed, a kind outside `kinds`, or
+    an offset gap. The file is read line by line and rows are yielded as
+    they are parsed, so a caller that folds them holds one line and one
+    parsed body at a time.
     """
     try:
-        fh = open(path, "r", encoding="utf-8", newline="\n")
+        fh = open(path, "rb")
     except OSError as exc:
         raise IoFailureError(f"cannot read {path}: {exc}") from exc
     with fh:
-        for expected, line in enumerate(fh):
-            parts = line.removesuffix("\n").split("\t", 3)
+        for expected, raw in enumerate(fh):
+            try:
+                parts = raw.decode("utf-8").removesuffix("\n").split("\t", 3)
+            except UnicodeDecodeError as exc:
+                raise CorruptLogError(f"{path}: line at offset {expected} is not UTF-8") from exc
             if len(parts) != 4:
                 raise CorruptLogError(f"{path}: malformed line at offset {expected}")
             try:

@@ -19,8 +19,6 @@ import threading
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from . import agent as agent_mod
 from . import offsetlog
 from .clock import SimClock
@@ -31,6 +29,7 @@ from .errors import (
     TooLongError,
     UnknownPostError,
 )
+from .seeding import stream
 
 LOG_KINDS = ("observation", "plan", "gate", "dispatch", "receipt", "error", "feedback")
 SHORT_FORM_LIMIT = 280
@@ -66,7 +65,7 @@ class SimulatedConnector:
 
     `outages` is a deterministic fault schedule: half-open [start, end)
     intervals of post-attempt indices during which every post raises
-    ConnectorDownError. set_down() overrides it manually.
+    ConnectorDownError.
     """
 
     def __init__(
@@ -85,7 +84,6 @@ class SimulatedConnector:
         self._posts: dict[int, str] = {}
         self._next_id = 0
         self._attempts = 0
-        self._down = False
         self._lock = threading.Lock()
 
     @property
@@ -96,15 +94,11 @@ class SimulatedConnector:
     def last_post_id(self) -> int:
         return self._next_id - 1
 
-    def set_down(self, down: bool) -> None:
-        """Fault injection: while down, every post raises ConnectorDownError."""
-        self._down = down
-
     def post(self, content: str) -> PostReceipt:
         with self._lock:
             attempt = self._attempts
             self._attempts += 1
-            if self._down or any(start <= attempt < end for start, end in self.outages):
+            if any(start <= attempt < end for start, end in self.outages):
                 raise ConnectorDownError(f"{self.platform} is down")
             if not content:
                 raise TooLongError(f"{self.platform}: content must be non-empty")
@@ -134,11 +128,7 @@ class SimulatedConnector:
         length = len(content)
         # post accepts whitespace-only content, which has no 1-grams
         diversity = distinct_n([content], 1) if content.strip() else 0.0
-        digest = hashlib.blake2b(
-            f"{self.seed}:{length}".encode("ascii"), digest_size=8
-        ).digest()
-        rng = np.random.default_rng(int.from_bytes(digest, "little"))
-        u = rng.uniform(0.5, 1.5, size=3)
+        u = stream(f"{self.seed}:{length}".encode("ascii")).uniform(0.5, 1.5, size=3)
         score = math.sqrt(length) * (0.25 + 0.75 * diversity)
         return EngagementMetrics(
             post_id=post_id,
@@ -167,7 +157,8 @@ def load_connector_config(
     One platform per line:
         platform=twitter limit=280 seed=3 outage=5:8,20:22
     `limit` defaults to 1024, `seed` to 0; `outage` lists half-open
-    post-attempt intervals during which the connector is down.
+    post-attempt intervals during which the connector is down. A file that
+    defines no platform raises ValueError.
     """
     clock = clock or SimClock()
     connectors: dict[str, SimulatedConnector] = {}
@@ -199,6 +190,8 @@ def load_connector_config(
             clock=clock,
             outages=tuple(outages),
         )
+    if not connectors:
+        raise ValueError(f"connector config {path} defines no platform")
     return connectors
 
 
@@ -251,24 +244,14 @@ def read_log(path) -> list[LogEntry]:
     return [LogEntry(*row) for row in offsetlog.read(path, LOG_KINDS)]
 
 
-def replay_log(
-    path,
-    *,
-    initial_weights: dict[str, float] | None = None,
-    sentiment_threshold: float = 0.0,
-    persona_seed: int = 0,
-) -> str:
+def replay_log(path, *, persona_seed: int = 0) -> str:
     """Rebuild the agent state purely from the log and return its hash.
 
-    The session's starting condition (weights, threshold, seed) is not an
-    event, so it is supplied here; runs recorded with run_session defaults
-    replay with the defaults.
+    The starting weights are not an event: replay assumes the default
+    ones, agent.DEFAULT_WEIGHTS, that every session the CLI runs starts
+    from. `persona_seed` does not enter the hash.
     """
-    state = agent_mod.initial_state(
-        persona_seed,
-        initial_weights if initial_weights is not None else dict(agent_mod.DEFAULT_WEIGHTS),
-        sentiment_threshold,
-    )
+    state = agent_mod.initial_state(persona_seed)
     memory_items: list[tuple[str, str]] = []
     post_counters: dict[str, tuple[int, int]] = {}
     plan_contents: dict[int, str | dict] = {}

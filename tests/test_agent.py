@@ -216,8 +216,10 @@ class TestStep:
         pytest.fail("no post dispatched in three turns")
 
     def test_connector_failure_isolated(self, generator):
-        clock, memory, connectors, chain = self.make_components()
-        connectors["twitter"].set_down(True)
+        clock, memory, _, chain = self.make_components()
+        # an outage window covering every post attempt the turn can make
+        connectors = {"twitter": SimulatedConnector("twitter", 280, seed=3, clock=clock,
+                                                    outages=((0, 10**9),))}
         state = initial_state(8, weights={"post_text": 1.0}, sentiment_threshold=-1.0)
         new_state, receipts = step(
             state, memory, connectors, chain, "dust settles on the piano",
@@ -226,6 +228,13 @@ class TestStep:
         assert receipts == []
         assert new_state.turn_counter == 1
         assert len(memory) == 1  # observation only, failed dispatches stored nothing
+
+    def test_no_connectors_rejected(self, generator):
+        clock, memory, _, chain = self.make_components()
+        state = initial_state(8, weights={"post_text": 1.0}, sentiment_threshold=-1.0)
+        with pytest.raises(ValueError, match="at least one posting target"):
+            step(state, memory, {}, chain, "dust settles on the piano",
+                 generator=generator, clock=clock)
 
     def test_gate_soundness_over_fuzz(self, generator):
         clock, memory, connectors, chain = self.make_components()

@@ -42,8 +42,10 @@ class TestExitCodes:
             (["chain", "deploy", "--name", "x", "--symbol", "TOK", "--supply", "0"],
              None, "got 0"),
             (["agent", "--turns", "1"], "platform=x limit\n", "'platform=x limit'"),
+            (["agent", "--turns", "5", "--seed", "1"], "# nothing\n",
+             "connectors.conf defines no platform"),
         ],
-        ids=["memory-source", "deploy-supply", "connector-line"],
+        ids=["memory-source", "deploy-supply", "connector-line", "connector-none"],
     )
     def test_bad_value_is_usage_error(self, tmp_path, capsys, argv, connectors, named):
         if connectors is not None:
@@ -55,6 +57,21 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
         assert named in err
+
+    def test_non_utf8_ledger_fails_verify(self, tmp_path, capsys):
+        from zerebro.chain import Ledger, to_nanos
+
+        ledger = Ledger()
+        ledger.create_wallet(seed=1, endowment=to_nanos("10"))
+        ledger.create_wallet(seed=2, endowment=to_nanos("10"))
+        path = tmp_path / "ledger.log"
+        raw = ledger.serialize().encode("utf-8")
+        path.write_bytes(raw[:-3] + b"\xff" + raw[-2:])
+        code = run_cli("chain", "verify", "--ledger", str(path), "--out", str(tmp_path))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "offset 1 is not UTF-8" in err
 
     def test_success_is_zero(self, tmp_path, capsys):
         assert run_cli("chain", "verify", "--out", str(tmp_path)) == 0
@@ -271,6 +288,26 @@ class TestReportCommand:
         out = capsys.readouterr().out
         assert "generations=4" in out
         assert "final [" in out
+
+    @pytest.mark.parametrize(
+        "flag, data, named",
+        [
+            ("--backrooms", b"", "is empty"),
+            ("--collapse", b"", "is empty"),
+            ("--collapse", b"# collapse trajectory v1\ngeneration\tmu\n0\t0.5\n",
+             "without its config"),
+            ("--backrooms", b"summary final_distinct_2=0.5 \xff\n", "is not UTF-8"),
+        ],
+        ids=["backrooms-empty", "collapse-empty", "collapse-no-config", "not-utf8"],
+    )
+    def test_bad_input_is_one_error_line(self, tmp_path, capsys, flag, data, named):
+        path = tmp_path / "input.txt"
+        path.write_bytes(data)
+        code = run_cli("report", flag, str(path), "--out", str(tmp_path / "merged"))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: report: {path} ") and err.count("\n") == 1
+        assert named in err
 
 
 class TestOutEnvDefault:

@@ -44,7 +44,7 @@ def test_custom_dimension_respected():
 
 
 def test_short_text_still_embeds():
-    # below ngram_min, hashed as a single whole-text gram
+    # below NGRAM_MIN bytes, hashed as a single whole-text gram
     v = embed("a", CFG)
     assert abs(np.linalg.norm(v) - 1.0) <= 1e-9
 
@@ -52,8 +52,6 @@ def test_short_text_still_embeds():
 def test_bad_configs_rejected():
     with pytest.raises(BadConfigError):
         EmbeddingConfig(dimension=1)
-    with pytest.raises(BadConfigError):
-        EmbeddingConfig(ngram_min=4, ngram_max=3)
     with pytest.raises(BadConfigError):
         EmbeddingConfig(seed=2**64)
 

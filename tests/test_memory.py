@@ -271,6 +271,22 @@ class TestPersistence:
         with pytest.raises(CorruptSnapshotError, match="duplicate record id 'r1'"):
             MemoryStore.load(path)
 
+    def test_other_ngram_range_is_corrupt(self, tmp_path):
+        import hashlib
+
+        store = MemoryStore(CFG)
+        store.add_text("r1", "a range the engine cannot embed")
+        path = tmp_path / "store.snapshot"
+        store.persist(path)
+        lines = path.read_bytes().split(b"\n")
+        assert b" ngram_min=3 ngram_max=5 " in lines[0]
+        lines[0] = lines[0].replace(b"ngram_min=3", b"ngram_min=2")
+        body = b"\n".join(lines[:-2]) + b"\n"
+        checksum = hashlib.sha256(body).hexdigest()
+        path.write_bytes(body + f"checksum={checksum}\n".encode())
+        with pytest.raises(CorruptSnapshotError, match=r"n-gram range \[2, 5\]"):
+            MemoryStore.load(path)
+
     def test_flipped_byte_detected(self, tmp_path):
         rng = np.random.default_rng(41)
         store = fresh_store(rng, 5)

@@ -48,14 +48,6 @@ class TestConnector:
         assert connectors["warpcast"].char_limit == 1024
         assert connectors["telegram"].char_limit == 1024
 
-    def test_outage_injection(self):
-        connector = SimulatedConnector("telegram")
-        connector.set_down(True)
-        with pytest.raises(ConnectorDownError):
-            connector.post("hello")
-        connector.set_down(False)
-        assert connector.post("hello").post_id == 0
-
     def test_unknown_post(self):
         connector = SimulatedConnector("twitter", seed=3)
         with pytest.raises(UnknownPostError):
@@ -176,6 +168,15 @@ class TestEventLog:
         lines[1] = "5" + lines[1][1:]
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(CorruptLogError):
+            read_log(path)
+
+    def test_non_utf8_line_is_corrupt(self, tmp_path):
+        path = tmp_path / "x.log"
+        with EventLog(path) as log:
+            log.append("observation", {"n": 1})
+            log.append("observation", {"text": "soon mangled"})
+        path.write_bytes(path.read_bytes().replace(b"mangled", b"mangl\xff"))
+        with pytest.raises(CorruptLogError, match="offset 1 is not UTF-8"):
             read_log(path)
 
     def test_unknown_kind_rejected_at_append(self, tmp_path):
