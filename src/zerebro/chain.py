@@ -12,6 +12,13 @@ The ledger's state changes only by folding one entry at a time into it
 `verify_entries` folds with its checks around each step, and `Ledger.load`
 keeps the state its verifying fold built. The ledger persists in the
 dense-offset line format of `zerebro.offsetlog`.
+
+Committed entries, and their payload dicts, are immutable, and a ledger
+only ever appends to its `_entries` list. `Ledger.serialize` relies on
+this: it encodes each entry once and keeps the text, so a snapshot costs
+only the entries appended since the last one. Code that replaces entries
+(`Ledger.load`, a test that tampers with a ledger) must assign a new
+list to `_entries`, never edit the list in place.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 import threading
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
@@ -44,6 +52,9 @@ NANO = 10**9
 GENESIS = "genesis"
 FEE_SINK = "fees"
 ENTRY_KINDS = ("transfer", "mint", "deploy", "sale", "fee")
+# serialize joins at most this many new lines at a time, so the first
+# snapshot of a long ledger holds one chunk of lines beside its text
+_ENCODE_CHUNK = 512
 
 
 def to_nanos(amount) -> int:
@@ -71,7 +82,7 @@ class Wallet:
     address: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LedgerEntry:
     sequence: int
     kind: str
@@ -148,6 +159,9 @@ class Ledger:
         self._tokens: dict[str, TokenRecord] = {}
         self._token_balances: dict[str, dict[str, int]] = {}
         self._lock = threading.RLock()
+        # serialize's cache: (the _entries list it read, how many of its
+        # entries the text holds, their encoded lines joined)
+        self._text: tuple[list[LedgerEntry], int, str] = (self._entries, 0, "")
 
     # --- views -------------------------------------------------------------
 
@@ -336,13 +350,25 @@ class Ledger:
     # --- persistence ---------------------------------------------------------------
 
     def serialize(self) -> str:
-        return "".join(
-            offsetlog.encode(e.sequence, e.kind, e.timestamp, {
-                "src": e.src, "dst": e.dst, "amount": e.amount,
-                "payload": e.payload, "payload_hash": e.payload_hash,
-            })
-            for e in self._entries
-        )
+        """The ledger file's text: each entry's `offsetlog` line, in order.
+
+        Each entry is encoded once. The text is kept, keyed by the
+        `_entries` list object and how many of its entries it covers, and a
+        call encodes only the entries appended since the last one; with
+        none, it returns the kept text itself. This holds because committed
+        entries and their payload dicts never change and `_entries` is only
+        appended to. Code that replaces entries must assign a new list to
+        `_entries`, which is then encoded from scratch.
+        """
+        with self._lock:
+            entries = self._entries
+            cached, done, text = self._text
+            if cached is not entries or done > len(entries):
+                done, text = 0, ""
+            for start in range(done, len(entries), _ENCODE_CHUNK):
+                text += "".join(map(_encode, entries[start:start + _ENCODE_CHUNK]))
+            self._text = (entries, len(entries), text)
+            return text
 
     def save(self, path) -> None:
         try:
@@ -362,15 +388,36 @@ class Ledger:
         return ledger
 
 
+def _encode(e: LedgerEntry) -> str:
+    """An entry's line in the ledger file."""
+    return offsetlog.encode(e.sequence, e.kind, e.timestamp, {
+        "src": e.src, "dst": e.dst, "amount": e.amount,
+        "payload": e.payload, "payload_hash": e.payload_hash,
+    })
+
+
+def _interned(value):
+    """value, or a dict's keys, with each str interned.
+
+    json.loads makes a fresh copy of every kind, address and payload key on
+    every line; a loaded ledger shares one of each instead.
+    """
+    if isinstance(value, str):
+        return sys.intern(value)
+    if isinstance(value, dict):
+        return {sys.intern(k): v for k, v in value.items()}
+    return value
+
+
 def read_entries(path) -> list[LedgerEntry]:
     """A ledger file's entries, unverified; CorruptLogError on a bad line."""
     entries = []
     for sequence, kind, timestamp, body in offsetlog.read(path, ENTRY_KINDS):
         try:
             entries.append(LedgerEntry(
-                sequence=sequence, kind=kind, src=body["src"], dst=body["dst"],
-                amount=int(body["amount"]), timestamp=timestamp,
-                payload=body["payload"], payload_hash=body["payload_hash"],
+                sequence=sequence, kind=_interned(kind), src=_interned(body["src"]),
+                dst=_interned(body["dst"]), amount=int(body["amount"]), timestamp=timestamp,
+                payload=_interned(body["payload"]), payload_hash=body["payload_hash"],
             ))
         except (KeyError, TypeError, ValueError) as exc:
             raise CorruptLogError(f"{path}: bad ledger line {sequence}: {exc}") from exc

@@ -49,6 +49,7 @@ import numpy as np
 from .atomic import write_atomic
 from .embedding import NGRAM_MAX, NGRAM_MIN, EmbeddingConfig, make_engine
 from .errors import (
+    BadConfigError,
     CorruptSnapshotError,
     DimensionMismatchError,
     EmptyTextError,
@@ -361,19 +362,18 @@ class MemoryStore:
         header = lines[0].decode("utf-8", "replace")
         if not header.startswith(SNAPSHOT_VERSION + " "):
             raise CorruptSnapshotError(f"{path}: bad header {header!r}")
-        fields = dict(part.split("=", 1) for part in header.split(" ")[2:])
         try:
+            fields = dict(part.split("=", 1) for part in header.split(" ")[2:])
             ngrams = int(fields["ngram_min"]), int(fields["ngram_max"])
             config = EmbeddingConfig(dimension=int(fields["dim"]), seed=int(fields["seed"]))
-            backend = fields.get("backend", "hashed")
-        except (KeyError, ValueError) as exc:
-            raise CorruptSnapshotError(f"{path}: unreadable header {header!r}") from exc
+            store = cls(config, backend=fields.get("backend", "hashed"))
+        except (KeyError, ValueError, BadConfigError) as exc:
+            raise CorruptSnapshotError(f"{path}: unreadable header {header!r}: {exc}") from exc
         if ngrams != (NGRAM_MIN, NGRAM_MAX):
             raise CorruptSnapshotError(
                 f"{path}: n-gram range {list(ngrams)} is not [{NGRAM_MIN}, {NGRAM_MAX}]"
             )
 
-        store = cls(config, backend=backend)
         for lineno, line in enumerate(lines[1:-2], start=2):
             try:
                 payload = json.loads(line.decode("utf-8"))

@@ -177,18 +177,21 @@ def load_connector_config(
             raise ValueError(f"connector config line {raw!r} is not key=value fields") from None
         if "platform" not in fields:
             raise ValueError(f"connector config line {raw!r} lacks platform=")
-        outages = []
-        for span in fields.get("outage", "").split(","):
-            if span:
+        try:
+            outages = []
+            for span in filter(None, fields.get("outage", "").split(",")):
                 start, end = span.split(":")
                 outages.append((int(start), int(end)))
+            limit = int(fields.get("limit", DEFAULT_LIMIT))
+            seed = int(fields.get("seed", 0))
+        except ValueError:
+            raise ValueError(
+                f"connector config {path}: line {raw!r} needs integer limit= and seed=, "
+                "and outage= as comma-separated start:end spans"
+            ) from None
         name = fields["platform"]
         connectors[name] = SimulatedConnector(
-            name,
-            char_limit=int(fields.get("limit", DEFAULT_LIMIT)),
-            seed=int(fields.get("seed", 0)),
-            clock=clock,
-            outages=tuple(outages),
+            name, char_limit=limit, seed=seed, clock=clock, outages=tuple(outages),
         )
     if not connectors:
         raise ValueError(f"connector config {path} defines no platform")

@@ -2,10 +2,14 @@
 randomized operation fuzzing, persistence, procedural art."""
 
 import hashlib
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from zerebro import offsetlog
 from zerebro.chain import (
     GENESIS,
     ChainFees,
@@ -25,6 +29,7 @@ from zerebro.errors import (
     InsufficientFundsError,
     NotOwnerError,
     SymbolTakenError,
+    ZerebroError,
 )
 
 
@@ -458,3 +463,173 @@ class TestWholeCounts:
         with pytest.raises(ValueError, match="total_supply must be an int"):
             ledger.deploy_token(a, "moth token", "MOTH", supply)
         assert ledger.serialize() == before
+
+
+def encoded_afresh(entries) -> str:
+    """The reference for Ledger.serialize: every entry encoded again, joined."""
+    return "".join(
+        offsetlog.encode(e.sequence, e.kind, e.timestamp, {
+            "src": e.src, "dst": e.dst, "amount": e.amount,
+            "payload": e.payload, "payload_hash": e.payload_hash,
+        })
+        for e in entries
+    )
+
+
+def live_op(ledger, addresses, code, i, j, x) -> bool:
+    """One live op picked by code, wallets by i and j, amounts and art by x.
+
+    Returns whether it committed. Many picks fail by design (overdrafts,
+    duplicate art, non-owner sales, taken symbols); those raise a typed
+    error and must commit nothing.
+    """
+    a, b = addresses[i % len(addresses)], addresses[j % len(addresses)]
+    symbol = "T" + chr(ord("A") + x % 4)
+    try:
+        if code == 0:
+            ledger.transfer(a, b, ledger.balance(a) * x // 100)
+        elif code == 1:
+            ledger.mint_nft(a, generate_art(x % 8, "cache", 4, 4))
+        elif code == 2:
+            ledger.execute_sale(x % 3, a, b, ledger.balance(b) * x // 200)
+        elif code == 3:
+            ledger.deploy_token(a, f"{symbol} token", symbol, 100)
+        elif code == 4:
+            ledger.execute_sale((symbol, 1 + x % 60), a, b, ledger.balance(b) * x // 200)
+        else:
+            ledger.transfer(a, b, ledger.balance(a) + 1)
+    except ZerebroError:
+        return False
+    return True
+
+
+def random_ops(ledger, addresses, seed, count):
+    """count random live ops; yields whether each committed."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        yield live_op(ledger, addresses, *rng.integers(0, (6, 8, 8, 101)).tolist())
+
+
+def churned(count, seed=11, endowment="10"):
+    ledger, wallets = fresh_ledger(3, endowment)
+    addresses = [w.address for w in wallets]
+    list(random_ops(ledger, addresses, seed, count))
+    return ledger, addresses
+
+
+class TestSerializeCache:
+    """serialize keeps its text between calls; it must always equal a fresh join."""
+
+    def test_interleaved_live_and_failed_ops(self):
+        ledger, addresses = churned(0, endowment="5")
+        committed = failed = 0
+        before = ledger.serialize()
+        for ok in random_ops(ledger, addresses, 7, 400):
+            committed += ok
+            failed += not ok
+            text = ledger.serialize()
+            assert text == encoded_afresh(ledger.entries)
+            # a failed op commits nothing, so the kept text comes back as is
+            assert (text is before) == (not ok)
+            before = text
+        assert committed > 100 and failed > 100
+
+    def test_failed_op_between_snapshots(self):
+        ledger, (a, b) = fresh_ledger(2)
+        before = ledger.serialize()
+        with pytest.raises(InsufficientFundsError):
+            ledger.transfer(a.address, b.address, to_nanos("11"))
+        assert ledger.serialize() is before
+
+    @pytest.mark.parametrize("shape", ["shorter", "longer", "same-length"])
+    def test_entries_assigned_wholesale(self, shape):
+        ledger, addresses = churned(60)
+        cached = ledger.serialize()
+        if shape == "shorter":
+            entries = list(ledger.entries[:-5])
+        elif shape == "longer":
+            entries = list(churned(120)[0].entries)
+        else:
+            entries = list(ledger.entries)
+            entries[-1] = rehashed(entries[-1], {"tampered": True})
+        ledger._entries = entries
+        assert ledger.serialize() == encoded_afresh(entries) != cached
+        ledger.transfer(addresses[0], addresses[0], 0)
+        assert ledger.serialize() == encoded_afresh(ledger.entries)
+
+    def test_loaded_ledger_then_appended(self, tmp_path):
+        # long enough that the first serialize encodes several chunks
+        ledger, addresses = churned(4000, seed=13, endowment="100")
+        assert len(ledger.entries) > 1200
+        path = tmp_path / "ledger.log"
+        ledger.save(path)
+        loaded = Ledger.load(path)
+        assert loaded.serialize() == encoded_afresh(loaded.entries)
+        assert loaded.serialize() == path.read_text(encoding="utf-8")
+        list(random_ops(loaded, addresses, 14, 150))
+        assert loaded.serialize() == encoded_afresh(loaded.entries)
+        assert loaded.verify().ok
+
+    def test_threads_append_and_serialize(self):
+        import threading
+
+        ledger, addresses = churned(0, endowment="50")
+        errors: list[str] = []
+
+        def churn(k):
+            for _ in random_ops(ledger, addresses, 100 + k, 150):
+                text = ledger.serialize()
+                # entries are only appended, so the text covers a prefix of them
+                covered = ledger.entries[:text.count("\n")]
+                if text != encoded_afresh(covered):
+                    errors.append(f"thread {k}: snapshot of {len(covered)} entries differs")
+
+        threads = [threading.Thread(target=churn, args=(k,)) for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert ledger.serialize() == encoded_afresh(ledger.entries)
+        assert ledger.verify().ok
+
+
+def ledger_views(ledger, addresses):
+    symbols = sorted({e.payload["symbol"] for e in ledger.entries if e.kind == "deploy"})
+    return (
+        [ledger.balance(x) for x in addresses],
+        [ledger.token_balance(s, x) for s in symbols for x in addresses],
+        [ledger.token(s) for s in symbols],
+        [(m, ledger.nft_owner(m.token_id)) for m in ledger.mints()],
+        ledger.fees_collected(),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 2), st.integers(0, 2),
+                          st.integers(0, 100)), max_size=40))
+def test_live_ops_verify_and_round_trip(ops):
+    """Any sequence of live ops verifies, and load(save()) rebuilds the same
+    text and the same balances."""
+    import tempfile
+    from pathlib import Path
+
+    ledger, wallets = fresh_ledger(3, endowment="1")
+    addresses = [w.address for w in wallets]
+    for op in ops:
+        live_op(ledger, addresses, *op)
+        if op[3] % 3 == 0:
+            assert ledger.serialize() == encoded_afresh(ledger.entries)
+    assert ledger.verify().ok
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ledger.log"
+        ledger.save(path)
+        loaded = Ledger.load(path)
+    assert loaded.serialize() == ledger.serialize() == encoded_afresh(ledger.entries)
+    assert ledger_views(loaded, addresses) == ledger_views(ledger, addresses)

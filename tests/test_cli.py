@@ -44,8 +44,13 @@ class TestExitCodes:
             (["agent", "--turns", "1"], "platform=x limit\n", "'platform=x limit'"),
             (["agent", "--turns", "5", "--seed", "1"], "# nothing\n",
              "connectors.conf defines no platform"),
+            (["agent", "--turns", "1"], "platform=x outage=5\n",
+             "connectors.conf: line 'platform=x outage=5'"),
+            (["agent", "--turns", "1"], "platform=x limit=lots\n",
+             "connectors.conf: line 'platform=x limit=lots'"),
         ],
-        ids=["memory-source", "deploy-supply", "connector-line", "connector-none"],
+        ids=["memory-source", "deploy-supply", "connector-line", "connector-none",
+             "connector-outage", "connector-limit"],
     )
     def test_bad_value_is_usage_error(self, tmp_path, capsys, argv, connectors, named):
         if connectors is not None:
@@ -137,6 +142,23 @@ class TestMemoryCommand:
         assert run_cli("memory", "stats", "--store", str(store),
                        "--out", str(tmp_path)) == 0
         assert "count=1" in capsys.readouterr().out
+
+    def test_stats_on_refused_header_is_runtime_failure(self, tmp_path, capsys):
+        import hashlib
+
+        store = tmp_path / "memory.snapshot"
+        run_cli("memory", "upsert", "--id", "a", "--text", "hello there",
+                "--store", str(store), "--out", str(tmp_path))
+        capsys.readouterr()
+        lines = store.read_bytes().split(b"\n")
+        lines[0] = lines[0].replace(b"seed=0", b"seed=-1")
+        body = b"\n".join(lines[:-2]) + b"\n"
+        store.write_bytes(body + f"checksum={hashlib.sha256(body).hexdigest()}\n".encode())
+        code = run_cli("memory", "stats", "--store", str(store), "--out", str(tmp_path))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"{store}: unreadable header" in err
 
 
 class TestChainCommand:

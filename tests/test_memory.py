@@ -287,6 +287,30 @@ class TestPersistence:
         with pytest.raises(CorruptSnapshotError, match=r"n-gram range \[2, 5\]"):
             MemoryStore.load(path)
 
+    @pytest.mark.parametrize("stated, edited", [
+        (b"seed=0", b"seed=-1"),
+        (b"dim=64", b"dim=1"),
+        (b"backend=hashed", b"backend=bogus"),
+        (b"dim=64", b"dim64"),
+    ])
+    def test_header_config_refused_is_corrupt(self, tmp_path, stated, edited):
+        """A re-checksummed header stating a config the engine refuses."""
+        import hashlib
+
+        store = MemoryStore(CFG)
+        store.add_text("r1", "a header the engine refuses")
+        path = tmp_path / "store.snapshot"
+        store.persist(path)
+        lines = path.read_bytes().split(b"\n")
+        assert stated in lines[0]
+        lines[0] = lines[0].replace(stated, edited)
+        body = b"\n".join(lines[:-2]) + b"\n"
+        checksum = hashlib.sha256(body).hexdigest()
+        path.write_bytes(body + f"checksum={checksum}\n".encode())
+        with pytest.raises(CorruptSnapshotError, match="unreadable header") as excinfo:
+            MemoryStore.load(path)
+        assert str(path) in str(excinfo.value)
+
     def test_flipped_byte_detected(self, tmp_path):
         rng = np.random.default_rng(41)
         store = fresh_store(rng, 5)

@@ -136,6 +136,24 @@ class TestConnectorConfigFile:
         with pytest.raises(ValueError):
             load_connector_config(path)
 
+    @pytest.mark.parametrize("line", [
+        "platform=x outage=5",
+        "platform=x outage=1:2:3",
+        "platform=x outage=a:4",
+        "platform=x outage=1:2,7",
+        "platform=x limit=lots",
+        "platform=x limit=2.5",
+        "platform=x seed=three",
+    ])
+    def test_malformed_value_names_file_and_line(self, tmp_path, line):
+        path = tmp_path / "bad.conf"
+        path.write_text(f"platform=ok\n{line}  # the bad one\n", encoding="utf-8")
+        with pytest.raises(ValueError) as excinfo:
+            load_connector_config(path)
+        message = str(excinfo.value)
+        assert str(path) in message
+        assert repr(f"{line}  # the bad one") in message
+
 
 class TestEventLog:
     def test_first_offset_zero(self, tmp_path):
