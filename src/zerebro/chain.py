@@ -378,9 +378,13 @@ class Ledger:
 
     @classmethod
     def load(cls, path, fees: ChainFees = ChainFees()) -> "Ledger":
-        """Rebuild a ledger from its file; the verifying fold builds the state."""
+        """Rebuild a ledger from its file; the verifying fold builds the state.
+
+        The ledger's clock resumes STEP_MS after the last entry's timestamp,
+        so entries appended after a load keep the file's timestamps in order.
+        """
         entries = read_entries(path)
-        ledger = cls(fees=fees)
+        ledger = cls(fees=fees, clock=SimClock.after(entries[-1].timestamp) if entries else None)
         violations = _fold_checked(entries, ledger)
         if violations:
             raise CorruptLogError("ledger entries fail verification: " + "; ".join(violations))
@@ -449,7 +453,8 @@ def _key_fields(e: LedgerEntry) -> list[tuple[str, object]]:
 
 
 def verify_entries(entries: Sequence[LedgerEntry]) -> VerifyReport:
-    """Check sequencing, prefix-wise balances and conservation, provenance.
+    """Check sequencing, timestamp order, prefix-wise balances and
+    conservation, provenance.
 
     Violations are reported (never raised) and name the first failing
     sequence number per category.
@@ -471,6 +476,9 @@ def _fold_checked(entries: Sequence[LedgerEntry], ledger: Ledger) -> list[str]:
         if e.sequence != expected:
             fail(expected, f"sequence not dense, found {e.sequence}")
             break
+        if expected and e.timestamp < entries[expected - 1].timestamp:
+            fail(e.sequence, f"timestamp {e.timestamp} precedes seq {expected - 1}'s "
+                             f"{entries[expected - 1].timestamp}")
         if e.kind not in ENTRY_KINDS:
             fail(e.sequence, f"unknown kind {e.kind!r}")
             continue

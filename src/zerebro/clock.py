@@ -25,3 +25,11 @@ class SimClock:
             now = self._now
             self._now += STEP_MS
             return now
+
+    @classmethod
+    def after(cls, timestamp: int) -> "SimClock":
+        """A clock whose first tick is STEP_MS after timestamp: a resumed
+        run stamps on from its last record instead of restarting."""
+        clock = cls()
+        clock._now = timestamp + STEP_MS
+        return clock

@@ -8,6 +8,7 @@ memory store, and the backrooms experiment all report through these.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -67,6 +68,18 @@ def distinct_n(corpus: Iterable, n: int) -> float:
     return len(seen) / total
 
 
+# dispersion keeps the pair indices of sets up to this size, at most 700 KB
+_PAIRS_KEPT = 64
+
+
+@functools.cache
+def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.triu_indices(n, k=1), read-only."""
+    rows, cols = np.triu_indices(n, k=1)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
+
+
 def embedding_dispersion(vectors: Sequence[np.ndarray]) -> float:
     """Mean over unordered vector pairs of (1 - cosine similarity)."""
     if len(vectors) < 2:
@@ -75,13 +88,14 @@ def embedding_dispersion(vectors: Sequence[np.ndarray]) -> float:
     for v in vectors[1:]:
         if v.shape != dim:
             raise DimensionMismatchError(f"mixed dimensions: {dim} vs {v.shape}")
-    mat = np.stack(vectors).astype(np.float64)
+    mat = np.array(vectors, dtype=np.float64)  # np.stack(vectors), as float64
     norms = np.linalg.norm(mat, axis=1)
     if np.any(norms == 0.0):
         raise ValueError("dispersion is undefined for zero-norm vectors")
     unit = mat / norms[:, None]
     gram = np.clip(unit @ unit.T, -1.0, 1.0)
-    iu = np.triu_indices(len(vectors), k=1)
+    n = len(vectors)
+    iu = _upper_pairs(n) if n <= _PAIRS_KEPT else np.triu_indices(n, k=1)
     return float(np.mean(1.0 - gram[iu]))
 
 

@@ -14,6 +14,14 @@ twice. An upsert of an existing id overwrites its row, keeping its place,
 in a copy of the row's block, so vectors already handed out never change;
 a replacement therefore costs O(BLOCK_ROWS), an insert O(1).
 
+Embedding memo: the store keeps the last (text, vector) it embedded, one
+slot, and make_record and retrieve both go through it, so a text embedded
+as a record and then sent as the next query (the backrooms dialogue), or
+queried and then stored (an agent turn's observation), is embedded once.
+There is no larger cache. The vector handed out, by the memo, make_record
+or add_text, is read-only, like a stored record's, so a caller cannot
+change what a later call returns.
+
 Exactness: retrieval and admission scan the filled rows of each block with
     np.clip(np.vecdot(q, rows) / (float(np.linalg.norm(q)) * norms), -1, 1)
 np.vecdot(q, V) equals np.dot(q, v) row by row, bit for bit (numpy 2.4.6
@@ -132,6 +140,7 @@ class MemoryStore:
         self._rows: dict[str, int] = {}
         self._blocks: list[np.ndarray] = []  # (BLOCK_ROWS, D) vectors
         self._norms: list[np.ndarray] = []  # (BLOCK_ROWS,) cached norms
+        self._last: tuple[str, np.ndarray] | None = None  # the embedding memo
         self._lock = threading.Lock()
 
     @property
@@ -163,6 +172,16 @@ class MemoryStore:
     def ids(self) -> list[str]:
         return list(self._rows)
 
+    def _embed(self, text: str) -> np.ndarray:
+        """The engine's read-only vector for text, from the one-slot memo
+        when text is the last text embedded."""
+        last = self._last
+        if last is not None and last[0] == text:
+            return last[1]
+        vector = _read_only(self._engine.embed_text(text))
+        self._last = (text, vector)
+        return vector
+
     # --- writes -------------------------------------------------------------
 
     def make_record(
@@ -176,7 +195,7 @@ class MemoryStore:
         return MemoryRecord(
             id=record_id,
             text=text,
-            vector=self._engine.embed_text(text),
+            vector=self._embed(text),
             source=source,
             timestamp=timestamp,
         )
@@ -269,7 +288,7 @@ class MemoryStore:
             raise EmptyTextError("query text must be non-empty")
         if top_k < 1:
             raise ValueError(f"top_k must be positive, got {top_k}")
-        query = self._engine.embed_text(query_text)
+        query = self._embed(query_text)
         with self._lock:
             similarities = self._similarities(query)
             rows = np.arange(len(similarities))

@@ -17,7 +17,7 @@ from zerebro.agent import (
 )
 from zerebro.chain import AgentChainClient, Ledger, to_nanos
 from zerebro.clock import SimClock
-from zerebro.embedding import EmbeddingConfig
+from zerebro.embedding import EmbeddingConfig, HashedEngine
 from zerebro.errors import EmptyTextError, NoGeneratorError
 from zerebro.generator import MarkovGenerator
 from zerebro.memory import MemoryStore
@@ -235,6 +235,23 @@ class TestStep:
         with pytest.raises(ValueError, match="at least one posting target"):
             step(state, memory, {}, chain, "dust settles on the piano",
                  generator=generator, clock=clock)
+
+    def test_observation_embedded_once(self, generator, monkeypatch):
+        clock, memory, connectors, chain = self.make_components()
+        memory.add_text("seed", "the harbor wakes slowly", timestamp=0)
+        embedded = []
+        original = HashedEngine.embed_text
+
+        def counting(engine, text):
+            embedded.append(text)
+            return original(engine, text)
+
+        monkeypatch.setattr(HashedEngine, "embed_text", counting)
+        state = initial_state(6, weights={"post_text": 1.0}, sentiment_threshold=-1.0)
+        observation = "the ferry charges through fog"
+        step(state, memory, connectors, chain, observation, generator=generator, clock=clock)
+        assert embedded.count(observation) == 1
+        assert embedded[0] == observation  # plan's retrieve; the record reuses it
 
     def test_gate_soundness_over_fuzz(self, generator):
         clock, memory, connectors, chain = self.make_components()

@@ -1,5 +1,8 @@
 """Backrooms dialogue: bookkeeping exactness, determinism, windowing,
-error annotation, transcript files."""
+the kept window against a full recompute, embed counts, error annotation,
+transcript files."""
+
+import statistics
 
 import pytest
 
@@ -10,8 +13,10 @@ from zerebro.backrooms import (
     run_backrooms,
     write_transcript,
 )
-from zerebro.embedding import EmbeddingConfig
-from zerebro.errors import BadConfigError
+from zerebro.corpus import human_corpus
+from zerebro.diversity import distinct_n, embedding_dispersion, shannon_entropy, tail_mass
+from zerebro.embedding import EmbeddingConfig, HashedEngine
+from zerebro.errors import BadConfigError, NoNgramsError
 from zerebro.generator import MarkovGenerator
 from zerebro.memory import MemoryStore
 
@@ -100,6 +105,113 @@ class TestRun:
             run_backrooms(config, memory=MemoryStore(CFG), generator=Broken())
         assert excinfo.value.turn == 2
         assert "EmptyTextError" in str(excinfo.value)
+
+
+class RepeatingGenerator:
+    """Texts over a four-word vocabulary, with tokens and bigrams repeated
+    within a text and across texts, so window counts rise and fall to 0."""
+
+    def generate(self, prompt, retrieved_context, seed):
+        words = ["moth", "lamp", "moth", "dust"]
+        return " ".join(words[(seed >> k) % 4] for k in range(1 + seed % 7))
+
+
+def recomputed(transcript, memory):
+    """Every turn's report, rebuilt from scratch over the window's texts."""
+    lengths = [len(s.split()) for s in human_corpus()]
+    mu0, sigma0 = statistics.fmean(lengths), statistics.pstdev(lengths)
+    reports = []
+    for turn in range(len(transcript.turns)):
+        window = transcript.turns[max(0, turn + 1 - WINDOW) : turn + 1]
+        texts = [t.generated for t in window]
+        vectors = [memory.get(t.memory_ids[-1]).vector for t in window]
+        tokens: dict[str, int] = {}
+        for text in texts:
+            for tok in text.split():
+                tokens[tok] = tokens.get(tok, 0) + 1
+        reports.append({
+            "shannon_entropy_bits": shannon_entropy(tokens),
+            "distinct_1": distinct_n(texts, 1),
+            "distinct_2": distinct_n(texts, 2),
+            "embedding_dispersion": embedding_dispersion(vectors) if len(vectors) > 1 else 0.0,
+            "tail_mass": tail_mass([len(t.split()) for t in texts], mu0, sigma0, 2.0),
+        })
+    return reports
+
+
+class TestKeptWindow:
+    """The sliding window's report equals the full recompute, by ==."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    @pytest.mark.parametrize("rate,stored", [(0.0, False), (0.5, False), (1.0, True)])
+    def test_every_turn_equals_recompute(self, seed, rate, stored):
+        transcript, memory = run(turns=70, seed=seed, rate=rate, store_injected=stored)
+        for turn, expected in zip(transcript.turns, recomputed(transcript, memory)):
+            assert vars(turn.report) == expected, turn.turn
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_repeated_tokens_equal_recompute(self, seed):
+        memory = MemoryStore(CFG)
+        config = BackroomsConfig(turns=80, seed=seed, injection_rate=0.3)
+        transcript = run_backrooms(config, memory=memory, generator=RepeatingGenerator())
+        assert any(len(set(t.generated.split())) < len(t.generated.split())
+                   for t in transcript.turns)
+        for turn, expected in zip(transcript.turns, recomputed(transcript, memory)):
+            assert vars(turn.report) == expected, turn.turn
+
+    def test_one_token_texts_have_no_bigrams(self):
+        class OneToken:
+            def generate(self, prompt, retrieved_context, seed):
+                return "lantern"
+
+        config = BackroomsConfig(turns=3, seed=0)
+        with pytest.raises(NoNgramsError, match="no sequence contains an n-gram of size 2"):
+            run_backrooms(config, memory=MemoryStore(CFG), generator=OneToken())
+
+    def test_bigrams_evicted_to_none(self):
+        # one two-token text, then one-token texts: the window loses its
+        # last bigram when the first text is evicted, at turn WINDOW
+        class FirstTwoTokens:
+            calls = 0
+
+            def generate(self, prompt, retrieved_context, seed):
+                FirstTwoTokens.calls += 1
+                return "lantern hum" if FirstTwoTokens.calls == 1 else f"w{FirstTwoTokens.calls}"
+
+        config = BackroomsConfig(turns=WINDOW + 5, seed=0)
+        with pytest.raises(NoNgramsError):
+            run_backrooms(config, memory=MemoryStore(CFG), generator=FirstTwoTokens())
+        assert FirstTwoTokens.calls == WINDOW + 1
+
+
+@pytest.fixture
+def embedded(monkeypatch):
+    """The texts the hashed engine embeds, in call order."""
+    texts = []
+    original = HashedEngine.embed_text
+
+    def counting(self, text):
+        texts.append(text)
+        return original(self, text)
+
+    monkeypatch.setattr(HashedEngine, "embed_text", counting)
+    return texts
+
+
+class TestEmbedOnce:
+    def test_self_dialogue_embeds_each_text_once(self, embedded):
+        transcript, _ = run(turns=200, seed=1, rate=0.0)
+        # the opening prompt is never embedded: the store is empty at turn 0
+        assert embedded == [t.generated for t in transcript.turns]
+
+    def test_stored_injections_embed_each_text_once(self, embedded):
+        transcript, _ = run(turns=60, seed=2, rate=0.5, store_injected=True)
+        expected = []
+        for t in transcript.turns:
+            if t.injected:
+                expected.append(t.observation)
+            expected.append(t.generated)
+        assert embedded == expected
 
 
 class TestDirectionCheck:

@@ -22,6 +22,7 @@ from zerebro.chain import (
     verify_entries,
     wallet_address,
 )
+from zerebro.clock import STEP_MS
 from zerebro.errors import (
     BadSymbolError,
     CorruptLogError,
@@ -186,6 +187,26 @@ class TestVerify:
         assert not report.ok
         assert any(v.startswith("seq 2:") for v in report.violations)
 
+    def test_decreasing_timestamp_reported(self):
+        from dataclasses import replace
+
+        ledger, (a, b) = fresh_ledger(2)
+        ledger.transfer(a.address, b.address, to_nanos("1"))
+        entries = list(ledger.entries)
+        earlier = entries[1].timestamp - 1
+        entries[2] = replace(entries[2], timestamp=earlier)
+        report = verify_entries(entries)
+        assert report.violations == (
+            f"seq 2: timestamp {earlier} precedes seq 1's {entries[1].timestamp}",
+        )
+
+    def test_equal_timestamps_verify(self):
+        ledger = Ledger(clock=lambda: 5)
+        a = ledger.create_wallet(seed=1, endowment=to_nanos("3"))
+        b = ledger.create_wallet(seed=2, endowment=to_nanos("3"))
+        ledger.transfer(a.address, b.address, to_nanos("1"))
+        assert ledger.verify().ok
+
     def test_randomized_valid_operations_stay_ok(self):
         rng = np.random.default_rng(101)
         ledger = Ledger(fees=ChainFees(mint=to_nanos("0.01"), deploy=to_nanos("0.02")))
@@ -280,6 +301,18 @@ class TestPersistence:
             )
 
         assert views(loaded) == views(ledger)
+
+    def test_load_resumes_clock_after_last_entry(self, tmp_path):
+        ledger, (a, b) = fresh_ledger(2)
+        path = tmp_path / "ledger.log"
+        ledger.save(path)
+        last = ledger.entries[-1].timestamp
+        loaded = Ledger.load(path)
+        loaded.transfer(a.address, b.address, to_nanos("1"))
+        loaded.transfer(b.address, a.address, to_nanos("1"))
+        appended = loaded.entries[len(ledger.entries):]
+        assert [e.timestamp for e in appended] == [last + STEP_MS, last + 2 * STEP_MS]
+        assert loaded.verify().ok
 
     def test_gap_detected_on_load(self, tmp_path):
         ledger, _ = fresh_ledger(2)

@@ -174,6 +174,34 @@ class TestChainCommand:
         assert run_cli("chain", "verify", "--out", str(tmp_path)) == 0
         assert capsys.readouterr().out.strip() == "ok"
 
+    def test_mint_then_deploy_keeps_time_moving(self, tmp_path, capsys):
+        from zerebro.chain import read_entries
+
+        out = str(tmp_path)
+        assert run_cli("chain", "mint", "--art-seed", "3", "--theme", "lantern",
+                       "--out", out) == 0
+        assert run_cli("chain", "deploy", "--name", "t", "--symbol", "CORR", "--out", out) == 0
+        stamps = [e.timestamp for e in read_entries(tmp_path / "ledger.log")]
+        assert len(stamps) == 6 and stamps == sorted(set(stamps))
+        capsys.readouterr()
+        assert run_cli("chain", "verify", "--out", out) == 0
+        assert capsys.readouterr().out == "ok\n"
+
+    def test_verify_reports_time_going_back(self, tmp_path, capsys):
+        from zerebro.chain import Ledger, to_nanos
+
+        ticks = iter([5000, 6000, 1000])
+        ledger = Ledger(clock=lambda: next(ticks))
+        a = ledger.create_wallet(seed=1, endowment=to_nanos("3"))
+        b = ledger.create_wallet(seed=2, endowment=to_nanos("3"))
+        ledger.transfer(a.address, b.address, to_nanos("1"))
+        path = tmp_path / "ledger.log"
+        ledger.save(path)
+        code = run_cli("chain", "verify", "--ledger", str(path), "--out", str(tmp_path))
+        assert code == 1
+        assert capsys.readouterr().out == (
+            "violation: seq 2: timestamp 1000 precedes seq 1's 6000\n")
+
 
 class TestConfigFile:
     def test_parse(self, tmp_path):

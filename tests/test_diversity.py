@@ -108,6 +108,19 @@ class TestEmbeddingDispersion:
         assert forward == pytest.approx(backward, abs=1e-12)
 
 
+    @pytest.mark.parametrize("n", [2, 25, 64, 65, 130])
+    def test_array_and_rows_match_full_formula(self, n):
+        rows = [embed(f"moth {i} at the lamp {i * i}", EmbeddingConfig(dimension=96))
+                for i in range(n)]
+        mat = np.stack(rows).astype(np.float64)
+        unit = mat / np.linalg.norm(mat, axis=1)[:, None]
+        gram = np.clip(unit @ unit.T, -1.0, 1.0)
+        full = float(np.mean(1.0 - gram[np.triu_indices(n, k=1)]))
+        assert embedding_dispersion(rows) == full
+        assert embedding_dispersion(np.stack(rows)) == full
+        assert embedding_dispersion(rows) == full  # kept indices, second call
+
+
 class TestTailMass:
     def test_no_outliers(self):
         assert tail_mass([5.0, 5.0, 5.0], mu0=5.0, sigma0=1.0, k=2.0) == 0.0

@@ -2,10 +2,11 @@
 
 The agent's event log, its ledger and state hash, a serialized ledger after
 a fixed mix of operations, verify_entries' reports on two tampered copies,
-and the collapse lab's trajectory files and regimen reports are all pinned
-by sha256. Any change to the log line format, the ledger's state
-transition, its verification messages, or the collapse lab's sampling,
-refitting or tail-mass scoring fails here.
+the collapse lab's trajectory files and regimen reports, and backrooms
+transcripts are all pinned by sha256. Any change to the log line format,
+the ledger's state transition, its verification messages, the collapse
+lab's sampling, refitting or tail-mass scoring, or the backrooms window's
+diversity figures fails here.
 """
 
 import hashlib
@@ -13,6 +14,7 @@ from dataclasses import replace
 
 import pytest
 
+from zerebro.backrooms import WINDOW, BackroomsConfig, run_backrooms, write_transcript
 from zerebro.chain import Ledger, generate_art, to_nanos, verify_entries
 from zerebro.cli import main
 from zerebro.collapse import (
@@ -25,7 +27,10 @@ from zerebro.collapse import (
     uniform_categorical,
     write_trajectory,
 )
+from zerebro.embedding import EmbeddingConfig
 from zerebro.errors import InsufficientFundsError
+from zerebro.generator import MarkovGenerator
+from zerebro.memory import MemoryStore
 
 AGENT_DIGESTS = {
     "agent.log": "fb247792fa91f7b0335d7885fd2c8ba5eab458a231963e01673d1bac27cfc510",
@@ -61,6 +66,22 @@ REPORT_DIGESTS = {
     "gaussian": "5962728460c38f626c4d2fd1d2c5f9e74e1cc091ac0a5695f568bc9dd0e35ee1",
     "categorical": "d0fe3531c3c7b57e4e75b2e0a172b4f4ba822dc8e41fee24e64b3d52d64bc2fd",
 }
+
+# 60-turn transcripts at 768-d, past WINDOW so the window evicts:
+# (backend, injection_rate, store_injected)
+BACKROOMS_CONFIGS = {
+    "hashed-rate0": ("hashed", 0.0, False),
+    "hashed-rate0.5": ("hashed", 0.5, False),
+    "hashed-rate1-stored": ("hashed", 1.0, True),
+    "remote-stub-rate0.5-stored": ("remote-stub", 0.5, True),
+}
+BACKROOMS_DIGESTS = {
+    "hashed-rate0": "c4c5bd3472988f2feb2c108fced96dae836bf677c9c6b1b78eb9f588f50a5ce6",
+    "hashed-rate0.5": "aa3ed65a4bc9fd9d4c73dc699804da5a9ebc55b367c6286866fc61d5ab17b048",
+    "hashed-rate1-stored": "68eb6953ba09072d1bdee71f85837805dba3ae2546b8a0a6a00286860b6b4f3c",
+    "remote-stub-rate0.5-stored": "6f668aa233a5b9c0d1230e981ed761df88460d75ab3e447682fb1273b3392e2d",
+}
+BACKROOMS_TURNS = 60
 
 
 def sha256(data: bytes) -> str:
@@ -128,3 +149,16 @@ def test_regimen_report(family):
             else TRAJECTORY_CONFIGS["uniform-1000"])
     report = compare_regimens(base, [0.0, 0.5, 1.0], n_seeds=4)
     assert sha256(format_regimen_report(report).encode("utf-8")) == REPORT_DIGESTS[family]
+
+
+@pytest.mark.parametrize("name", sorted(BACKROOMS_CONFIGS))
+def test_backrooms_transcript(tmp_path, name):
+    backend, rate, stored = BACKROOMS_CONFIGS[name]
+    assert BACKROOMS_TURNS > WINDOW
+    memory = MemoryStore(EmbeddingConfig(dimension=768, seed=1), backend=backend)
+    config = BackroomsConfig(
+        turns=BACKROOMS_TURNS, seed=1, injection_rate=rate, store_injected=stored
+    )
+    path = tmp_path / "transcript.txt"
+    write_transcript(run_backrooms(config, memory=memory, generator=MarkovGenerator()), path)
+    assert sha256(path.read_bytes()) == BACKROOMS_DIGESTS[name]

@@ -529,6 +529,36 @@ class TestBlockStoreOracle:
             with pytest.raises(ValueError):
                 record.vector[0] = 0.0
 
+    def test_memo_vector_is_read_only(self):
+        store = MemoryStore(CFG)
+        record = store.make_record("a", "a lantern at the ferry")
+        assert not record.vector.flags.writeable
+        with pytest.raises(ValueError):
+            record.vector[0] = 0.0
+        assert not store.add_text("b", "the owl over the mill").vector.flags.writeable
+
+    def test_memo_returns_the_same_vector_once(self):
+        store = MemoryStore(CFG)
+        record = store.make_record("a", "a lantern at the ferry")
+        assert store.make_record("b", "a lantern at the ferry").vector is record.vector
+        other = store.make_record("c", "the owl over the mill").vector
+        again = store.make_record("d", "a lantern at the ferry").vector
+        assert again is not record.vector
+        assert np.array_equal(again, record.vector) and not np.array_equal(again, other)
+
+    def test_stored_vector_unchanged_by_later_embeds(self):
+        store = MemoryStore(CFG)
+        stored = store.add_text("a", "a lantern at the ferry")
+        held = store.get("a").vector
+        before = held.copy()
+        store.retrieve("a lantern at the ferry")
+        for i in range(5):
+            store.add_text(f"x{i}", f"the owl over the mill {i}")
+            store.retrieve(f"chalk on the bridge {i}")
+        assert np.array_equal(store.get("a").vector, before)
+        assert np.array_equal(held, before) and np.array_equal(stored.vector, before)
+        assert np.array_equal(before, embed("a lantern at the ferry", CFG))
+
     def test_unstorable_vector_leaves_store_unchanged(self):
         store = filled_store(BLOCK_ROWS)  # the next row would open a new block
         bad = MemoryRecord(id="bad", text="bad", vector=np.array(["x"] * 16),
