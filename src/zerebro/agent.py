@@ -245,7 +245,7 @@ def step(
     )
 
     obs_id = f"obs-{turn:06d}"
-    memory.upsert(memory.make_record(obs_id, observation, "human", clock()))
+    memory.add_text(obs_id, observation, "human", clock())
     log.append("observation", {"turn": turn, "id": obs_id, "text": observation,
                                "source": "human"})
     log.append("plan", {"turn": turn, "requests": [_request_payload(r) for r in requests]})
@@ -261,22 +261,19 @@ def step(
     for index, (request, decision) in enumerate(zip(requests, decisions)):
         if not decision.passed:
             continue
-        log.append("dispatch", {"turn": turn, "index": index, "kind": request.kind,
-                                "target": request.target})
+        action = {"turn": turn, "index": index, "kind": request.kind, "target": request.target}
+        log.append("dispatch", action)
         try:
             receipt = _dispatch(request, connectors, chain_client, clock)
         except ZerebroError as exc:
-            log.append("error", {"turn": turn, "index": index, "kind": request.kind,
-                                 "target": request.target, "error": type(exc).__name__,
-                                 "message": str(exc)})
+            log.append("error", {**action, "error": type(exc).__name__, "message": str(exc)})
             continue
         receipts.append(receipt)
-        payload = {"turn": turn, "index": index, "kind": request.kind,
-                   "target": request.target, "ref": receipt.ref}
+        payload = {**action, "ref": receipt.ref}
         if request.kind == "post_text":
             gen_id = f"gen-{turn:06d}-{dispatched}"
             dispatched += 1
-            memory.upsert(memory.make_record(gen_id, request.content, "agent", clock()))
+            memory.add_text(gen_id, request.content, "agent", clock())
             payload["memory_id"] = gen_id
             payload["post_id"] = int(receipt.ref.rsplit(":", 1)[1])
         log.append("receipt", payload)

@@ -182,11 +182,8 @@ def run_backrooms(
 
             ids = []
             if injected and config.store_injected:
-                rec = memory.make_record(f"brh-{turn:05d}", observation, "human", turn)
-                memory.upsert(rec)
-                ids.append(rec.id)
-            rec = memory.make_record(f"br-{turn:05d}", generated, "agent", turn)
-            memory.upsert(rec)
+                ids.append(memory.add_text(f"brh-{turn:05d}", observation, "human", turn).id)
+            rec = memory.add_text(f"br-{turn:05d}", generated, "agent", turn)
             ids.append(rec.id)
         except ZerebroError as exc:
             raise TurnError(turn, exc) from exc

@@ -242,13 +242,23 @@ class Ledger:
             self._tokens[symbol] = TokenRecord(payload.get("name"), symbol, supply, e.src)
             self._token_balances.setdefault(symbol, {})[e.src] = supply
 
+    def _require_funds(self, address: str, amount: int, what: str, holder: str = "") -> None:
+        """Refuse unless address holds amount; `what` names the amount."""
+        held = self.balance(address)
+        if held < amount:
+            raise InsufficientFundsError(
+                f"{holder}{address} holds {format_nanos(held)}, {what} {format_nanos(amount)}"
+            )
+
     def create_wallet(self, seed: int, endowment: int = 0) -> Wallet:
-        """Derive a stable address from the seed and endow it from genesis."""
+        """Derive a stable address from the seed and endow it from genesis
+        the first time this ledger sees the address, never again."""
         if endowment < 0:
             raise ValueError("endowment must be non-negative")
         address = wallet_address(seed)
-        if endowment > 0:
-            with self._lock:
+        with self._lock:
+            # every address that has moved or held money has a balance key
+            if endowment > 0 and address not in self._balances:
                 self._append("transfer", GENESIS, address, endowment, {"endowment": True})
         return Wallet(address=address)
 
@@ -256,11 +266,7 @@ class Ledger:
         if amount < 0:
             raise ValueError("amount must be non-negative")
         with self._lock:
-            if self.balance(src) < amount:
-                raise InsufficientFundsError(
-                    f"{src} holds {format_nanos(self.balance(src))}, "
-                    f"needs {format_nanos(amount)}"
-                )
+            self._require_funds(src, amount, "needs")
             return self._append("transfer", src, dst, amount, {})
 
     def mint_nft(self, wallet: Wallet | str, art: bytes) -> MintRecord:
@@ -269,11 +275,7 @@ class Ledger:
         fee = self.fees.mint
         art_hash = hashlib.sha256(art).hexdigest()
         with self._lock:
-            if self.balance(address) < fee:
-                raise InsufficientFundsError(
-                    f"{address} holds {format_nanos(self.balance(address))}, "
-                    f"mint fee is {format_nanos(fee)}"
-                )
+            self._require_funds(address, fee, "mint fee is")
             if art_hash in self._art_index:
                 raise DuplicateArtError(f"art {art_hash[:16]} already minted "
                                         f"as token {self._art_index[art_hash]}")
@@ -298,11 +300,7 @@ class Ledger:
         with self._lock:
             if symbol in self._tokens:
                 raise SymbolTakenError(f"symbol {symbol} already deployed")
-            if self.balance(address) < fee:
-                raise InsufficientFundsError(
-                    f"{address} holds {format_nanos(self.balance(address))}, "
-                    f"deploy fee is {format_nanos(fee)}"
-                )
+            self._require_funds(address, fee, "deploy fee is")
             self._append(
                 "deploy", address, address, 0,
                 {"name": name, "symbol": symbol, "total_supply": total_supply},
@@ -335,11 +333,7 @@ class Ledger:
                         f"sale needs {units}"
                     )
                 payload = {"token": symbol, "units": units, "price": price}
-            if self.balance(buyer) < price:
-                raise InsufficientFundsError(
-                    f"buyer {buyer} holds {format_nanos(self.balance(buyer))}, "
-                    f"price is {format_nanos(price)}"
-                )
+            self._require_funds(buyer, price, "price is", holder="buyer ")
             return self._append("sale", buyer, seller, price, payload)
 
     # --- verification ------------------------------------------------------------

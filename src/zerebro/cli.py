@@ -31,7 +31,7 @@ from .corpus import human_corpus
 from .embedding import EmbeddingConfig
 from .errors import ZerebroError
 from .generator import MarkovGenerator
-from .memory import MemoryStore
+from .memory import DEFAULT_TOP_K, MemoryStore
 from .platforms import EventLog, load_connector_config, make_default_connectors
 
 OUT_ENV = "ZEREBRO_OUT"
@@ -124,7 +124,8 @@ def cmd_backrooms(args, config: dict[str, str], out: Path) -> tuple[int, list[st
 def cmd_agent(args, config: dict[str, str], out: Path) -> tuple[int, list[str]]:
     _resolve(args, config, "seed", "agent.seed", int, 0)
     _resolve(args, config, "threshold", "agent.sentiment_threshold", float, 0.0)
-    _resolve(args, config, "max_actions", "agent.max_actions_per_turn", int, 3)
+    _resolve(args, config, "max_actions", "agent.max_actions_per_turn", int,
+             agent_mod.DEFAULT_MAX_ACTIONS)
     _resolve(args, config, "eta", "agent.eta", float, agent_mod.DEFAULT_ETA)
     _resolve(args, config, "dimension", "embedding.dimension", int, 256)
     seed = args.seed
@@ -189,10 +190,7 @@ def cmd_memory(args, config: dict[str, str], out: Path) -> tuple[int, list[str]]
         )
 
     if args.op == "upsert":
-        record = store.make_record(
-            args.id, args.text, source=args.source, timestamp=SimClock()()
-        )
-        store.upsert(record)
+        store.add_text(args.id, args.text, source=args.source, timestamp=SimClock()())
         store.persist(store_path)
         print(f"memory: upserted {args.id!r}, store now holds {len(store)} records")
     elif args.op == "query":
@@ -340,47 +338,32 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_agent)
 
-    p = sub.add_parser("memory", help="inspect or edit a memory snapshot")
-    mem_sub = p.add_subparsers(dest="op", required=True)
-    mp = mem_sub.add_parser("upsert")
-    mp.add_argument("--id", required=True)
-    mp.add_argument("--text", required=True)
-    mp.add_argument("--source", default="human")
-    mp.add_argument("--store", default=None)
-    common(mp)
-    mp.set_defaults(func=cmd_memory)
-    mp = mem_sub.add_parser("query")
-    mp.add_argument("--text", required=True)
-    mp.add_argument("--k", type=int, default=5)
-    mp.add_argument("--store", default=None)
-    common(mp)
-    mp.set_defaults(func=cmd_memory)
-    mp = mem_sub.add_parser("stats")
-    mp.add_argument("--store", default=None)
-    common(mp)
-    mp.set_defaults(func=cmd_memory)
+    def group(name, help_text, func, shared, ops, **defaults):
+        """A command with one subparser per op: the op's flags, then the
+        flags every op shares, then the common ones."""
+        op_sub = sub.add_parser(name, help=help_text).add_subparsers(dest="op", required=True)
+        for op, flags in ops.items():
+            op_parser = op_sub.add_parser(op)
+            for flag, options in {**flags, **shared}.items():
+                op_parser.add_argument(flag, **options)
+            common(op_parser)
+            op_parser.set_defaults(func=func, **defaults)
 
-    p = sub.add_parser("chain", help="simulated ledger operations")
-    chain_sub = p.add_subparsers(dest="op", required=True)
-    cp = chain_sub.add_parser("mint")
-    cp.add_argument("--art-seed", dest="art_seed", type=int, default=1)
-    cp.add_argument("--theme", default="corridor")
-    cp.add_argument("--endowment", default="1")
-    cp.add_argument("--ledger", default=None)
-    common(cp)
-    cp.set_defaults(func=cmd_chain, seed=0)
-    cp = chain_sub.add_parser("deploy")
-    cp.add_argument("--name", required=True)
-    cp.add_argument("--symbol", required=True)
-    cp.add_argument("--supply", type=int, default=10**9)
-    cp.add_argument("--endowment", default="1")
-    cp.add_argument("--ledger", default=None)
-    common(cp)
-    cp.set_defaults(func=cmd_chain, seed=0)
-    cp = chain_sub.add_parser("verify")
-    cp.add_argument("--ledger", default=None)
-    common(cp)
-    cp.set_defaults(func=cmd_chain, seed=0)
+    required, endowment = {"required": True}, {"default": "1"}
+    group("memory", "inspect or edit a memory snapshot", cmd_memory,
+          shared={"--store": {"default": None}}, ops={
+              "upsert": {"--id": required, "--text": required, "--source": {"default": "human"}},
+              "query": {"--text": required, "--k": {"type": int, "default": DEFAULT_TOP_K}},
+              "stats": {},
+          })
+    group("chain", "simulated ledger operations", cmd_chain, seed=0,
+          shared={"--ledger": {"default": None}}, ops={
+              "mint": {"--art-seed": {"type": int, "default": 1},
+                       "--theme": {"default": "corridor"}, "--endowment": endowment},
+              "deploy": {"--name": required, "--symbol": required,
+                         "--supply": {"type": int, "default": 10**9}, "--endowment": endowment},
+              "verify": {},
+          })
 
     p = sub.add_parser("report", help="merge experiment outputs into one summary")
     p.add_argument("--collapse", default=None, help="collapse report file")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -122,16 +122,7 @@ class DiversityReport:
     tail_mass: float
 
     def as_text_block(self) -> str:
-        return "\n".join(
-            f"{key}={getattr(self, key)!r}"
-            for key in (
-                "shannon_entropy_bits",
-                "distinct_1",
-                "distinct_2",
-                "embedding_dispersion",
-                "tail_mass",
-            )
-        )
+        return "\n".join(f"{f.name}={getattr(self, f.name)!r}" for f in fields(self))
 
 
 __all__ = [

@@ -1,12 +1,13 @@
 """Deterministic text embeddings via signed character n-gram hashing.
 
 Every n-gram of the utf-8 byte stream, for the fixed range of n from
-NGRAM_MIN = 3 to NGRAM_MAX = 5, is hashed into one of D buckets and
-contributes +1 or -1 (second hash bit), then the bucket vector is
-L2-normalized. The result is a unit vector that is bit-reproducible for a
-given (text, config) pair, with no model files and no network. An
-alternate engine ("remote-stub") honors the same interface so a real
-remote embedding client could be swapped in later via configuration.
+NGRAM_MIN = 3 to NGRAM_MAX = 5 (a shorter text is one whole-text gram), is
+hashed in one rolling pass into one of D buckets and contributes +1 or -1
+(second hash bit), then the bucket vector is L2-normalized. The result is
+a unit vector that is bit-reproducible for a given (text, config) pair,
+with no model files and no network. An alternate engine ("remote-stub")
+honors the same interface so a real remote embedding client could be
+swapped in later via configuration.
 
 Vectors are plain float64 numpy arrays of shape (dimension,).
 """
@@ -53,39 +54,32 @@ def _mix(h: np.ndarray, salt: np.uint64) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-def _window_hashes(data: np.ndarray, n: int, seed: int) -> np.ndarray:
-    """Polynomial hash of every length-n byte window, mixed with seed and n."""
-    win = np.lib.stride_tricks.sliding_window_view(data, n)
-    h = np.zeros(len(win), dtype=np.uint64)
-    for j in range(n):
-        h = h * _POLY + win[:, j]
-    salt = np.uint64((seed ^ (n * 0x9E3779B97F4A7C15)) % 2**64)
-    return _mix(h, salt)
-
-
 def embed(text: str, config: EmbeddingConfig = EmbeddingConfig()) -> np.ndarray:
     """Embed text as a unit-norm vector of config.dimension.
 
-    Texts shorter than NGRAM_MIN bytes hash as a single whole-text gram so any
-    non-blank input still produces a valid vector. Raises EmptyTextError
-    for empty or whitespace-only text.
+    One rolling pass extends each window's polynomial hash by a byte per n.
+    Every n from min(NGRAM_MIN, len) to NGRAM_MAX that fits is hashed, salted
+    with the seed and n: a text shorter than NGRAM_MIN bytes is one whole-text
+    gram, so any non-blank text embeds. Raises EmptyTextError for empty or
+    whitespace-only text.
     """
     if not text or not text.strip():
         raise EmptyTextError("cannot embed empty or whitespace-only text")
 
     data = np.frombuffer(text.encode("utf-8"), dtype=np.uint8).astype(np.uint64)
-    hashes = [
-        _window_hashes(data, n, config.seed)
-        for n in range(NGRAM_MIN, min(NGRAM_MAX, len(data)) + 1)
-    ]
-    if not hashes:
-        hashes = [_window_hashes(data, len(data), config.seed)]
+    first = min(NGRAM_MIN, len(data))
+    h = np.zeros(len(data) + 1, dtype=np.uint64)  # the empty window at each start
+    hashes = []
+    for n in range(1, min(NGRAM_MAX, len(data)) + 1):
+        h = h[:-1] * _POLY + data[n - 1 :]
+        if n >= first:
+            salt = np.uint64((config.seed ^ (n * 0x9E3779B97F4A7C15)) % 2**64)
+            hashes.append(_mix(h, salt))
     h = np.concatenate(hashes)
 
-    vec = np.zeros(config.dimension, dtype=np.float64)
     buckets = (h % np.uint64(config.dimension)).astype(np.intp)
     signs = np.where((h >> np.uint64(32)) & np.uint64(1), 1.0, -1.0)
-    np.add.at(vec, buckets, signs)
+    vec = np.bincount(buckets, weights=signs, minlength=config.dimension)
 
     norm = float(np.linalg.norm(vec))
     if norm == 0.0:

@@ -55,6 +55,7 @@ from typing import Iterator
 import numpy as np
 
 from .atomic import write_atomic
+from .diversity import embedding_dispersion
 from .embedding import NGRAM_MAX, NGRAM_MIN, EmbeddingConfig, make_engine
 from .errors import (
     BadConfigError,
@@ -202,10 +203,7 @@ class MemoryStore:
 
     def upsert(self, record: MemoryRecord) -> str:
         """Insert or replace by id. Count grows by at most one."""
-        if record.vector.shape != (self.dimension,):
-            raise DimensionMismatchError(
-                f"record vector has shape {record.vector.shape}, store dimension is {self.dimension}"
-            )
+        self._check_dimension(record, "record")
         with self._lock:
             self._put(record)
         return record.id
@@ -226,11 +224,7 @@ class MemoryStore:
         similarity exceeds the threshold; an admission the highest
         similarity, or 0.0 when none is positive.
         """
-        if candidate.vector.shape != (self.dimension,):
-            raise DimensionMismatchError(
-                f"candidate vector has shape {candidate.vector.shape}, "
-                f"store dimension is {self.dimension}"
-            )
+        self._check_dimension(candidate, "candidate")
         tau = policy.max_similarity_threshold
         with self._lock:
             similarities = self._similarities(candidate.vector)
@@ -246,6 +240,12 @@ class MemoryStore:
             worst = max(0.0, float(similarities.max())) if similarities.size else 0.0
             self._put(replace(candidate, screened=True))
         return AdmissionDecision(admitted=True, max_similarity=worst)
+
+    def _check_dimension(self, record: MemoryRecord, role: str) -> None:
+        if record.vector.shape != (self.dimension,):
+            raise DimensionMismatchError(
+                f"{role} vector has shape {record.vector.shape}, store dimension is {self.dimension}"
+            )
 
     def _put(self, record: MemoryRecord) -> None:
         """Store record in its row, a new one for a new id; lock held."""
@@ -326,8 +326,6 @@ class MemoryStore:
         if len(snapshot) < 2:
             dispersion = 0.0
         else:
-            from .diversity import embedding_dispersion
-
             dispersion = embedding_dispersion([r.vector for r in snapshot])
         return MemoryStats(count=len(snapshot), source_histogram=histogram, dispersion=dispersion)
 

@@ -182,10 +182,23 @@ class TestChainCommand:
                        "--out", out) == 0
         assert run_cli("chain", "deploy", "--name", "t", "--symbol", "CORR", "--out", out) == 0
         stamps = [e.timestamp for e in read_entries(tmp_path / "ledger.log")]
-        assert len(stamps) == 6 and stamps == sorted(set(stamps))
+        assert len(stamps) == 5 and stamps == sorted(set(stamps))
         capsys.readouterr()
         assert run_cli("chain", "verify", "--out", out) == 0
         assert capsys.readouterr().out == "ok\n"
+
+    def test_second_command_does_not_endow_again(self, tmp_path):
+        from zerebro.chain import GENESIS, Ledger, to_nanos, wallet_address
+
+        out = str(tmp_path)
+        assert run_cli("chain", "mint", "--art-seed", "3", "--out", out) == 0
+        assert run_cli("chain", "deploy", "--name", "t", "--symbol", "CORR",
+                       "--endowment", "5", "--out", out) == 0
+        ledger = Ledger.load(tmp_path / "ledger.log")
+        endowments = [e for e in ledger.entries if e.src == GENESIS]
+        assert [(e.dst, e.amount) for e in endowments] == [(wallet_address(0), to_nanos("1"))]
+        fees = ledger.fees.mint + ledger.fees.deploy
+        assert ledger.balance(wallet_address(0)) == to_nanos("1") - fees
 
     def test_verify_reports_time_going_back(self, tmp_path, capsys):
         from zerebro.chain import Ledger, to_nanos

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zerebro.embedding import (
@@ -123,6 +123,55 @@ def test_unit_norm_property(text):
 def test_determinism_property(text, seed):
     cfg = EmbeddingConfig(dimension=64, seed=seed)
     assert (embed(text, cfg) == embed(text, cfg)).all()
+
+
+def _reference_counts(text: str, dimension: int, seed: int) -> np.ndarray:
+    """The per-n formula's bucket sums before normalizing: every length-n
+    byte window (n from 3 to 5, or the whole text when it is shorter than 3
+    bytes) hashed from its first byte."""
+    u64 = np.uint64
+    data = np.frombuffer(text.encode("utf-8"), dtype=np.uint8).astype(np.uint64)
+    hashes = []
+    for n in range(3, min(5, len(data)) + 1) or [len(data)]:
+        win = np.lib.stride_tricks.sliding_window_view(data, n)
+        h = np.zeros(len(win), dtype=np.uint64)
+        for j in range(n):
+            h = h * u64(0x100000001B3) + win[:, j]
+        z = (h ^ u64((seed ^ (n * 0x9E3779B97F4A7C15)) % 2**64)) + u64(0x9E3779B97F4A7C15)
+        z = (z ^ (z >> u64(30))) * u64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> u64(27))) * u64(0x94D049BB133111EB)
+        hashes.append(z ^ (z >> u64(31)))
+    h = np.concatenate(hashes)
+    vec = np.zeros(dimension, dtype=np.float64)
+    signs = np.where((h >> u64(32)) & u64(1), 1.0, -1.0)
+    np.add.at(vec, (h % u64(dimension)).astype(np.intp), signs)
+    return vec
+
+
+# texts of 1 to 64 utf-8 bytes; a character cut at byte 64 is dropped
+_texts = (
+    st.text(min_size=1, max_size=64)
+    .map(lambda t: t.encode("utf-8")[:64].decode("utf-8", "ignore"))
+    .filter(lambda t: t.strip())
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_texts, st.sampled_from([2, 37, 768]), st.integers(0, 2**64 - 1))
+@example("a", 768, 0)
+@example("ab", 37, 2**64 - 1)
+@example("é", 2, 1)
+@example("日", 768, 12345)
+@example("🙂 ok", 37, 0)
+def test_embed_matches_per_window_reference(text, dimension, seed):
+    config = EmbeddingConfig(dimension=dimension, seed=seed)
+    counts = _reference_counts(text, dimension, seed)
+    norm = float(np.linalg.norm(counts))
+    if norm == 0.0:  # every bucket cancelled, possible at small dimensions
+        with pytest.raises(EmptyTextError):
+            embed(text, config)
+    else:
+        assert np.array_equal(embed(text, config), counts / norm)
 
 
 def test_engine_selection():
