@@ -355,6 +355,18 @@ def session_state_hash(state: AgentState, memory: MemoryStore, connectors: Mappi
 # --- multi-turn session -----------------------------------------------------------
 
 
+def check_session_args(eta: float, max_actions: int) -> None:
+    """Refuse a learning rate or an action cap no session can run with.
+
+    eta must be finite and above -1, so that each weight's factor
+    1 + eta * x, x in [0, 1], stays positive; max_actions must be >= 0.
+    """
+    if not (np.isfinite(eta) and eta > -1):
+        raise ValueError(f"eta must be a finite number above -1, got {eta}")
+    if max_actions < 0:
+        raise ValueError(f"max_actions must be non-negative, got {max_actions}")
+
+
 def run_session(
     state: AgentState,
     memory: MemoryStore,
@@ -373,7 +385,9 @@ def run_session(
 
     Returns the final state and its hash. With a log attached and the
     default starting weights, replaying the log file reproduces the hash.
+    Bad eta or max_actions raise ValueError before the first turn.
     """
+    check_session_args(eta, max_actions)
     clock = clock or SimClock()
     log = _NO_LOG if log is None else log
     for turn in range(turns):

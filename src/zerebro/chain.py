@@ -7,18 +7,19 @@ sum(balances) + fees collected == sum(endowments). Operations validate
 everything up front and only then mutate, so a failed call leaves the
 ledger byte-identical.
 
-The ledger's state changes only by folding one entry at a time into it
-(`Ledger._apply`): the live operations fold each entry they commit,
-`verify_entries` folds with its checks around each step, and `Ledger.load`
-keeps the state its verifying fold built. The ledger persists in the
-dense-offset line format of `zerebro.offsetlog`.
+The ledger's rules live in its operations and nowhere else; a committed
+entry changes the state only through `Ledger._apply`. `verify_entries`
+replays: for each entry it runs, on an empty ledger, the live operation
+that writes it and requires that exactly the given entries come out, and
+`Ledger.load` keeps the ledger that replay built. The ledger persists in
+the dense-offset line format of `zerebro.offsetlog`.
 
 Committed entries, and their payload dicts, are immutable, and a ledger
 only ever appends to its `_entries` list. `Ledger.serialize` relies on
 this: it encodes each entry once and keeps the text, so a snapshot costs
 only the entries appended since the last one. Code that replaces entries
-(`Ledger.load`, a test that tampers with a ledger) must assign a new
-list to `_entries`, never edit the list in place.
+(a test that tampers with a ledger) must assign a new list to `_entries`,
+never edit the list in place.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import operator
 import sys
 import threading
 from dataclasses import dataclass
@@ -45,6 +47,7 @@ from .errors import (
     IoFailureError,
     NotOwnerError,
     SymbolTakenError,
+    ZerebroError,
 )
 from .seeding import stream, u64
 
@@ -127,18 +130,18 @@ def wallet_address(seed: int) -> str:
     return "w" + digest.hexdigest()
 
 
+# json.dumps(body, sort_keys=True), without building an encoder per call
+_hash_json = json.JSONEncoder(sort_keys=True).encode
+
+
 def _entry_hash(kind: str, src: str, dst: str, amount: int, payload: dict) -> str:
     """Content hash over the whole entry body; catches any field tamper."""
     body = {"kind": kind, "src": src, "dst": dst, "amount": amount, "payload": payload}
-    return hashlib.sha256(json.dumps(body, sort_keys=True).encode("utf-8")).hexdigest()
-
-
-def _valid_symbol(symbol: str) -> bool:
-    return 1 <= len(symbol) <= 10 and all("A" <= ch <= "Z" for ch in symbol)
+    return hashlib.sha256(_hash_json(body).encode("utf-8")).hexdigest()
 
 
 def _check_count(name: str, value) -> None:
-    """Live ops commit whole counts only: the fold would truncate a float."""
+    """Counts are whole, in live calls and in replayed ledger files alike."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{name} must be an int, got {value!r}")
 
@@ -191,26 +194,18 @@ class Ledger:
 
     def _append(self, kind: str, src: str, dst: str, amount: int, payload: dict) -> LedgerEntry:
         """Commit one entry and fold it into the state; callers validate first."""
-        entry = LedgerEntry(
-            sequence=len(self._entries),
-            kind=kind,
-            src=src,
-            dst=dst,
-            amount=amount,
-            timestamp=self._clock(),
-            payload=payload,
-            payload_hash=_entry_hash(kind, src, dst, amount, payload),
-        )
+        entry = self._entry(kind, src, dst, amount, payload)
         self._entries.append(entry)
         self._apply(entry)
         return entry
 
-    def _apply(self, e: LedgerEntry) -> None:
-        """The ledger's state transition: fold one entry into the state.
+    def _entry(self, kind: str, src: str, dst: str, amount: int, payload: dict) -> LedgerEntry:
+        """The next entry, stamped by the clock; replay puts the given one here."""
+        return LedgerEntry(len(self._entries), kind, src, dst, amount, self._clock(), payload,
+                           _entry_hash(kind, src, dst, amount, payload))
 
-        Live operations, verify_entries and load all change state only
-        through here. It checks nothing; verify_entries checks around it.
-        """
+    def _apply(self, e: LedgerEntry) -> None:
+        """The state transition for one committed entry; operations check, it does not."""
         kind, payload, balances = e.kind, e.payload, self._balances
         if kind == "transfer":
             if e.src == GENESIS:
@@ -225,22 +220,20 @@ class Ledger:
             balances[e.src] = balances.get(e.src, 0) - e.amount
             balances[e.dst] = balances.get(e.dst, 0) + e.amount
             if "token" in payload:
-                holdings = self._token_balances.setdefault(payload["token"], {})
-                units = int(payload["units"])
-                holdings[e.dst] = holdings.get(e.dst, 0) - units
+                holdings, units = self._token_balances[payload["token"]], payload["units"]
+                holdings[e.dst] -= units
                 holdings[e.src] = holdings.get(e.src, 0) + units
             else:
-                self._nft_owner[payload.get("nft")] = e.src
+                self._nft_owner[payload["nft"]] = e.src
         elif kind == "mint":
-            token_id, art_hash = payload.get("token_id"), payload.get("art_hash")
+            token_id, art_hash = payload["token_id"], payload["art_hash"]
             self._mints.append(MintRecord(token_id, e.src, art_hash, e.timestamp))
-            self._art_index.setdefault(art_hash, token_id)
+            self._art_index[art_hash] = token_id
             self._nft_owner[token_id] = e.src
         elif kind == "deploy":
-            symbol = payload.get("symbol")
-            supply = int(payload.get("total_supply", 0))
-            self._tokens[symbol] = TokenRecord(payload.get("name"), symbol, supply, e.src)
-            self._token_balances.setdefault(symbol, {})[e.src] = supply
+            symbol, supply = payload["symbol"], payload["total_supply"]
+            self._tokens[symbol] = TokenRecord(payload["name"], symbol, supply, e.src)
+            self._token_balances[symbol] = {e.src: supply}
 
     def _require_funds(self, address: str, amount: int, what: str, holder: str = "") -> None:
         """Refuse unless address holds amount; `what` names the amount."""
@@ -253,14 +246,17 @@ class Ledger:
     def create_wallet(self, seed: int, endowment: int = 0) -> Wallet:
         """Derive a stable address from the seed and endow it from genesis
         the first time this ledger sees the address, never again."""
-        if endowment < 0:
-            raise ValueError("endowment must be non-negative")
         address = wallet_address(seed)
+        self._endow(address, endowment)
+        return Wallet(address=address)
+
+    def _endow(self, address: str, amount: int) -> None:
+        if amount < 0:
+            raise ValueError("endowment must be non-negative")
         with self._lock:
             # every address that has moved or held money has a balance key
-            if endowment > 0 and address not in self._balances:
-                self._append("transfer", GENESIS, address, endowment, {"endowment": True})
-        return Wallet(address=address)
+            if amount > 0 and address not in self._balances:
+                self._append("transfer", GENESIS, address, amount, {"endowment": True})
 
     def transfer(self, src: str, dst: str, amount: int) -> LedgerEntry:
         if amount < 0:
@@ -272,8 +268,11 @@ class Ledger:
     def mint_nft(self, wallet: Wallet | str, art: bytes) -> MintRecord:
         """Mint art bytes as an NFT; duplicate art is rejected by content hash."""
         address = wallet.address if isinstance(wallet, Wallet) else wallet
+        return self._mint(address, hashlib.sha256(art).hexdigest())
+
+    def _mint(self, address: str, art_hash: str) -> MintRecord:
+        """mint_nft by the art's hash, which is all a ledger holds of it."""
         fee = self.fees.mint
-        art_hash = hashlib.sha256(art).hexdigest()
         with self._lock:
             self._require_funds(address, fee, "mint fee is")
             if art_hash in self._art_index:
@@ -292,7 +291,7 @@ class Ledger:
     ) -> TokenRecord:
         address = wallet.address if isinstance(wallet, Wallet) else wallet
         fee = self.fees.deploy
-        if not _valid_symbol(symbol):
+        if not (1 <= len(symbol) <= 10 and all("A" <= ch <= "Z" for ch in symbol)):
             raise BadSymbolError(f"symbol {symbol!r} must be 1-10 uppercase ASCII letters")
         _check_count("total_supply", total_supply)
         if total_supply < 1:
@@ -339,7 +338,8 @@ class Ledger:
     # --- verification ------------------------------------------------------------
 
     def verify(self) -> VerifyReport:
-        return verify_entries(self._entries)
+        """verify_entries, replayed at this ledger's own fees."""
+        return _fold_checked(self.entries, Ledger(self.fees))
 
     # --- persistence ---------------------------------------------------------------
 
@@ -372,17 +372,16 @@ class Ledger:
 
     @classmethod
     def load(cls, path, fees: ChainFees = ChainFees()) -> "Ledger":
-        """Rebuild a ledger from its file; the verifying fold builds the state.
+        """Rebuild a ledger by replaying its file; CorruptLogError on a violation.
 
         The ledger's clock resumes STEP_MS after the last entry's timestamp,
         so entries appended after a load keep the file's timestamps in order.
         """
         entries = read_entries(path)
         ledger = cls(fees=fees, clock=SimClock.after(entries[-1].timestamp) if entries else None)
-        violations = _fold_checked(entries, ledger)
+        violations = _fold_checked(entries, ledger).violations
         if violations:
             raise CorruptLogError("ledger entries fail verification: " + "; ".join(violations))
-        ledger._entries = entries
         return ledger
 
 
@@ -422,119 +421,96 @@ def read_entries(path) -> list[LedgerEntry]:
     return entries
 
 
-def _counts(value) -> bool:
-    """Whether the fold can count with value, as int(value)."""
-    try:
-        int(value)
-    except (TypeError, ValueError, OverflowError):
-        return False
-    return True
-
-
-def _key_fields(e: LedgerEntry) -> list[tuple[str, object]]:
-    """(field, value) for each value Ledger._apply uses as a dict key."""
-    payload = e.payload
-    if e.kind == "transfer":
-        return [("src", e.src), ("dst", e.dst)]
-    if e.kind == "fee":
-        return [("src", e.src)]
-    if e.kind == "sale":
-        asset = "token" if "token" in payload else "nft"
-        return [("src", e.src), ("dst", e.dst), (asset, payload.get(asset))]
-    if e.kind == "mint":
-        return [("token_id", payload.get("token_id")), ("art_hash", payload.get("art_hash"))]
-    return [("src", e.src), ("symbol", payload.get("symbol"))]
-
-
 def verify_entries(entries: Sequence[LedgerEntry]) -> VerifyReport:
-    """Check sequencing, timestamp order, prefix-wise balances and
-    conservation, provenance.
+    """Replay entries at the default fees; report, never raise, each violation.
 
-    Violations are reported (never raised) and name the first failing
-    sequence number per category.
+    Each is one line, `seq N: <message>`: `timestamp T precedes seq M's T'`,
+    `entry content hash mismatch`, the refusing operation's own error,
+    `<kind> payload P cannot be read`, `the <kind> at seq M writes <entry>
+    here` (for an entry that differs or is missing), `the <kind> at seq N
+    writes nothing`, `no operation starts with a '<kind>' entry`, `negative
+    balance for <address>` or `conservation violated: ...`; or, unnumbered,
+    `token <symbol>: circulating C != supply S`. Replay stops at the first.
     """
-    violations = _fold_checked(entries, Ledger())
-    return VerifyReport(ok=not violations, violations=tuple(violations))
+    return _fold_checked(entries, Ledger())
 
 
-def _fold_checked(entries: Sequence[LedgerEntry], ledger: Ledger) -> list[str]:
-    """Fold entries into an empty ledger with Ledger._apply, checking each
-    one before and after; returns verify_entries' violations."""
+def _fold_checked(entries: Sequence[LedgerEntry], ledger: Ledger) -> VerifyReport:
+    """Replay entries on the empty ledger; returns verify_entries' report.
+
+    Each operation runs with the fields of the entry it starts at, and each
+    entry it commits must be the given one there, which it commits instead.
+    """
     violations: list[str] = []
-    next_token_id = 0
-
-    def fail(seq: int, message: str) -> None:
-        violations.append(f"seq {seq}: {message}")
-
-    for expected, e in enumerate(entries):
-        if e.sequence != expected:
-            fail(expected, f"sequence not dense, found {e.sequence}")
-            break
-        if expected and e.timestamp < entries[expected - 1].timestamp:
-            fail(e.sequence, f"timestamp {e.timestamp} precedes seq {expected - 1}'s "
-                             f"{entries[expected - 1].timestamp}")
-        if e.kind not in ENTRY_KINDS:
-            fail(e.sequence, f"unknown kind {e.kind!r}")
-            continue
-        if e.amount < 0:
-            fail(e.sequence, f"negative amount {e.amount}")
-            continue
+    for i, e in enumerate(entries):
+        if i and e.timestamp < entries[i - 1].timestamp:
+            violations.append(f"seq {i}: timestamp {e.timestamp} precedes seq {i - 1}'s "
+                              f"{entries[i - 1].timestamp}")
         if _entry_hash(e.kind, e.src, e.dst, e.amount, e.payload) != e.payload_hash:
-            fail(e.sequence, "entry content hash mismatch")
+            violations.append(f"seq {i}: entry content hash mismatch")
 
-        payload = e.payload
-        if e.kind in ("sale", "mint", "deploy") and not isinstance(payload, dict):
-            fail(e.sequence, f"payload {payload!r} is not a JSON object")
-            continue
-        token_sale = e.kind == "sale" and "token" in payload
-        if token_sale and not _counts(payload.get("units")):
-            fail(e.sequence, f"token sale units {payload.get('units')!r} not an integer")
-            continue
-        if e.kind == "deploy" and not _counts(payload.get("total_supply", 0)):
-            fail(e.sequence, f"total_supply {payload.get('total_supply')!r} not an integer")
-            continue
-        unkeyable = [(f, v) for f, v in _key_fields(e) if isinstance(v, (list, dict))]
-        if unkeyable:
-            field, value = unkeyable[0]
-            fail(e.sequence, f"{e.kind} {field} {value!r} is a JSON list or object")
-            continue
-        if e.kind == "fee" and e.dst != FEE_SINK:
-            fail(e.sequence, f"fee routed to {e.dst!r}, not the fee sink")
-        elif e.kind == "sale" and not token_sale:
-            nft = payload.get("nft")
-            if ledger._nft_owner.get(nft) != e.dst:
-                fail(e.sequence, f"NFT {nft} sold by non-owner {e.dst}")
-        elif e.kind == "mint":
-            art_hash = payload.get("art_hash")
-            token_id = payload.get("token_id")
-            if art_hash in ledger._art_index:
-                fail(e.sequence, f"duplicate art hash {str(art_hash)[:16]} "
-                                 f"(first minted seq for token {ledger._art_index[art_hash]})")
-            if token_id != next_token_id:
-                fail(e.sequence, f"token id not dense, expected {next_token_id} got {token_id}")
-            next_token_id = (token_id + 1) if isinstance(token_id, int) else next_token_id
-        elif e.kind == "deploy" and payload.get("symbol") in ledger._tokens:
-            fail(e.sequence, f"symbol {payload.get('symbol')} deployed twice")
+    written, last = ledger._entries, len(entries) - 1
 
-        ledger._apply(e)
+    def given(kind: str, src: str, dst: str, amount: int, payload: dict) -> LedgerEntry:
+        # the given entry, if it is the one written here to the byte: == takes
+        # 1, 1.0 and True for one another, so the values' types must match too
+        seq = len(written)
+        if seq <= last and payload == entries[seq].payload:
+            e = entries[seq]
+            ours = (seq, kind, src, dst, amount, *payload.values())
+            theirs = (e.sequence, e.kind, e.src, e.dst, e.amount, *map(e.payload.get, payload))
+            if ours == theirs and list(map(type, ours)) == list(map(type, theirs)):
+                return e
+        raise CorruptLogError(f"seq {seq}: the {entries[start].kind} at seq {start} writes "
+                              f"{kind} {src} -> {dst} amount {amount} payload {payload!r} here")
 
-        if token_sale and ledger._token_balances[payload["token"]][e.dst] < 0:
-            fail(e.sequence, f"seller overdraws {payload['token']} units")
-        negative = [a for a, b in ledger._balances.items() if b < 0]
-        if negative:
-            fail(e.sequence, f"negative balance for {sorted(negative)[0]}")
+    ledger._entry = given
+    start = 0
+    while start <= last:
+        e, p, stop = entries[start], entries[start].payload, None
+        try:
+            if e.kind == "transfer" and e.src == GENESIS:
+                ledger._endow(e.dst, e.amount)
+            elif e.kind == "transfer":
+                ledger.transfer(e.src, e.dst, e.amount)
+            elif e.kind == "mint":
+                ledger._mint(e.src, p["art_hash"])
+            elif e.kind == "deploy":
+                ledger.deploy_token(e.src, p["name"], p["symbol"], p["total_supply"])
+            elif e.kind == "sale":
+                # an NFT's id is an index: a float or a list there is
+                # unreadable, not a (symbol, units) pair
+                asset = (p["token"], p["units"]) if "token" in p else operator.index(p["nft"])
+                ledger.execute_sale(asset, e.dst, e.src, p["price"])
+            else:
+                stop = f"seq {start}: no operation starts with a {e.kind!r} entry"
+        except CorruptLogError as exc:  # from given: no operation raises it
+            stop = str(exc)
+        except (ZerebroError, ValueError) as exc:
+            stop = f"seq {start}: {exc}"
+        except (KeyError, TypeError, AttributeError):
+            stop = f"seq {start}: {e.kind} payload {p!r} cannot be read"
+        if stop is None and len(written) == start:
+            stop = f"seq {start}: the {e.kind} at seq {start} writes nothing"
+        elif stop is None:
+            start, balances = len(written), ledger._balances
+            negative = [a for a, b in balances.items() if b < 0]
+            if negative:
+                stop = f"seq {start - 1}: negative balance for {min(negative)}"
+            elif sum(balances.values()) + ledger._fees_collected != ledger._endowed:
+                stop = f"seq {start - 1}: conservation violated: balances + fees != endowments"
+        if stop:
+            violations.append(stop)
             break
-        if sum(ledger._balances.values()) + ledger._fees_collected != ledger._endowed:
-            fail(e.sequence, "conservation violated: balances + fees != endowments")
-            break
+    del ledger._entry
 
     for symbol, token in ledger._tokens.items():
-        circulating = sum(ledger._token_balances.get(symbol, {}).values())
+        circulating = sum(ledger._token_balances[symbol].values())
         if circulating != token.total_supply:
             violations.append(
                 f"token {symbol}: circulating {circulating} != supply {token.total_supply}"
             )
-    return violations
+    return VerifyReport(ok=not violations, violations=tuple(violations))
 
 
 def implied_market_cap(total_supply: int, price_nanos_per_unit: int) -> int:

@@ -128,6 +128,8 @@ def cmd_agent(args, config: dict[str, str], out: Path) -> tuple[int, list[str]]:
              agent_mod.DEFAULT_MAX_ACTIONS)
     _resolve(args, config, "eta", "agent.eta", float, agent_mod.DEFAULT_ETA)
     _resolve(args, config, "dimension", "embedding.dimension", int, 256)
+    # before any artifact is written
+    agent_mod.check_session_args(args.eta, args.max_actions)
     seed = args.seed
 
     clock = SimClock()

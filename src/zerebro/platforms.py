@@ -158,7 +158,9 @@ def load_connector_config(
         platform=twitter limit=280 seed=3 outage=5:8,20:22
     `limit` defaults to 1024, `seed` to 0; `outage` lists half-open
     post-attempt intervals during which the connector is down. A file that
-    defines no platform raises ValueError.
+    defines no platform raises ValueError, and so does a line with a limit
+    below 1, an outage span whose start is not below its end, or a platform
+    an earlier line defined.
     """
     clock = clock or SimClock()
     connectors: dict[str, SimulatedConnector] = {}
@@ -190,6 +192,11 @@ def load_connector_config(
                 "and outage= as comma-separated start:end spans"
             ) from None
         name = fields["platform"]
+        if limit < 1 or any(start >= end for start, end in outages) or name in connectors:
+            raise ValueError(
+                f"connector config {path}: line {raw!r} needs limit >= 1, outage spans "
+                "that start before they end, and a platform no earlier line defined"
+            )
         connectors[name] = SimulatedConnector(
             name, char_limit=limit, seed=seed, clock=clock, outages=tuple(outages),
         )

@@ -12,6 +12,7 @@ from zerebro.agent import (
     initial_state,
     integrate_feedback,
     plan,
+    run_session,
     sentiment_score,
     step,
 )
@@ -286,3 +287,19 @@ class TestStateValidation:
         with pytest.raises(ValueError):
             AgentState(persona_seed=1, strategy_weights={"post_text": 1.0},
                        sentiment_threshold=2.0)
+
+
+@pytest.mark.parametrize("flags, named", [
+    ({"eta": -1.0}, "eta must be"),
+    ({"eta": -5.0}, "eta must be"),
+    ({"eta": float("nan")}, "eta must be"),
+    ({"max_actions": -2}, "max_actions must be"),
+], ids=["eta-minus-one", "eta-minus-five", "eta-nan", "max-actions-negative"])
+def test_session_flags_checked_before_first_turn(generator, flags, named):
+    """eta <= -1 would zero or flip a weight; a negative cap means nothing."""
+    observed = []
+    connectors = {"twitter": SimulatedConnector("twitter", seed=0)}
+    with pytest.raises(ValueError, match=named):
+        run_session(initial_state(0), MemoryStore(CFG), connectors, make_chain(), generator,
+                    lambda turn: observed.append(turn) or "a calm sea", 3, **flags)
+    assert observed == []

@@ -348,14 +348,25 @@ class TestArt:
             seen.add(digest)
 
 
-def rehashed(entry, payload):
-    """The entry with a new payload and a recomputed content hash."""
+def rehashed(entry, payload, **fields):
+    """The entry with a new payload, and any other fields, and a recomputed
+    content hash."""
     from dataclasses import replace
 
     from zerebro.chain import _entry_hash
 
-    return replace(entry, payload=payload, payload_hash=_entry_hash(
-        entry.kind, entry.src, entry.dst, entry.amount, payload))
+    changed = replace(entry, payload=payload, **fields)
+    return replace(changed, payload_hash=_entry_hash(
+        changed.kind, changed.src, changed.dst, changed.amount, payload))
+
+
+def saved(entries, tmp_path):
+    """The path of a ledger file holding entries."""
+    tampered = Ledger()
+    tampered._entries = list(entries)
+    path = tmp_path / "ledger.log"
+    path.write_text(tampered.serialize(), encoding="utf-8")
+    return path
 
 
 def token_ledger():
@@ -366,22 +377,23 @@ def token_ledger():
 
 
 class TestUncountablePayloads:
-    """Units or a supply the fold cannot count with are violations, not crashes."""
+    """Units or a supply that is not a whole count: replay reports the
+    operation's own refusal, not a crash."""
 
     @pytest.mark.parametrize("units", ["missing", None, "many", [1]])
     def test_token_sale_units(self, units):
         entries = list(token_ledger().entries)
         sale = entries[-1]
         payload = {k: v for k, v in sale.payload.items() if k != "units"}
-        if units != "missing":
+        if units == "missing":
+            expected = f"seq {sale.sequence}: sale payload {payload!r} cannot be read"
+        else:
             payload["units"] = units
+            expected = f"seq {sale.sequence}: units must be an int, got {units!r}"
         entries[-1] = rehashed(sale, payload)
-        expected = None if units == "missing" else units
         report = verify_entries(entries)
         assert not report.ok
-        assert f"seq {sale.sequence}: token sale units {expected!r} not an integer" in (
-            report.violations
-        )
+        assert expected in report.violations
 
     @pytest.mark.parametrize("supply", [None, "lots", [1000]])
     def test_deploy_total_supply(self, supply):
@@ -391,17 +403,14 @@ class TestUncountablePayloads:
         entries[index] = rehashed(deploy, {**deploy.payload, "total_supply": supply})
         report = verify_entries(entries)
         assert not report.ok
-        assert f"seq {index}: total_supply {supply!r} not an integer" in report.violations
+        assert f"seq {index}: total_supply must be an int, got {supply!r}" in report.violations
 
     def test_load_raises_corrupt_log(self, tmp_path):
         ledger = token_ledger()
         sale = ledger.entries[-1]
-        tampered = Ledger()
-        tampered._entries = [*ledger.entries[:-1], rehashed(sale, {
-            k: v for k, v in sale.payload.items() if k != "units"})]
-        path = tmp_path / "ledger.log"
-        path.write_text(tampered.serialize(), encoding="utf-8")
-        with pytest.raises(CorruptLogError, match="token sale units None not an integer"):
+        path = saved([*ledger.entries[:-1], rehashed(sale, {
+            k: v for k, v in sale.payload.items() if k != "units"})], tmp_path)
+        with pytest.raises(CorruptLogError, match="sale payload .* cannot be read"):
             Ledger.load(path)
 
 
@@ -416,7 +425,8 @@ def mixed_entries():
 
 
 class TestUnkeyablePayloads:
-    """A JSON list or object where the fold needs a dict key is a violation."""
+    """A JSON list or object where an operation needs a token id, a hash or
+    a symbol is a violation, not a crash."""
 
     @pytest.mark.parametrize("kind, field, value", [
         ("mint", "token_id", [0]),
@@ -429,27 +439,31 @@ class TestUnkeyablePayloads:
         entries = mixed_entries()
         index = next(i for i, e in enumerate(entries)
                      if e.kind == kind and field in e.payload)
-        entries[index] = rehashed(entries[index], {**entries[index].payload, field: value})
+        payload = {**entries[index].payload, field: value}
+        entries[index] = rehashed(entries[index], payload)
         report = verify_entries(entries)
-        assert f"seq {index}: {kind} {field} {value!r} is a JSON list or object" in (
-            report.violations)
+        # mint takes no token id: it writes the next one, which differs
+        expected = (f"seq {index}: the mint at seq {index} writes mint " if field == "token_id"
+                    else f"seq {index}: {kind} payload {payload!r} cannot be read")
+        assert len(report.violations) == 1 and report.violations[0].startswith(expected)
 
-        tampered = Ledger()
-        tampered._entries = entries
-        path = tmp_path / "ledger.log"
-        path.write_text(tampered.serialize(), encoding="utf-8")
-        with pytest.raises(CorruptLogError, match="is a JSON list or object"):
-            Ledger.load(path)
+        with pytest.raises(CorruptLogError, match=f"seq {index}: "):
+            Ledger.load(saved(entries, tmp_path))
 
-    def test_float_token_id_still_verifies(self):
+    def test_float_token_id_differs(self):
         entries = mixed_entries()
         index = next(i for i, e in enumerate(entries) if e.kind == "mint")
         entries[index] = rehashed(entries[index], {**entries[index].payload, "token_id": 0.0})
-        assert verify_entries(entries).ok
+        report = verify_entries(entries)
+        assert len(report.violations) == 1
+        assert report.violations[0].startswith(f"seq {index}: the mint at seq {index} writes "
+                                               f"mint ")
+        assert "{'token_id': 0, " in report.violations[0]
 
 
 class TestNonObjectPayloads:
-    """A payload the fold reads must be a JSON object; others are violations."""
+    """A payload that is not a JSON object is one violation line naming the
+    entry's kind and the payload."""
 
     @pytest.mark.parametrize("kind, asset", [
         ("mint", None), ("deploy", None), ("sale", "nft"), ("sale", "token"),
@@ -461,20 +475,99 @@ class TestNonObjectPayloads:
                      if e.kind == kind and (asset is None or asset in e.payload))
         entries[index] = rehashed(entries[index], payload)
         report = verify_entries(entries)
-        assert f"seq {index}: payload {payload!r} is not a JSON object" in report.violations
+        assert f"seq {index}: {kind} payload {payload!r} cannot be read" in report.violations
 
-        tampered = Ledger()
-        tampered._entries = entries
-        path = tmp_path / "ledger.log"
-        path.write_text(tampered.serialize(), encoding="utf-8")
-        with pytest.raises(CorruptLogError, match="is not a JSON object"):
-            Ledger.load(path)
+        with pytest.raises(CorruptLogError, match="cannot be read"):
+            Ledger.load(saved(entries, tmp_path))
 
-    def test_transfer_payload_is_not_read(self):
+    def test_transfer_payload_is_compared(self):
         entries = mixed_entries()
         index = next(i for i, e in enumerate(entries) if e.kind == "transfer")
         entries[index] = rehashed(entries[index], ["anything"])
-        assert verify_entries(entries).ok
+        report = verify_entries(entries)
+        assert report.violations == (
+            f"seq {index}: the transfer at seq {index} writes transfer {GENESIS} -> "
+            f"{entries[index].dst} amount {entries[index].amount} payload "
+            "{'endowment': True} here",
+        )
+
+
+def ledger_ending_with(op):
+    """Two endowed wallets, then op as the ledger's last operation."""
+    ledger, (a, b) = fresh_ledger(2)
+    if op == "endow":
+        ledger.create_wallet(seed=7, endowment=to_nanos("3"))
+    elif op == "deploy":
+        ledger.deploy_token(a, "moth token", "MOTH", 1000)
+    elif op == "token-sale":
+        ledger.deploy_token(a, "moth token", "MOTH", 1000)
+        ledger.execute_sale(("MOTH", 250), a.address, b.address, to_nanos("1"))
+    else:
+        minted = ledger.mint_nft(a, generate_art(1, "moth", 8, 8))
+        if op == "nft-sale":
+            ledger.execute_sale(minted.token_id, a.address, b.address, to_nanos("1"))
+    return list(ledger.entries)
+
+
+# (last operation, index of the tampered entry from the end, its new fields);
+# each tampered ledger, re-hashed, verified ok while verify kept its own copy
+# of the rules
+DRIFT_CASES = {
+    "deploy-bad-symbol": ("deploy", -2, lambda e: {"payload": {**e.payload, "symbol": "bad!"}}),
+    "deploy-zero-supply": ("deploy", -2, lambda e: {"payload": {**e.payload, "total_supply": 0}}),
+    "deploy-negative-supply": (
+        "deploy", -2, lambda e: {"payload": {**e.payload, "total_supply": -5}}),
+    "deploy-fractional-supply": (
+        "deploy", -2, lambda e: {"payload": {**e.payload, "total_supply": 100.5}}),
+    "token-sale-zero-units": ("token-sale", -1, lambda e: {"payload": {**e.payload, "units": 0}}),
+    "token-sale-negative-units": (
+        "token-sale", -1, lambda e: {"payload": {**e.payload, "units": -3}}),
+    "token-sale-fractional-units": (
+        "token-sale", -1, lambda e: {"payload": {**e.payload, "units": 2.5}}),
+    "mint-fee-one-nano": ("mint", -1, lambda e: {"amount": 1}),
+    "deploy-fee-zero": ("deploy", -1, lambda e: {"amount": 0}),
+    "nft-sale-amount-not-price": ("nft-sale", -1, lambda e: {"amount": e.amount - 1}),
+    "genesis-transfer-bare": ("endow", -1, lambda e: {"payload": {}}),
+    "second-endowment": ("endow", -1, lambda e: {"dst": wallet_address(0)}),
+    "zero-endowment": ("endow", -1, lambda e: {"amount": 0}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DRIFT_CASES))
+def test_drift_case_is_a_violation(tmp_path, case):
+    """No live operation writes these entries, so replay refuses each one at
+    the first entry that differs, and load raises."""
+    op, at, change = DRIFT_CASES[case]
+    entries = ledger_ending_with(op)
+    index = len(entries) + at
+    fields = change(entries[index])
+    entries[index] = rehashed(entries[index], fields.pop("payload", entries[index].payload),
+                              **fields)
+    report = verify_entries(entries)
+    assert len(report.violations) == 1
+    assert report.violations[0].startswith(f"seq {index}: ")
+    assert "Error(" not in report.violations[0]
+    with pytest.raises(CorruptLogError, match=f"seq {index}: "):
+        Ledger.load(saved(entries, tmp_path))
+
+
+@pytest.mark.parametrize("shape", ["mint-without-fee", "fee-alone"])
+def test_fee_outside_its_operation(tmp_path, shape):
+    """A mint whose fee is missing runs past the end of the entries; a fee
+    with no mint or deploy before it starts no operation."""
+    from dataclasses import replace
+
+    entries = ledger_ending_with("mint")
+    if shape == "mint-without-fee":
+        entries.pop()
+        expected = f"seq {len(entries)}: the mint at seq {len(entries) - 1} writes fee "
+    else:
+        entries.append(replace(entries[-1], sequence=len(entries)))
+        expected = f"seq {len(entries) - 1}: no operation starts with a 'fee' entry"
+    report = verify_entries(entries)
+    assert len(report.violations) == 1 and report.violations[0].startswith(expected)
+    with pytest.raises(CorruptLogError):
+        Ledger.load(saved(entries, tmp_path))
 
 
 class TestWholeCounts:

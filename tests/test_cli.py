@@ -48,9 +48,11 @@ class TestExitCodes:
              "connectors.conf: line 'platform=x outage=5'"),
             (["agent", "--turns", "1"], "platform=x limit=lots\n",
              "connectors.conf: line 'platform=x limit=lots'"),
+            (["agent", "--turns", "60", "--eta", "-5"], None, "eta must be"),
+            (["agent", "--turns", "5", "--max-actions", "-2"], None, "max_actions must be"),
         ],
         ids=["memory-source", "deploy-supply", "connector-line", "connector-none",
-             "connector-outage", "connector-limit"],
+             "connector-outage", "connector-limit", "agent-eta", "agent-max-actions"],
     )
     def test_bad_value_is_usage_error(self, tmp_path, capsys, argv, connectors, named):
         if connectors is not None:
@@ -62,6 +64,9 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
         assert named in err
+        # a usage error writes no artifact
+        assert sorted(p.name for p in tmp_path.iterdir()) == (
+            [] if connectors is None else ["connectors.conf"])
 
     def test_non_utf8_ledger_fails_verify(self, tmp_path, capsys):
         from zerebro.chain import Ledger, to_nanos
@@ -404,7 +409,9 @@ class TestChainVerifyViolations:
         code = run_cli("chain", "verify", "--ledger", str(path), "--out", str(tmp_path))
         assert code == 1
         out = capsys.readouterr().out
-        assert f"violation: seq {sale.sequence}: token sale units None not an integer" in out
+        # the file holds the payload's keys sorted
+        read = dict(sorted(payload.items()))
+        assert f"violation: seq {sale.sequence}: sale payload {read!r} cannot be read" in out
 
     def test_sale_payload_not_an_object(self, tmp_path, capsys):
         from dataclasses import replace
@@ -429,7 +436,7 @@ class TestChainVerifyViolations:
         code = run_cli("chain", "verify", "--ledger", str(path), "--out", str(tmp_path))
         assert code == 1
         captured = capsys.readouterr()
-        assert (f"violation: seq {sale.sequence}: payload {payload!r} is not a JSON object"
+        assert (f"violation: seq {sale.sequence}: sale payload {payload!r} cannot be read"
                 in captured.out)
         assert "Traceback" not in captured.out + captured.err
 

@@ -38,8 +38,8 @@ AGENT_DIGESTS = {
     "state_hash.txt": "533803eae85f23f9e2f81db5fede57bde369917c66f4959860d60462c9e51ac1",
 }
 LEDGER_DIGEST = "a5c42612c8e43a02dd7a39541a2f70253cfd2d296be6a602e79b9ce2a27fab08"
-AMOUNT_BUMP_DIGEST = "1af6f185c3757843a9086aca0a8e66dc976710f493d5041c03293572768bf1e3"
-DUPLICATE_ART_DIGEST = "89326e8773c2d403a2527f2e23b9ac5c9a8974a93c76803ec0a8adbe96aa331d"
+AMOUNT_BUMP_DIGEST = "9c60386ef99cbc09d36e1cafbbf00c1b62e12432034a6b3fc8867401a51f12c2"
+DUPLICATE_ART_DIGEST = "32f23d3b155aef0a0108b9563bfa95656a1959cf00526d63f7c8b50b0564245b"
 
 # trajectory.tsv per config; the one-symbol origin has sigma0 == 0 in the
 # tail-mass frame, and the 1e-40 variance run collapses at generation 1
@@ -123,7 +123,7 @@ def test_serialized_ledger():
 def test_tampered_ledger_reports():
     entries = list(mixed_ledger().entries)
     bumped = list(entries)
-    # 1.5 -> 10.5 overdraws the sender: a hash mismatch, then a negative balance
+    # 1.5 -> 10.5 overdraws the sender: a hash mismatch, then transfer's refusal
     bumped[2] = replace(bumped[2], amount=bumped[2].amount + to_nanos("9"))
     assert violations_digest(bumped) == AMOUNT_BUMP_DIGEST
 

@@ -144,6 +144,11 @@ class TestConnectorConfigFile:
         "platform=x limit=lots",
         "platform=x limit=2.5",
         "platform=x seed=three",
+        "platform=x limit=0",
+        "platform=x limit=-1",
+        "platform=x outage=4:4",
+        "platform=x outage=1:2,9:3",
+        "platform=ok seed=2",
     ])
     def test_malformed_value_names_file_and_line(self, tmp_path, line):
         path = tmp_path / "bad.conf"
