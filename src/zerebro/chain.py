@@ -28,6 +28,7 @@ import hashlib
 import json
 import math
 import operator
+import re
 import sys
 import threading
 from dataclasses import dataclass
@@ -141,9 +142,12 @@ def _entry_hash(kind: str, src: str, dst: str, amount: int, payload: dict) -> st
 
 
 def _check_count(name: str, value) -> None:
-    """Counts are whole, in live calls and in replayed ledger files alike."""
+    """Counts and amounts are whole, in live calls and in replayed ledger files alike."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{name} must be an int, got {value!r}")
+
+
+_ART_HASH = re.compile("[0-9a-f]{64}")
 
 
 class Ledger:
@@ -251,6 +255,7 @@ class Ledger:
         return Wallet(address=address)
 
     def _endow(self, address: str, amount: int) -> None:
+        _check_count("endowment", amount)
         if amount < 0:
             raise ValueError("endowment must be non-negative")
         with self._lock:
@@ -259,6 +264,7 @@ class Ledger:
                 self._append("transfer", GENESIS, address, amount, {"endowment": True})
 
     def transfer(self, src: str, dst: str, amount: int) -> LedgerEntry:
+        _check_count("amount", amount)
         if amount < 0:
             raise ValueError("amount must be non-negative")
         with self._lock:
@@ -272,6 +278,8 @@ class Ledger:
 
     def _mint(self, address: str, art_hash: str) -> MintRecord:
         """mint_nft by the art's hash, which is all a ledger holds of it."""
+        if not _ART_HASH.fullmatch(art_hash):  # a TypeError for a non-str
+            raise ValueError(f"art_hash must be 64 lowercase hex digits, got {art_hash!r}")
         fee = self.fees.mint
         with self._lock:
             self._require_funds(address, fee, "mint fee is")
@@ -313,10 +321,12 @@ class Ledger:
         Balances move buyer -> seller; ownership moves seller -> buyer. A
         self-sale nets to zero but is still recorded.
         """
+        _check_count("price", price)
         if price < 0:
             raise ValueError("price must be non-negative")
         with self._lock:
             if isinstance(asset, int):
+                _check_count("nft", asset)  # a bool is no NFT id
                 owner = self._nft_owner.get(asset)
                 if owner is None or owner != seller:
                     raise NotOwnerError(f"{seller} does not own NFT {asset}")

@@ -19,13 +19,39 @@ Tail mass is `diversity.tail_mass` of each generation's samples in the
 origin frame (origin mean and std; categorical symbols at their index in
 the sorted origin support, so non-numeric symbols work too). Generation 0
 carries the origin's analytic tail mass; a one-symbol origin has none.
+
+One kernel advances every model, a generation at a time, as an (R, S)
+block: one row per rho, one column per seed. `compare_regimens` is the
+batched case and keeps only the final models; `run_recursion` and
+`step_generation` are the R = S = 1 case. Each model's result equals, bit
+for bit, what advancing that (rho, seed) model alone would give:
+
+* Column s draws from its own `default_rng(seed_for(base, s))`, and every
+  row of the column uses those numbers. numpy fills an array from the
+  stream element by element, so one (G, m) draw equals G draws of m.
+* A Gaussian model's samples are `where(human, mu0 + sd0*z, mu + sqrt(s2)*z)`,
+  element by element the same operations as for one model, and its
+  refit is the axis-1 `np.mean`/`np.var` of the (R, S, m) samples. numpy
+  reduces each contiguous length-m row with the same pairwise sum as a
+  1-D call. A model whose refit variance is not positive is marked
+  collapsed and keeps its last good fit.
+* A categorical model is a probability vector over the sorted support, 0
+  for a lost symbol. Draws are `searchsorted` on its cumsum, clipped to
+  the last symbol still present; adding 0.0 leaves a running sum as it
+  was, so a lost symbol's plateau gives the draws of the cumsum over the
+  present symbols alone. The refit is a `bincount` over the draws.
+
+Memory is bounded however many seeds a regimen runs: `compare_regimens`
+advances SEED_CHUNK seeds at a time, and each seed draws at most
+DRAW_BLOCK numbers (or one generation's m, if larger) at a time, so a
+chunk holds its draws plus (R, SEED_CHUNK, m) samples, and for a
+categorical origin of K symbols (R, SEED_CHUNK, K) probabilities.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -36,6 +62,8 @@ from .errors import BadConfigError, DegenerateFitError
 
 MODEL_KINDS = ("gaussian", "categorical")
 TAIL_K = 2.0
+SEED_CHUNK = 64  # seeds advanced together by compare_regimens
+DRAW_BLOCK = 8192  # random numbers drawn per seed at a time
 
 
 @dataclass(frozen=True)
@@ -67,7 +95,7 @@ class CategoricalModel:
         return sorted(self.probabilities)
 
     def entropy_bits(self) -> float:
-        return -math.fsum(p * math.log2(p) for p in self.probabilities.values())
+        return _entropy_bits(self.probabilities.values())
 
 
 def uniform_categorical(n_symbols: int) -> CategoricalModel:
@@ -127,15 +155,124 @@ def _human_count(m: int, rho: float) -> int:
     return min(m, int(math.floor(rho * m + 0.5)))
 
 
-def _cdf(model: CategoricalModel) -> tuple[list, np.ndarray]:
-    symbols = model.support()
-    cdf = np.cumsum([model.probabilities[s] for s in symbols])
-    return symbols, cdf
+def _entropy_bits(probabilities) -> float:
+    """Shannon entropy in bits of positive probabilities, in any order."""
+    return -math.fsum(p * math.log2(p) for p in probabilities)
 
 
-def _draw_categorical(symbols: list, cdf: np.ndarray, u: np.ndarray) -> list:
-    idx = np.minimum(np.searchsorted(cdf, u, side="right"), len(symbols) - 1)
-    return [symbols[i] for i in idx]
+def _human_mask(m: int, rhos: Sequence[float]) -> np.ndarray:
+    """(R, 1, m): True where row r's sample is drawn from the origin."""
+    h = np.array([_human_count(m, rho) for rho in rhos], dtype=np.intp)
+    return np.arange(m) < h.reshape(-1, 1, 1)
+
+
+class _GaussianBlock:
+    """An (R, S) block of Gaussian models: one row per rho, one column per seed."""
+
+    @staticmethod
+    def draw(rng, shape) -> np.ndarray:
+        return rng.standard_normal(shape)
+
+    def __init__(self, origin: GaussianModel, m: int, rhos, n_seeds: int, start: GaussianModel):
+        shape = (len(rhos), n_seeds)
+        self.human = _human_mask(m, rhos)
+        self.mu0, self.sd0, self.sigma2_0 = origin.mu, math.sqrt(origin.sigma2), origin.sigma2
+        self.mu = np.full(shape, start.mu, dtype=np.float64)
+        self.s2 = np.full(shape, start.sigma2, dtype=np.float64)
+        self.collapsed = np.zeros(shape, dtype=bool)
+
+    def advance(self, z: np.ndarray) -> np.ndarray:
+        """One generation from each column's m normals z (S, m); returns the (R, S, m) samples."""
+        x = np.where(self.human, self.mu0 + self.sd0 * z,
+                     self.mu[..., None] + np.sqrt(self.s2)[..., None] * z)
+        var = np.var(x, axis=-1)
+        if np.isnan(var).any():  # an overflowed refit; a model refuses a nan variance
+            raise BadConfigError("sigma2 must be positive, got nan")
+        self.collapsed |= var <= 0.0
+        self.mu = np.where(self.collapsed, self.mu, np.mean(x, axis=-1))
+        self.s2 = np.where(self.collapsed, self.s2, var)
+        return x
+
+    def model(self, r: int, s: int) -> GaussianModel:
+        return GaussianModel(mu=float(self.mu[r, s]), sigma2=float(self.s2[r, s]))
+
+    def finals(self) -> list[tuple]:
+        """Per row: (variance ratios, entropies, distincts) of every column."""
+        return [(tuple(row), (), ()) for row in (self.s2 / self.sigma2_0).tolist()]
+
+
+class _CategoricalBlock:
+    """An (R, S) block of categorical models, each row a probability vector
+    over the sorted support (0 for an absent symbol)."""
+
+    @staticmethod
+    def draw(rng, shape) -> np.ndarray:
+        return rng.random(shape)
+
+    def __init__(self, origin: CategoricalModel, m: int, rhos, n_seeds: int,
+                 start: CategoricalModel):
+        self.m = m
+        self.support = sorted(origin.probabilities.keys() | start.probabilities.keys())
+        origin_p, start_p = (
+            np.array([model.probabilities.get(s, 0.0) for s in self.support], dtype=np.float64)
+            for model in (origin, start)
+        )
+        shape = (len(rhos), n_seeds)
+        self.human = _human_mask(m, rhos)
+        self.origin_cdf, self.origin_last = np.cumsum(origin_p), np.flatnonzero(origin_p)[-1]
+        self.probs = np.broadcast_to(start_p, (*shape, len(self.support)))
+        self.last = np.full(shape, np.flatnonzero(start_p)[-1])  # last present symbol
+        self.collapsed = np.zeros(shape, dtype=bool)  # support loss is no collapse
+
+    def advance(self, u: np.ndarray) -> np.ndarray:
+        """One generation from each column's m uniforms u (S, m); returns the
+        (R, S, m) sample indices into the support."""
+        R, S, K = self.probs.shape
+        cdf = np.cumsum(self.probs, axis=-1)
+        drawn = np.empty((R, S, self.m), dtype=np.intp)
+        for r, s in np.ndindex(R, S):
+            drawn[r, s] = np.searchsorted(cdf[r, s], u[s], side="right")
+        np.minimum(drawn, self.last[..., None], out=drawn)
+        human = np.minimum(np.searchsorted(self.origin_cdf, u, side="right"), self.origin_last)
+        idx = np.where(self.human, human, drawn)
+        offsets = np.arange(R * S).reshape(R, S, 1) * K
+        counts = np.bincount((idx + offsets).ravel(), minlength=R * S * K)
+        self.probs = counts.reshape(R, S, K) / self.m
+        self.last = idx.max(axis=-1)
+        return idx
+
+    def model(self, r: int, s: int) -> CategoricalModel:
+        p = self.probs[r, s]
+        present = np.flatnonzero(p)
+        return CategoricalModel(
+            {self.support[i]: q for i, q in zip(present.tolist(), p[present].tolist())}
+        )
+
+    def finals(self) -> list[tuple]:
+        """Per row: (variance ratios, entropies, distincts) of every column."""
+        distincts = np.count_nonzero(self.probs, axis=-1).tolist()
+        return [
+            ((), tuple(_entropy_bits(p[p > 0].tolist()) for p in row), tuple(row_distincts))
+            for row, row_distincts in zip(self.probs, distincts)
+        ]
+
+
+def _block(origin, m: int, rhos: Sequence[float], n_seeds: int, start=None):
+    start = origin if start is None else start
+    kind = _GaussianBlock if isinstance(start, GaussianModel) else _CategoricalBlock
+    return kind(origin, m, rhos, n_seeds, start)
+
+
+def _generations(block, rngs: Sequence[np.random.Generator], generations: int, m: int):
+    """Advance the block generation by generation; yield each one's samples.
+
+    Column s draws from rngs[s], at most DRAW_BLOCK numbers (and at least one
+    generation's m) at a time."""
+    per_draw = max(1, DRAW_BLOCK // m)
+    for first in range(0, generations, per_draw):
+        shape = (min(per_draw, generations - first), m)
+        for draws in np.stack([block.draw(rng, shape) for rng in rngs], axis=1):
+            yield block.advance(draws)
 
 
 def step_generation(model, origin, m: int, rho: float, rng: np.random.Generator):
@@ -145,42 +282,31 @@ def step_generation(model, origin, m: int, rho: float, rng: np.random.Generator)
     variance (divisor m); a zero-variance fit raises DegenerateFitError.
     Categorical refits keep empirical frequencies and drop absent symbols.
     """
-    h = _human_count(m, rho)
-
-    if isinstance(model, GaussianModel):
-        z = rng.standard_normal(m)
-        x = np.empty(m, dtype=np.float64)
-        x[:h] = origin.mu + math.sqrt(origin.sigma2) * z[:h]
-        x[h:] = model.mu + math.sqrt(model.sigma2) * z[h:]
-        variance = float(np.var(x))
-        if variance <= 0.0:
-            raise DegenerateFitError(f"all {m} samples identical at value {x[0]!r}")
-        return x, GaussianModel(mu=float(np.mean(x)), sigma2=variance)
-
-    u = rng.random(m)
-    origin_symbols, origin_cdf = _cdf(origin)
-    model_symbols, model_cdf = _cdf(model)
-    samples = _draw_categorical(origin_symbols, origin_cdf, u[:h])
-    samples += _draw_categorical(model_symbols, model_cdf, u[h:])
-    probs = {s: c / m for s, c in Counter(samples).items()}
-    return samples, CategoricalModel(probs)
+    block = _block(origin, m, [rho], 1, start=model)
+    samples = block.advance(block.draw(rng, (1, m)))[0, 0]
+    if block.collapsed[0, 0]:
+        raise DegenerateFitError(f"all {m} samples identical at value {samples[0]!r}")
+    if isinstance(block, _CategoricalBlock):
+        samples = [block.support[i] for i in samples.tolist()]
+    return samples, block.model(0, 0)
 
 
-def _origin_frame(origin) -> tuple[float, float, dict | None]:
-    """The origin frame: (mu0, sigma0, symbol -> value map, or None for Gaussians)."""
+def _origin_frame(origin) -> tuple[float, float]:
+    """The origin frame (mu0, sigma0); categorical symbols sit at their index
+    in the sorted origin support."""
     if isinstance(origin, GaussianModel):
-        return origin.mu, math.sqrt(origin.sigma2), None
+        return origin.mu, math.sqrt(origin.sigma2)
     symbols = origin.support()
     probs = np.array([origin.probabilities[s] for s in symbols])
     values = np.arange(len(symbols), dtype=np.float64)
     mu0 = float(probs @ values)
     sigma0 = float(math.sqrt(max(0.0, probs @ (values - mu0) ** 2)))
-    return mu0, sigma0, {s: float(i) for i, s in enumerate(symbols)}
+    return mu0, sigma0
 
 
-def _origin_tail(origin, mu0: float, sigma0: float, value_of: dict | None) -> float:
+def _origin_tail(origin, mu0: float, sigma0: float) -> float:
     """Analytic tail mass of the origin itself, for generation 0."""
-    if value_of is None:
+    if isinstance(origin, GaussianModel):
         # mass of N(mu0, sigma0**2) outside [mu0 - k s0, mu0 + k s0]; the
         # bounds keep their float rounding (a spread far below mu0's ulp
         # rounds to a zero-width window, tail 1.0), so lo is not simply -k
@@ -188,6 +314,7 @@ def _origin_tail(origin, mu0: float, sigma0: float, value_of: dict | None) -> fl
         lo = (mu0 - TAIL_K * sigma0 - mu0) / sigma0
         hi = (mu0 + TAIL_K * sigma0 - mu0) / sigma0
         return 1.0 - (phi(hi) - phi(lo))
+    value_of = {s: float(i) for i, s in enumerate(origin.support())}
     mass = 0.0
     for s, p in origin.probabilities.items():
         if abs(value_of[s] - mu0) > TAIL_K * sigma0:
@@ -195,12 +322,10 @@ def _origin_tail(origin, mu0: float, sigma0: float, value_of: dict | None) -> fl
     return mass
 
 
-def _sample_tail(samples, mu0: float, sigma0: float, value_of: dict | None) -> float:
+def _sample_tail(samples: np.ndarray, mu0: float, sigma0: float) -> float:
     if sigma0 == 0.0:
         # a one-symbol origin: every sample is its only symbol, at mu0
         return 0.0
-    if value_of is not None:
-        samples = [value_of[s] for s in samples]
     return tail_mass(samples, mu0, sigma0, TAIL_K)
 
 
@@ -218,18 +343,17 @@ def _record(generation: int, model, tail: float) -> GenerationRecord:
 
 def run_recursion(config: RecursionConfig) -> CollapseTrajectory:
     """Run the full recursion; deterministic for a given config."""
+    origin = config.origin
+    mu0, sigma0 = _origin_frame(origin)
+    records = [_record(0, origin, _origin_tail(origin, mu0, sigma0))]
+    block = _block(origin, config.m, [config.rho], 1)
     rng = np.random.default_rng(config.seed)
-    frame = _origin_frame(config.origin)
-    records = [_record(0, config.origin, _origin_tail(config.origin, *frame))]
-    model = config.origin
     status = "completed"
-    for t in range(1, config.generations + 1):
-        try:
-            samples, model = step_generation(model, config.origin, config.m, config.rho, rng)
-        except DegenerateFitError:
+    for t, samples in enumerate(_generations(block, [rng], config.generations, config.m), 1):
+        if block.collapsed[0, 0]:
             status = "collapsed"
             break
-        records.append(_record(t, model, _sample_tail(samples, *frame)))
+        records.append(_record(t, block.model(0, 0), _sample_tail(samples[0, 0], mu0, sigma0)))
     return CollapseTrajectory(config=config, records=tuple(records), status=status)
 
 
@@ -279,23 +403,24 @@ def compare_regimens(
 
     Seed i is identical across rho values, and each generation consumes the
     same amount of randomness regardless of rho, so comparisons are under
-    common random numbers.
+    common random numbers. Each block of SEED_CHUNK seeds runs every rho at
+    once, and only the final models are kept.
     """
     if n_seeds < 1:
         raise BadConfigError(f"n_seeds must be positive, got {n_seeds}")
-    rows = []
     for rho in rhos:
-        finals = [
-            run_recursion(replace(base, rho=rho, seed=seed_for(base.seed, i))).final()
-            for i in range(n_seeds)
-        ]
-        if base.model_kind == "gaussian":
-            ratios = tuple(f.variance / base.origin.sigma2 for f in finals)
-            rows.append(RegimenRow(float(rho), ratios, (), ()))
-        else:
-            entropies = tuple(f.entropy_bits for f in finals)
-            rows.append(RegimenRow(float(rho), (), entropies, tuple(f.distinct for f in finals)))
-    return RegimenReport(base=base, n_seeds=n_seeds, rows=tuple(rows))
+        replace(base, rho=rho)  # RecursionConfig's check of each rho
+    finals = [((), (), ()) for _ in rhos]
+    for first in range(0, n_seeds, SEED_CHUNK):
+        indices = range(first, min(n_seeds, first + SEED_CHUNK))
+        rngs = [np.random.default_rng(seed_for(base.seed, i)) for i in indices]
+        block = _block(base.origin, base.m, rhos, len(rngs))
+        for _ in _generations(block, rngs, base.generations, base.m):
+            pass
+        finals = [tuple(a + b for a, b in zip(kept, new))
+                  for kept, new in zip(finals, block.finals())]
+    rows = tuple(RegimenRow(float(rho), *row) for rho, row in zip(rhos, finals))
+    return RegimenReport(base=base, n_seeds=n_seeds, rows=rows)
 
 
 # --- trajectory file ------------------------------------------------------------

@@ -590,6 +590,71 @@ class TestWholeCounts:
             ledger.deploy_token(a, "moth token", "MOTH", supply)
         assert ledger.serialize() == before
 
+    @pytest.mark.parametrize("amount", [2.5, 2.0, True])
+    def test_transfer_amount(self, amount):
+        ledger, (a, b) = fresh_ledger(2)
+        before = ledger.serialize()
+        with pytest.raises(ValueError, match="amount must be an int"):
+            ledger.transfer(a.address, b.address, amount)
+        assert ledger.serialize() == before
+
+    @pytest.mark.parametrize("endowment", [2.5, 1e9, True])
+    def test_endowment(self, endowment):
+        ledger = Ledger()
+        with pytest.raises(ValueError, match="endowment must be an int"):
+            ledger.create_wallet(seed=1, endowment=endowment)
+        assert ledger.entries == ()
+
+    @pytest.mark.parametrize("price", [2.5, 2.0, True])
+    def test_sale_price(self, price):
+        for asset in (0, ("MOTH", 1)):
+            ledger, (a, b) = fresh_ledger(2)
+            ledger.mint_nft(a, generate_art(1, "moth", 8, 8))
+            ledger.deploy_token(a, "moth token", "MOTH", 1000)
+            before = ledger.serialize()
+            with pytest.raises(ValueError, match="price must be an int"):
+                ledger.execute_sale(asset, a.address, b.address, price)
+            assert ledger.serialize() == before
+
+
+class TestAssetIdentity:
+    """An NFT id is an int and not a bool; an art hash is a sha256 hex digest."""
+
+    def test_bool_nft_id_refused(self):
+        ledger, (a, b) = fresh_ledger(2)
+        for seed in (1, 2):
+            ledger.mint_nft(a, generate_art(seed, "moth", 8, 8))
+        before = ledger.serialize()
+        with pytest.raises(ValueError, match="nft must be an int, got True"):
+            ledger.execute_sale(True, a.address, b.address, to_nanos("1"))
+        assert ledger.serialize() == before
+        assert ledger.verify().ok
+
+    @pytest.mark.parametrize("art_hash", ["moth", "A" * 64, "0" * 63, "0" * 65, "0" * 63 + "\n"])
+    def test_mint_refuses_malformed_hash(self, art_hash):
+        ledger, (a,) = fresh_ledger(1)
+        with pytest.raises(ValueError, match="art_hash must be 64 lowercase hex digits"):
+            ledger._mint(a.address, art_hash)
+        assert len(ledger.entries) == 1
+
+    @pytest.mark.parametrize("art_hash, message", [
+        (5, "mint payload {'token_id': 0, 'art_hash': 5} cannot be read"),
+        ("f" * 40, f"art_hash must be 64 lowercase hex digits, got {'f' * 40!r}"),
+    ])
+    def test_rehashed_mint_is_a_violation(self, tmp_path, capsys, art_hash, message):
+        from zerebro.cli import main
+
+        entries = mixed_entries()
+        index = next(i for i, e in enumerate(entries) if e.kind == "mint")
+        entries[index] = rehashed(entries[index], {**entries[index].payload, "art_hash": art_hash})
+        report = verify_entries(entries)
+        assert report.violations == (f"seq {index}: {message}",)
+
+        path = saved(entries, tmp_path)
+        assert main(["chain", "verify", "--ledger", str(path), "--out", str(tmp_path)]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert len(out) == 1 and out[0].startswith(f"violation: seq {index}: ")
+
 
 def encoded_afresh(entries) -> str:
     """The reference for Ledger.serialize: every entry encoded again, joined."""

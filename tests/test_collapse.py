@@ -2,11 +2,15 @@
 dominance, determinism, degenerate fits, trajectory files."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from zerebro.collapse import (
+    SEED_CHUNK,
     CategoricalModel,
     GaussianModel,
     RecursionConfig,
@@ -27,11 +31,9 @@ def gaussian_config(m=100, G=50, rho=0.0, seed=0) -> RecursionConfig:
 
 
 def mean_final_ratio(m: int, G: int, n_seeds: int, base_seed: int = 0) -> float:
-    finals = [
-        run_recursion(gaussian_config(m=m, G=G, seed=seed_for(base_seed, i))).final().variance
-        for i in range(n_seeds)
-    ]
-    return float(np.mean(finals))
+    """Mean final variance ratio over seeds seed_for(base_seed, i), i < n_seeds."""
+    report = compare_regimens(gaussian_config(m=m, G=G, seed=base_seed), [0.0], n_seeds)
+    return float(np.mean(report.rows[0].final_variance_ratios))
 
 
 class TestConfigs:
@@ -182,6 +184,16 @@ class TestCompareRegimens:
         lo, hi = report.rows
         assert hi.mean_variance_ratio >= lo.mean_variance_ratio
 
+    def test_overflowed_refit_raises(self):
+        # samples near the float64 limit overflow the variance to nan, which
+        # no model may hold, as in run_recursion
+        base = RecursionConfig("gaussian", 10, 5, 0.0, 0, GaussianModel(0.0, 1.7e308))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(BadConfigError, match="got nan"):
+                compare_regimens(base, [0.0, 0.5], n_seeds=2)
+            with pytest.raises(BadConfigError, match="got nan"):
+                run_recursion(base)
+
     def test_matched_seeds_reused_across_rhos(self):
         base = gaussian_config(G=5)
         once = compare_regimens(base, [0.25], n_seeds=10)
@@ -212,3 +224,154 @@ class TestTrajectoryFile:
         write_trajectory(run_recursion(cfg), tmp_path / "a.tsv")
         write_trajectory(run_recursion(cfg), tmp_path / "b.tsv")
         assert (tmp_path / "a.tsv").read_bytes() == (tmp_path / "b.tsv").read_bytes()
+
+
+# --- the batched kernel against the one-seed refit rule ---------------------------
+
+
+def reference_step(model, origin, m: int, rho: float, rng):
+    """One generation by the one-seed rule, written out: the refit model, or
+    None for a degenerate Gaussian fit."""
+    h = min(m, int(math.floor(rho * m + 0.5)))
+    if isinstance(model, GaussianModel):
+        z = rng.standard_normal(m)
+        x = np.empty(m, dtype=np.float64)
+        x[:h] = origin.mu + math.sqrt(origin.sigma2) * z[:h]
+        x[h:] = model.mu + math.sqrt(model.sigma2) * z[h:]
+        variance = float(np.var(x))
+        return GaussianModel(float(np.mean(x)), variance) if variance > 0.0 else None
+
+    def draw(dist, u):
+        symbols = sorted(dist.probabilities)
+        cdf = np.cumsum([dist.probabilities[s] for s in symbols])
+        idx = np.minimum(np.searchsorted(cdf, u, side="right"), len(symbols) - 1)
+        return [symbols[i] for i in idx]
+
+    u = rng.random(m)
+    samples = draw(origin, u[:h]) + draw(model, u[h:])
+    return CategoricalModel({s: c / m for s, c in Counter(samples).items()})
+
+
+def reference_final(config: RecursionConfig):
+    """(final model, generations completed) of one seed's recursion."""
+    rng = np.random.default_rng(config.seed)
+    model = config.origin
+    for t in range(config.generations):
+        refit = reference_step(model, config.origin, config.m, config.rho, rng)
+        if refit is None:
+            return model, t
+        model = refit
+    return model, config.generations
+
+
+def reference_rows(base: RecursionConfig, rhos, n_seeds: int) -> list[tuple]:
+    rows = []
+    for rho in rhos:
+        finals = [
+            reference_final(RecursionConfig(base.model_kind, base.m, base.generations, rho,
+                                            seed_for(base.seed, i), base.origin))[0]
+            for i in range(n_seeds)
+        ]
+        if base.model_kind == "gaussian":
+            rows.append((rho, tuple(f.sigma2 / base.origin.sigma2 for f in finals), (), ()))
+        else:
+            entropies = tuple(-math.fsum(p * math.log2(p) for p in f.probabilities.values())
+                              for f in finals)
+            rows.append((rho, (), entropies, tuple(len(f.probabilities) for f in finals)))
+    return rows
+
+
+def batched_rows(base: RecursionConfig, rhos, n_seeds: int) -> list[tuple]:
+    report = compare_regimens(base, rhos, n_seeds)
+    return [(row.rho, row.final_variance_ratios, row.final_entropies, row.final_distincts)
+            for row in report.rows]
+
+
+GAUSSIAN_ORIGINS = [
+    GaussianModel(0.0, 1.0),
+    GaussianModel(-3.5, 7.25),
+    GaussianModel(1.0, 1e-40),  # every fit degenerate: collapses at generation 1
+    GaussianModel(1.0, 1e-32),  # spread near 1.0's ulp: collapses at a random generation
+]
+CATEGORICAL_ORIGINS = [
+    uniform_categorical(1),
+    uniform_categorical(7),
+    uniform_categorical(300),
+    CategoricalModel({"a": 0.1, "b": 0.2, "zz": 0.3, "c": 0.4}),
+]
+
+
+@st.composite
+def rho_lists(draw, m: int):
+    """Rhos with duplicates, 0, 1 and values on .5 rounding boundaries of rho*m."""
+    boundary = st.integers(0, m - 1).map(lambda k: (k + 0.5) / m)
+    one = st.one_of(st.sampled_from([0.0, 1.0, 0.5]), boundary,
+                    st.floats(0.0, 1.0, allow_nan=False))
+    rhos = draw(st.lists(one, max_size=4))
+    return rhos + draw(st.lists(st.sampled_from(rhos), max_size=2)) if rhos else rhos
+
+
+@st.composite
+def regimens(draw, kind: str, origins):
+    m = draw(st.integers(2, 40))
+    base = RecursionConfig(kind, m, draw(st.integers(0, 30)), 0.0,
+                           draw(st.integers(0, 2**64 - 1)), draw(st.sampled_from(origins)))
+    return base, draw(rho_lists(m)), draw(st.integers(1, 40))
+
+
+class TestBatchedKernel:
+    """compare_regimens, run_recursion and step_generation equal the one-seed
+    rule written out above, by ==, on every (rho, seed)."""
+
+    @staticmethod
+    def check(base: RecursionConfig, rhos, n_seeds: int):
+        assert batched_rows(base, rhos, n_seeds) == reference_rows(base, rhos, n_seeds)
+        for rho in rhos[:2]:
+            config = RecursionConfig(base.model_kind, base.m, base.generations, rho,
+                                     base.seed, base.origin)
+            trajectory = run_recursion(config)
+            model, completed = reference_final(config)
+            assert trajectory.final().model == model
+            assert len(trajectory.records) == completed + 1
+
+    @settings(max_examples=40, deadline=None)
+    @given(regimens("gaussian", GAUSSIAN_ORIGINS))
+    def test_gaussian(self, case):
+        self.check(*case)
+
+    @settings(max_examples=40, deadline=None)
+    @given(regimens("categorical", CATEGORICAL_ORIGINS))
+    @example((RecursionConfig("categorical", 50, 15, 0.5, 5, CATEGORICAL_ORIGINS[-1]),
+              [0.0, 0.5, 0.5, 1.0], 3))
+    def test_categorical(self, case):
+        self.check(*case)
+
+    @pytest.mark.parametrize("kind, origin", [("gaussian", GAUSSIAN_ORIGINS[0]),
+                                              ("gaussian", GAUSSIAN_ORIGINS[3]),
+                                              ("categorical", CATEGORICAL_ORIGINS[1])])
+    def test_past_one_seed_chunk(self, kind, origin):
+        base = RecursionConfig(kind, 6, 8, 0.0, 2**64 - 3, origin)
+        self.check(base, [0.0, 0.25, 1.0], SEED_CHUNK + 3)
+
+    def test_draw_past_the_last_cdf_step(self):
+        # ten symbols at 0.1 sum to 1 - 2**-53 in the cumsum, so a uniform of
+        # 1 - 2**-53 lies past it and clips to the last present symbol (9),
+        # not to the last symbol of the support (11)
+        class TopOfUnitInterval:
+            def random(self, size):
+                return np.full(size, 1.0 - 2.0**-53)
+
+        model = CategoricalModel({i: 0.1 for i in range(10)})
+        origin = uniform_categorical(12)
+        samples, refit = step_generation(model, origin, 10, 0.0, TopOfUnitInterval())
+        assert refit == reference_step(model, origin, 10, 0.0, TopOfUnitInterval())
+        assert samples == [9] * 10
+
+    @pytest.mark.parametrize("model, origin", [
+        (GaussianModel(2.0, 0.5), GaussianModel(0.0, 1.0)),
+        (CategoricalModel({"a": 0.5, "zz": 0.5}), CATEGORICAL_ORIGINS[-1]),
+    ])
+    def test_step_generation(self, model, origin):
+        for rho in (0.0, 0.3, 1.0):
+            expected = reference_step(model, origin, 20, rho, np.random.default_rng(4))
+            assert step_generation(model, origin, 20, rho, np.random.default_rng(4))[1] == expected
