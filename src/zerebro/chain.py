@@ -25,7 +25,6 @@ never edit the list in place.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import operator
 import re
@@ -131,14 +130,10 @@ def wallet_address(seed: int) -> str:
     return "w" + digest.hexdigest()
 
 
-# json.dumps(body, sort_keys=True), without building an encoder per call
-_hash_json = json.JSONEncoder(sort_keys=True).encode
-
-
 def _entry_hash(kind: str, src: str, dst: str, amount: int, payload: dict) -> str:
     """Content hash over the whole entry body; catches any field tamper."""
     body = {"kind": kind, "src": src, "dst": dst, "amount": amount, "payload": payload}
-    return hashlib.sha256(_hash_json(body).encode("utf-8")).hexdigest()
+    return hashlib.sha256(offsetlog.canonical_json(body).encode("utf-8")).hexdigest()
 
 
 def _check_count(name: str, value) -> None:
@@ -531,25 +526,38 @@ def implied_market_cap(total_supply: int, price_nanos_per_unit: int) -> int:
 # --- procedural art -----------------------------------------------------------------
 
 
+# the bounds of generate_art's 48 uniforms: per channel, per wave, (fx, fy, phase, amplitude).
+# With array bounds numpy computes each value as the scalar calls do, by its own
+# low + (high - low) * u; `_LOW + span * rng.random(48)` could round differently.
+_LOW = np.tile([1.0, 1.0, 0.0, 0.4], 12)
+_HIGH = np.tile([7.0, 7.0, 2.0 * math.pi, 1.0], 12)
+
+
 def generate_art(seed: int, theme: str, width: int = 64, height: int = 64) -> bytes:
-    """Deterministic plasma-style image as binary PPM (P6) bytes."""
+    """Deterministic plasma-style image as binary PPM (P6) bytes.
+
+    Each of the three channels sums four sine waves over the unit square.
+    The stream keyed by (theme, seed) gives 48 uniforms in one draw: by
+    channel, then wave, then (fx, fy) in [1, 7), phase in [0, 2 pi) and
+    amplitude in [0.4, 1). Each pixel sums its waves in wave order, and
+    each channel is scaled from its own min..max to 0..255. Width and
+    height below 1 raise ValueError.
+    """
+    for name, size in (("width", width), ("height", height)):
+        if size < 1:
+            raise ValueError(f"art {name} must be at least 1, got {size}")
     rng = stream(theme.encode("utf-8"), key=u64(seed % 2**64))
-    ys, xs = np.mgrid[0:height, 0:width].astype(np.float64)
-    xs = xs / width
-    ys = ys / height
-    channels = []
-    for _ in range(3):
-        field = np.zeros((height, width))
-        for _ in range(4):
-            fx, fy = rng.uniform(1.0, 7.0, size=2)
-            phase = rng.uniform(0.0, 2.0 * math.pi)
-            field += rng.uniform(0.4, 1.0) * np.sin(
-                2.0 * math.pi * (fx * xs + fy * ys) + phase
-            )
-        lo, hi = field.min(), field.max()
-        span = (hi - lo) or 1.0
-        channels.append(((field - lo) / span * 255.0).astype(np.uint8))
-    pixels = np.stack(channels, axis=-1)
+    # each (4 waves, 3 channels, 1, 1): wave k's value for every channel
+    fx, fy, phase, amp = rng.uniform(_LOW, _HIGH).reshape(3, 4, 4, 1, 1).transpose(2, 1, 0, 3, 4)
+    xs = np.arange(width, dtype=np.float64) / width
+    ys = (np.arange(height, dtype=np.float64) / height)[:, None]
+    field = np.zeros((3, height, width))
+    for k in range(4):
+        field += amp[k] * np.sin(2.0 * math.pi * (fx[k] * xs + fy[k] * ys) + phase[k])
+    lo = field.min(axis=(1, 2), keepdims=True)
+    span = field.max(axis=(1, 2), keepdims=True) - lo
+    span[span == 0.0] = 1.0
+    pixels = ((field - lo) / span * 255.0).astype(np.uint8).transpose(1, 2, 0)
     header = f"P6\n{width} {height}\n255\n".encode("ascii")
     return header + pixels.tobytes()
 

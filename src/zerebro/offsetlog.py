@@ -14,9 +14,14 @@ from typing import Collection, Iterator
 from .errors import CorruptLogError, IoFailureError
 
 
+# The one canonical JSON, for log bodies and the ledger's content hashes:
+# json.dumps(body, sort_keys=True), without building an encoder per call
+canonical_json = json.JSONEncoder(sort_keys=True).encode
+
+
 def encode(offset: int, kind: str, timestamp: int, body: dict) -> str:
     """One log line, newline included."""
-    return f"{offset}\t{kind}\t{timestamp}\t{json.dumps(body, sort_keys=True)}\n"
+    return f"{offset}\t{kind}\t{timestamp}\t{canonical_json(body)}\n"
 
 
 def read(path, kinds: Collection[str]) -> Iterator[tuple[int, str, int, dict]]:

@@ -2,7 +2,13 @@
 randomized operation fuzzing, persistence, procedural art."""
 
 import hashlib
+import json
+import math
+import os
+import platform
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +29,7 @@ from zerebro.chain import (
     wallet_address,
 )
 from zerebro.clock import STEP_MS
+from zerebro.seeding import stream, u64
 from zerebro.errors import (
     BadSymbolError,
     CorruptLogError,
@@ -324,7 +331,83 @@ class TestPersistence:
             Ledger.load(path)
 
 
+def loop_art(seed, theme, width, height):
+    """generate_art as it was first written: twelve draws and twelve sine
+    passes of one channel at a time. The reference its bytes must equal."""
+    rng = stream(theme.encode("utf-8"), key=u64(seed % 2**64))
+    ys, xs = np.mgrid[0:height, 0:width].astype(np.float64)
+    xs = xs / width
+    ys = ys / height
+    channels = []
+    for _ in range(3):
+        field = np.zeros((height, width))
+        for _ in range(4):
+            fx, fy = rng.uniform(1.0, 7.0, size=2)
+            phase = rng.uniform(0.0, 2.0 * math.pi)
+            field += rng.uniform(0.4, 1.0) * np.sin(
+                2.0 * math.pi * (fx * xs + fy * ys) + phase
+            )
+        lo, hi = field.min(), field.max()
+        span = (hi - lo) or 1.0
+        channels.append(((field - lo) / span * 255.0).astype(np.uint8))
+    pixels = np.stack(channels, axis=-1)
+    header = f"P6\n{width} {height}\n255\n".encode("ascii")
+    return header + pixels.tobytes()
+
+
+# sha256 of generate_art's bytes, recorded from the twelve-pass loop
+ART_PINS = {
+    (3, "lantern", 64, 64): "260172bb3b6ab4e1f2ac42d09e02e3e62758b54d340fa57e774d1eeadaae744e",
+    (5, "corridor", 4, 4): "25d15d50f39ddbbdb3ad565413e39999ef4971db6a68e5e3d978427af04695af",
+    (7, "stairwell", 48, 36): "a8bbbd57ae7486f8ede31f23d6accdca000d27cb35075ded25854404d4a37acc",
+    (0, "moth", 1, 1): "3ff6c5463ace13c0f26a735ac1af2bb96ab8a9ba1cb4398359cf2466f63a4d1b",
+    (-1, "static", 7, 3): "6f284691ba088a2ed31ebf81e799b7dc4283d0b57b1ebe42ac318e620327ca19",
+    (11, "ferry", 32, 32): "81737e192b2f909dd499ed88b302a47a3b115b175f18b9f0e2b7e5fd5b41084d",
+}
+
+# numpy's x86-64-v2 features only: no AVX/AVX2/AVX-512 dispatch of np.sin
+X86_V2_FEATURES = "SSE SSE2 SSE3 SSSE3 SSE41 POPCNT SSE42"
+
+
 class TestArt:
+    @pytest.mark.parametrize("size", [(1, 1), (7, 3), (4, 4), (8, 8), (32, 32), (48, 36),
+                                      (64, 64)])
+    def test_bytes_equal_the_twelve_pass_loop(self, size):
+        for seed in range(200):
+            theme = ("corridor", "lantern", "moth")[seed % 3]
+            assert generate_art(seed, theme, *size) == loop_art(seed, theme, *size), seed
+
+    @pytest.mark.parametrize("args", list(ART_PINS))
+    def test_pinned_bytes(self, args):
+        assert hashlib.sha256(generate_art(*args)).hexdigest() == ART_PINS[args]
+
+    @pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                        reason="numpy's x86-64 dispatch only")
+    def test_pinned_bytes_under_x86_v2_dispatch(self):
+        script = (
+            "import hashlib, json, sys\n"
+            "from numpy._core._multiarray_umath import __cpu_features__ as features\n"
+            "from zerebro.chain import generate_art\n"
+            "assert not features.get('X86_V3', features.get('AVX2'))\n"
+            "assert not features.get('AVX512_SKX')\n"
+            "json.dump([hashlib.sha256(generate_art(*a)).hexdigest()"
+            " for a in json.load(sys.stdin)], sys.stdout)\n"
+        )
+        env = dict(os.environ, NPY_ENABLE_CPU_FEATURES=X86_V2_FEATURES,
+                   PYTHONPATH=os.pathsep.join(filter(None, [
+                       str(Path(__file__).resolve().parent.parent / "src"),
+                       os.environ.get("PYTHONPATH")])))
+        result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                                text=True, input=json.dumps(list(ART_PINS)))
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout) == list(ART_PINS.values())
+
+    @pytest.mark.parametrize("width, height, name", [(0, 4, "width"), (-1, 4, "width"),
+                                                      (4, 0, "height"), (4, -3, "height")])
+    def test_size_below_one_is_refused(self, width, height, name):
+        with pytest.raises(ValueError, match=f"art {name} must be at least 1"):
+            generate_art(1, "corridor", width, height)
+
     def test_deterministic(self):
         assert generate_art(5, "corridor") == generate_art(5, "corridor")
 
