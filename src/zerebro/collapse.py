@@ -160,11 +160,10 @@ def _entropy_bits(probabilities) -> float:
     return -math.fsum(p * math.log2(p) for p in probabilities)
 
 
-def _human_mask(m: int, rhos: Sequence[float]) -> np.ndarray | None:
-    """(R, 1, m): True where row r's sample is drawn from the origin; None
-    when no row draws from it, so a block skips the origin branch."""
+def _human_mask(m: int, rhos: Sequence[float]) -> np.ndarray:
+    """(R, 1, m): True where row r's sample is drawn from the origin."""
     h = np.array([_human_count(m, rho) for rho in rhos], dtype=np.intp)
-    return np.arange(m) < h.reshape(-1, 1, 1) if h.any() else None
+    return np.arange(m) < h.reshape(-1, 1, 1)
 
 
 class _GaussianBlock:
@@ -184,9 +183,8 @@ class _GaussianBlock:
 
     def advance(self, z: np.ndarray) -> np.ndarray:
         """One generation from each column's m normals z (S, m); returns the (R, S, m) samples."""
-        x = self.mu[..., None] + np.sqrt(self.s2)[..., None] * z
-        if self.human is not None:
-            x = np.where(self.human, self.mu0 + self.sd0 * z, x)
+        x = np.where(self.human, self.mu0 + self.sd0 * z,
+                     self.mu[..., None] + np.sqrt(self.s2)[..., None] * z)
         var = np.var(x, axis=-1)
         if np.isnan(var).any():  # an overflowed refit; a model refuses a nan variance
             raise BadConfigError("sigma2 must be positive, got nan")
@@ -235,10 +233,8 @@ class _CategoricalBlock:
         for r, s in np.ndindex(R, S):
             drawn[r, s] = np.searchsorted(cdf[r, s], u[s], side="right")
         np.minimum(drawn, self.last[..., None], out=drawn)
-        idx = drawn
-        if self.human is not None:
-            human = np.minimum(np.searchsorted(self.origin_cdf, u, side="right"), self.origin_last)
-            idx = np.where(self.human, human, drawn)
+        human = np.minimum(np.searchsorted(self.origin_cdf, u, side="right"), self.origin_last)
+        idx = np.where(self.human, human, drawn)
         offsets = np.arange(R * S).reshape(R, S, 1) * K
         counts = np.bincount((idx + offsets).ravel(), minlength=R * S * K)
         self.probs = counts.reshape(R, S, K) / self.m
