@@ -29,12 +29,18 @@ for bit, what advancing that (rho, seed) model alone would give:
 * Column s draws from its own `default_rng(seed_for(base, s))`, and every
   row of the column uses those numbers. numpy fills an array from the
   stream element by element, so one (G, m) draw equals G draws of m.
-* A Gaussian model's samples are `where(human, mu0 + sd0*z, mu + sqrt(s2)*z)`,
-  element by element the same operations as for one model, and its
-  refit is the axis-1 `np.mean`/`np.var` of the (R, S, m) samples. numpy
-  reduces each contiguous length-m row with the same pairwise sum as a
-  1-D call. A model whose refit variance is not positive is marked
-  collapsed and keeps its last good fit.
+* A Gaussian model's samples are `sqrt(s2)*z + mu`, with `mu0 + sd0*z`
+  copied over them where the row draws from the origin: element by
+  element the same operations as for one model (IEEE addition commutes,
+  so `sqrt(s2)*z + mu` is `mu + sqrt(s2)*z` bit for bit). The refit runs
+  `np.var`'s own steps once over the (R, S, m) samples: `mean` is the
+  axis-1 sum divided by m, then the sum of `(x - mean)**2` (one correctly
+  rounded product each) divided by m. That `mean` is what `np.mean`
+  returns, so mu and sigma2 equal the one-seed `np.mean`/`np.var` by ==.
+  numpy reduces each contiguous length-m row with the same pairwise sum
+  as a 1-D call. A model whose refit variance is not positive is marked
+  collapsed and keeps its last good fit; a non-finite refit (an
+  overflow) is refused, as GaussianModel refuses it.
 * A categorical model is a probability vector over the sorted support, 0
   for a lost symbol. Draws are `searchsorted` on its cumsum, clipped to
   the last symbol still present; adding 0.0 leaves a running sum as it
@@ -72,8 +78,10 @@ class GaussianModel:
     sigma2: float
 
     def __post_init__(self):
-        if not self.sigma2 > 0:
-            raise BadConfigError(f"sigma2 must be positive, got {self.sigma2}")
+        if not math.isfinite(self.mu):
+            raise BadConfigError(f"mu must be finite, got {self.mu}")
+        if not 0.0 < self.sigma2 < math.inf:
+            raise BadConfigError(f"sigma2 must be positive and finite, got {self.sigma2}")
 
 
 @dataclass(frozen=True)
@@ -85,11 +93,13 @@ class CategoricalModel:
     def __post_init__(self):
         if not self.probabilities:
             raise BadConfigError("categorical model needs at least one symbol")
+        for symbol, p in self.probabilities.items():
+            if not 0.0 < p < math.inf:
+                raise BadConfigError(
+                    f"probabilities[{symbol!r}] must be positive and finite, got {p}")
         total = math.fsum(self.probabilities.values())
         if abs(total - 1.0) > 1e-12:
             raise BadConfigError(f"probabilities sum to {total!r}, not 1")
-        if any(p <= 0 for p in self.probabilities.values()):
-            raise BadConfigError("probabilities must be strictly positive")
 
     def support(self) -> list:
         return sorted(self.probabilities)
@@ -175,6 +185,7 @@ class _GaussianBlock:
 
     def __init__(self, origin: GaussianModel, m: int, rhos, n_seeds: int, start: GaussianModel):
         shape = (len(rhos), n_seeds)
+        self.m = m
         self.human = _human_mask(m, rhos)
         self.mu0, self.sd0, self.sigma2_0 = origin.mu, math.sqrt(origin.sigma2), origin.sigma2
         self.mu = np.full(shape, start.mu, dtype=np.float64)
@@ -183,14 +194,23 @@ class _GaussianBlock:
 
     def advance(self, z: np.ndarray) -> np.ndarray:
         """One generation from each column's m normals z (S, m); returns the (R, S, m) samples."""
-        x = np.where(self.human, self.mu0 + self.sd0 * z,
-                     self.mu[..., None] + np.sqrt(self.s2)[..., None] * z)
-        var = np.var(x, axis=-1)
-        if np.isnan(var).any():  # an overflowed refit; a model refuses a nan variance
-            raise BadConfigError("sigma2 must be positive, got nan")
+        x = np.sqrt(self.s2)[..., None] * z
+        x += self.mu[..., None]
+        np.copyto(x, self.mu0 + self.sd0 * z, where=self.human)
+        # np.var's own steps, once; its mean is the refit mu
+        mean = np.add.reduce(x, axis=-1, keepdims=True)
+        mean /= self.m
+        d = x - mean
+        d *= d
+        var = np.add.reduce(d, axis=-1)
+        var /= self.m
+        finite = np.isfinite(var)
+        if not finite.all():  # an overflowed refit, which no model may hold
+            raise BadConfigError(f"sigma2 must be positive and finite, got {var[~finite][0]}")
         self.collapsed |= var <= 0.0
-        self.mu = np.where(self.collapsed, self.mu, np.mean(x, axis=-1))
-        self.s2 = np.where(self.collapsed, self.s2, var)
+        kept = ~self.collapsed
+        np.copyto(self.mu, mean[..., 0], where=kept)
+        np.copyto(self.s2, var, where=kept)
         return x
 
     def model(self, r: int, s: int) -> GaussianModel:
@@ -223,6 +243,8 @@ class _CategoricalBlock:
         self.probs = np.broadcast_to(start_p, (*shape, len(self.support)))
         self.last = np.full(shape, np.flatnonzero(start_p)[-1])  # last present symbol
         self.collapsed = np.zeros(shape, dtype=bool)  # support loss is no collapse
+        # where each model's counts start in the one bincount of a generation
+        self.offsets = np.arange(math.prod(shape)).reshape(*shape, 1) * len(self.support)
 
     def advance(self, u: np.ndarray) -> np.ndarray:
         """One generation from each column's m uniforms u (S, m); returns the
@@ -235,8 +257,7 @@ class _CategoricalBlock:
         np.minimum(drawn, self.last[..., None], out=drawn)
         human = np.minimum(np.searchsorted(self.origin_cdf, u, side="right"), self.origin_last)
         idx = np.where(self.human, human, drawn)
-        offsets = np.arange(R * S).reshape(R, S, 1) * K
-        counts = np.bincount((idx + offsets).ravel(), minlength=R * S * K)
+        counts = np.bincount((idx + self.offsets).ravel(), minlength=R * S * K)
         self.probs = counts.reshape(R, S, K) / self.m
         self.last = idx.max(axis=-1)
         return idx

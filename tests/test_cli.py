@@ -4,6 +4,7 @@ reproducibility."""
 import json
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -33,6 +34,20 @@ class TestExitCodes:
         )
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value, named", [
+        ("--mu", "nan", "error: mu must be finite, got nan"),
+        ("--sigma2", "inf", "error: sigma2 must be positive and finite, got inf"),
+    ], ids=["mu-nan", "sigma2-inf"])
+    def test_non_finite_gaussian_origin_is_one_error_line(self, tmp_path, capsys,
+                                                          flag, value, named):
+        # refused as the origin is built, before numpy could warn about it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli("collapse", "--model", "gaussian", flag, value,
+                           "--out", str(tmp_path))
+        assert code == 1
+        assert capsys.readouterr().err == named + "\n"
 
     @pytest.mark.parametrize(
         "argv, connectors, named",

@@ -2,6 +2,7 @@
 dominance, determinism, degenerate fits, trajectory files."""
 
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -40,6 +41,18 @@ class TestConfigs:
     def test_invalid_sigma2(self):
         with pytest.raises(BadConfigError):
             GaussianModel(0.0, 0.0)
+
+    @pytest.mark.parametrize("make, field", [
+        (lambda: GaussianModel(math.nan, 1.0), "mu"),
+        (lambda: GaussianModel(-math.inf, 1.0), "mu"),
+        (lambda: GaussianModel(0.0, math.inf), "sigma2"),
+        (lambda: GaussianModel(0.0, math.nan), "sigma2"),
+        (lambda: CategoricalModel({0: math.nan}), "probabilities[0]"),
+        (lambda: CategoricalModel({"a": math.inf, "b": -math.inf}), "probabilities['a']"),
+    ], ids=["mu-nan", "mu-inf", "sigma2-inf", "sigma2-nan", "p-nan", "p-inf"])
+    def test_non_finite_parameters_name_their_field(self, make, field):
+        with pytest.raises(BadConfigError, match=f"^{re.escape(field)} must be .*finite, got"):
+            make()
 
     def test_probabilities_must_sum_to_one(self):
         with pytest.raises(BadConfigError):
@@ -185,13 +198,14 @@ class TestCompareRegimens:
         assert hi.mean_variance_ratio >= lo.mean_variance_ratio
 
     def test_overflowed_refit_raises(self):
-        # samples near the float64 limit overflow the variance to nan, which
-        # no model may hold, as in run_recursion
+        # samples near the float64 limit overflow the squared deviations, so
+        # the first refit variance is inf, which no model may hold, as in
+        # run_recursion
         base = RecursionConfig("gaussian", 10, 5, 0.0, 0, GaussianModel(0.0, 1.7e308))
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(BadConfigError, match="got nan"):
+            with pytest.raises(BadConfigError, match="finite, got inf"):
                 compare_regimens(base, [0.0, 0.5], n_seeds=2)
-            with pytest.raises(BadConfigError, match="got nan"):
+            with pytest.raises(BadConfigError, match="finite, got inf"):
                 run_recursion(base)
 
     def test_matched_seeds_reused_across_rhos(self):
@@ -346,11 +360,13 @@ class TestBatchedKernel:
     def test_categorical(self, case):
         self.check(*case)
 
+    # m = 100 is the CLI's default; past 128 numpy's pairwise sum splits a row
+    @pytest.mark.parametrize("m", [6, 100, 129, 1000], ids=lambda m: f"m{m}")
     @pytest.mark.parametrize("kind, origin", [("gaussian", GAUSSIAN_ORIGINS[0]),
                                               ("gaussian", GAUSSIAN_ORIGINS[3]),
                                               ("categorical", CATEGORICAL_ORIGINS[1])])
-    def test_past_one_seed_chunk(self, kind, origin):
-        base = RecursionConfig(kind, 6, 8, 0.0, 2**64 - 3, origin)
+    def test_past_one_seed_chunk(self, kind, origin, m):
+        base = RecursionConfig(kind, m, 8, 0.0, 2**64 - 3, origin)
         self.check(base, [0.0, 0.25, 1.0], SEED_CHUNK + 3)
 
     def test_draw_past_the_last_cdf_step(self):
