@@ -8,18 +8,19 @@ report covers a sliding window of the most recent generated texts, so a
 narrowing vocabulary shows up as falling distinct-2 and dispersion.
 
 The window (`_Window`) is kept, not rebuilt: each turn adds the new text
-and evicts the oldest. It holds each text's token list, split once;
-unigram and bigram counts with their totals, so distinct-n is
-len(counts) / total, the integer ratio `distinct_n` computes; the vectors
-as rows of one buffer; and the token lengths for tail mass. The entropy
-histogram is rebuilt from the kept token lists in window order, so its
-summation order is the full recompute's, and dispersion is one gram
-product over the WINDOW vectors. The store embeds each text once (see
+and evicts the oldest. It holds only what a turn cannot rebuild cheaply:
+each text's token list, split once; the records' own read-only vectors,
+not copies; and the bigram counts, so distinct-2 is len(counts) / total,
+the integer ratio `distinct_n` computes. The unigram histogram is rebuilt
+from the token lists in window order, so entropy sums in the full
+recompute's order, and distinct-1 is its key count over its total.
+Dispersion is one gram product over the WINDOW vectors, and tail mass
+reads the token lists' lengths. The store embeds each text once (see
 `memory`): the generated text stored as a record is the next turn's
-query. So a turn's Python work is one split and count of its new text,
-one embed per new text, the retrieval scan, and the O(WINDOW) histogram
-and gram product; nothing is re-split or re-embedded. Every figure
-equals the full recompute over the window bit for bit.
+query. So a turn's Python work is one split and bigram count of its new
+text, one embed per new text, the retrieval scan, and the O(WINDOW)
+histogram and gram product; nothing is re-split or re-embedded. Every
+figure equals the full recompute over the window bit for bit.
 """
 
 from __future__ import annotations
@@ -86,61 +87,45 @@ class TurnError(ZerebroError):
 
 
 class _Window:
-    """The last WINDOW generated texts and their vectors, kept as counts."""
+    """The last WINDOW generated texts: token lists, vectors, bigram counts."""
 
-    def __init__(self, dimension: int):
+    def __init__(self):
         self._tokens: deque[list[str]] = deque()
-        # unigram and bigram counts, a key deleted when its count reaches 0
-        self._counts: tuple[dict, dict] = ({}, {})
-        self._totals = [0, 0]
-        # the window is rows [start, start + len) of a 2 * WINDOW row buffer
-        self._vectors = np.empty((2 * WINDOW, dimension))
-        self._start = 0
+        self._vectors: deque[np.ndarray] = deque()
+        # a key is deleted when its count reaches 0
+        self._bigrams: dict[tuple[str, str], int] = {}
 
     def push(self, text: str, vector: np.ndarray) -> None:
         """Add a text, evicting the oldest once the window holds WINDOW."""
         tokens = text.split()
         self._count(tokens, 1)
         self._tokens.append(tokens)
-        end = self._start + len(self._tokens) - 1
-        if end == len(self._vectors):
-            self._vectors[: end - self._start] = self._vectors[self._start : end]
-            self._start, end = 0, end - self._start
-        self._vectors[end] = vector
+        self._vectors.append(vector)
         if len(self._tokens) > WINDOW:
             self._count(self._tokens.popleft(), -1)
-            self._start += 1
+            self._vectors.popleft()
 
     def _count(self, tokens: list[str], step: int) -> None:
-        """Add (step 1) or remove (step -1) one text's unigrams and bigrams."""
-        for n, grams in enumerate((tokens, list(zip(tokens, tokens[1:])))):
-            counts = self._counts[n]
-            for gram in grams:
-                count = counts.get(gram, 0) + step
-                if count:
-                    counts[gram] = count
-                else:
-                    del counts[gram]
-            self._totals[n] += step * len(grams)
-
-    def _distinct(self, n: int) -> float:
-        """distinct_n over the window; with no n-gram, distinct_n raises."""
-        total = self._totals[n - 1]
-        if not total:
-            return distinct_n(self._tokens, n)
-        return len(self._counts[n - 1]) / total
+        """Add (step 1) or remove (step -1) one text's bigrams."""
+        for gram in zip(tokens, tokens[1:]):
+            count = self._bigrams.get(gram, 0) + step
+            if count:
+                self._bigrams[gram] = count
+            else:
+                del self._bigrams[gram]
 
     def report(self, baseline: tuple[float, float]) -> DiversityReport:
         n = len(self._tokens)
-        vectors = self._vectors[self._start : self._start + n]
-        dispersion = embedding_dispersion(vectors) if n >= 2 else 0.0
+        dispersion = embedding_dispersion(list(self._vectors)) if n >= 2 else 0.0
         # rebuilt in window order, so entropy sums in the full recompute's order
         histogram = Counter(itertools.chain.from_iterable(self._tokens))
+        bigrams = sum(self._bigrams.values())
         mu0, sigma0 = baseline
         return DiversityReport(
             shannon_entropy_bits=shannon_entropy(histogram),
-            distinct_1=self._distinct(1),
-            distinct_2=self._distinct(2),
+            distinct_1=len(histogram) / histogram.total(),
+            # with no bigram in the window, distinct_n raises NoNgramsError
+            distinct_2=len(self._bigrams) / bigrams if bigrams else distinct_n(self._tokens, 2),
             embedding_dispersion=dispersion,
             tail_mass=tail_mass([len(t) for t in self._tokens], mu0, sigma0, 2.0),
         )
@@ -164,7 +149,7 @@ def run_backrooms(
     baseline = statistics.fmean(lengths), statistics.pstdev(lengths)
     rng = np.random.default_rng(config.seed)
 
-    window = _Window(memory.dimension)
+    window = _Window()
     records: list[TurnRecord] = []
     last_output = config.opening_prompt
 

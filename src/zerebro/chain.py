@@ -31,7 +31,7 @@ import re
 import sys
 import threading
 from dataclasses import dataclass
-from decimal import Decimal, InvalidOperation
+from decimal import MAX_PREC, Context, Decimal, InvalidOperation, Overflow
 from typing import Callable, Sequence
 
 import numpy as np
@@ -58,16 +58,23 @@ ENTRY_KINDS = ("transfer", "mint", "deploy", "sale", "fee")
 # serialize joins at most this many new lines at a time, so the first
 # snapshot of a long ledger holds one chunk of lines beside its text
 _ENCODE_CHUNK = 512
+# scales an amount to nano-units with no rounding; past the default
+# exponent range the product overflows
+_EXACT = Context(prec=MAX_PREC, traps=[InvalidOperation, Overflow])
 
 
 def to_nanos(amount) -> int:
-    """Parse a decimal amount into integer nano-units, exactly."""
+    """Parse a finite decimal amount into integer nano-units, exactly."""
     if isinstance(amount, int):
         return amount * NANO
     try:
-        scaled = Decimal(str(amount)) * NANO
+        scaled = _EXACT.multiply(Decimal(str(amount)), NANO)
     except InvalidOperation as exc:
         raise ValueError(f"amount {amount!r} is not a decimal") from exc
+    except Overflow as exc:
+        raise ValueError(f"amount {amount!r} is too large") from exc
+    if not scaled.is_finite():
+        raise ValueError(f"amount {amount!r} is not finite")
     nanos = int(scaled)
     if nanos != scaled:
         raise ValueError(f"amount {amount!r} is not representable in 9 decimals")

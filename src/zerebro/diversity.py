@@ -8,7 +8,6 @@ memory store, and the backrooms experiment all report through these.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, fields
 from typing import Iterable, Mapping, Sequence
@@ -68,18 +67,6 @@ def distinct_n(corpus: Iterable, n: int) -> float:
     return len(seen) / total
 
 
-# dispersion keeps the pair indices of sets up to this size, at most 700 KB
-_PAIRS_KEPT = 64
-
-
-@functools.cache
-def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """np.triu_indices(n, k=1), read-only."""
-    rows, cols = np.triu_indices(n, k=1)
-    rows.flags.writeable = cols.flags.writeable = False
-    return rows, cols
-
-
 def embedding_dispersion(vectors: Sequence[np.ndarray]) -> float:
     """Mean over unordered vector pairs of (1 - cosine similarity)."""
     if len(vectors) < 2:
@@ -94,9 +81,8 @@ def embedding_dispersion(vectors: Sequence[np.ndarray]) -> float:
         raise ValueError("dispersion is undefined for zero-norm vectors")
     unit = mat / norms[:, None]
     gram = np.clip(unit @ unit.T, -1.0, 1.0)
-    n = len(vectors)
-    iu = _upper_pairs(n) if n <= _PAIRS_KEPT else np.triu_indices(n, k=1)
-    return float(np.mean(1.0 - gram[iu]))
+    # the pairs i < j, in np.triu_indices(n, k=1)'s row-major order
+    return float(np.mean(1.0 - gram[~np.tri(len(vectors), dtype=bool)]))
 
 
 def tail_mass(samples: Sequence[float], mu0: float, sigma0: float, k: float) -> float:

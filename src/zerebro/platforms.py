@@ -81,8 +81,9 @@ class SimulatedConnector:
         self.seed = seed
         self.outages = tuple(outages)
         self._clock = clock or SimClock()
+        # ids are dense from 0 and posts are never deleted, so the next id is
+        # the post count
         self._posts: dict[int, str] = {}
-        self._next_id = 0
         self._attempts = 0
         self._lock = threading.Lock()
 
@@ -92,7 +93,7 @@ class SimulatedConnector:
 
     @property
     def last_post_id(self) -> int:
-        return self._next_id - 1
+        return len(self._posts) - 1
 
     def post(self, content: str) -> PostReceipt:
         with self._lock:
@@ -106,8 +107,7 @@ class SimulatedConnector:
                 raise TooLongError(
                     f"{self.platform}: {len(content)} chars exceeds limit {self.char_limit}"
                 )
-            post_id = self._next_id
-            self._next_id += 1
+            post_id = len(self._posts)
             self._posts[post_id] = content
         return PostReceipt(
             post_id=post_id,

@@ -53,12 +53,25 @@ class TestFixedPoint:
         assert to_nanos("1.5") == 1_500_000_000
         assert to_nanos("0.000000001") == 1
         assert to_nanos(2) == 2_000_000_000
+        # 31 significant digits, past the default decimal context's 28
+        assert to_nanos("1234567890123456789012.123456789") == 1234567890123456789012123456789
         assert format_nanos(1_500_000_000) == "1.500000000"
         assert format_nanos(-1) == "-0.000000001"
 
     def test_sub_nano_rejected(self):
         with pytest.raises(Exception):
             to_nanos("0.0000000001")
+
+    @pytest.mark.parametrize("amount, named", [
+        ("inf", "'inf' is not finite"),
+        ("-Infinity", "'-Infinity' is not finite"),
+        ("nan", "'nan' is not finite"),
+        ("1e999999999", "'1e999999999' is too large"),
+        ("1e-999999999", "'1e-999999999' is not representable in 9 decimals"),
+    ], ids=["inf", "minus-inf", "nan", "huge", "tiny"])
+    def test_non_finite_or_out_of_range_amount_is_value_error(self, amount, named):
+        with pytest.raises(ValueError, match=named):
+            to_nanos(amount)
 
 
 class TestWallets:

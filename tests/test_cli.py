@@ -65,9 +65,14 @@ class TestExitCodes:
              "connectors.conf: line 'platform=x limit=lots'"),
             (["agent", "--turns", "60", "--eta", "-5"], None, "eta must be"),
             (["agent", "--turns", "5", "--max-actions", "-2"], None, "max_actions must be"),
+            (["chain", "mint", "--endowment", "inf"], None, "amount 'inf' is not finite"),
+            (["chain", "mint", "--endowment", "1e999999999"], None,
+             "amount '1e999999999' is too large"),
+            (["agent", "--turns", "1", "--endowment=inf"], None, "amount 'inf' is not finite"),
         ],
         ids=["memory-source", "deploy-supply", "connector-line", "connector-none",
-             "connector-outage", "connector-limit", "agent-eta", "agent-max-actions"],
+             "connector-outage", "connector-limit", "agent-eta", "agent-max-actions",
+             "mint-endowment-inf", "mint-endowment-huge", "agent-endowment-inf"],
     )
     def test_bad_value_is_usage_error(self, tmp_path, capsys, argv, connectors, named):
         if connectors is not None:

@@ -151,7 +151,6 @@ class TestRunRecursion:
     def test_gaussian_decay_m100_G50(self):
         assert mean_final_ratio(100, 50, 1000) == pytest.approx(0.99**50, rel=0.05)
 
-    @pytest.mark.slow
     def test_gaussian_decay_m10_G10(self):
         # per-seed relative SD is ~47% at m=10, so the 5% band needs ~2e4 seeds
         assert mean_final_ratio(10, 10, 20000, base_seed=7) == pytest.approx(0.9**10, rel=0.05)
