@@ -20,11 +20,18 @@ this: it encodes each entry once and keeps the text, so a snapshot costs
 only the entries appended since the last one. Code that replaces entries
 (a test that tampers with a ledger) must assign a new list to `_entries`,
 never edit the list in place.
+
+An entry's two canonical texts, the body its content hash covers and its
+file line's body, are written from one encoding of each value
+(`_bodies`). `Ledger.load` writes each line as it checks that entry's
+hash and, once the file verifies, keeps the lines as the text
+`serialize` returns, so a loaded ledger encodes nothing again.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 import operator
 import re
@@ -55,26 +62,36 @@ NANO = 10**9
 GENESIS = "genesis"
 FEE_SINK = "fees"
 ENTRY_KINDS = ("transfer", "mint", "deploy", "sale", "fee")
-# serialize joins at most this many new lines at a time, so the first
-# snapshot of a long ledger holds one chunk of lines beside its text
+# serialize, and load's kept text, join at most this many new lines at a
+# time, so a long ledger's text is never held beside a list of all its lines
 _ENCODE_CHUNK = 512
+# the largest amount, in units, that to_nanos takes; any real supply is
+# far below it, and ledger sums of such amounts stay far inside the
+# 4300-digit limit Python sets on writing an int as text
+MAX_AMOUNT = 10**30
 # scales an amount to nano-units with no rounding; past the default
 # exponent range the product overflows
 _EXACT = Context(prec=MAX_PREC, traps=[InvalidOperation, Overflow])
 
 
 def to_nanos(amount) -> int:
-    """Parse a finite decimal amount into integer nano-units, exactly."""
+    """Parse a finite decimal amount of at most MAX_AMOUNT units, in either
+    sign, into integer nano-units, exactly."""
     if isinstance(amount, int):
-        return amount * NANO
-    try:
-        scaled = _EXACT.multiply(Decimal(str(amount)), NANO)
-    except InvalidOperation as exc:
-        raise ValueError(f"amount {amount!r} is not a decimal") from exc
-    except Overflow as exc:
-        raise ValueError(f"amount {amount!r} is too large") from exc
-    if not scaled.is_finite():
-        raise ValueError(f"amount {amount!r} is not finite")
+        scaled = amount * NANO
+    else:
+        try:
+            scaled = _EXACT.multiply(Decimal(str(amount)), NANO)
+        except InvalidOperation as exc:
+            raise ValueError(f"amount {amount!r} is not a decimal") from exc
+        except Overflow as exc:
+            raise ValueError(f"amount {amount!r} is too large") from exc
+        if not scaled.is_finite():
+            raise ValueError(f"amount {amount!r} is not finite")
+    # a comparison, unlike abs() of a Decimal, never rounds
+    if not -MAX_AMOUNT * NANO <= scaled <= MAX_AMOUNT * NANO:
+        raise ValueError(f"amount {amount!r} is too large: the ledger maximum is "
+                         f"{MAX_AMOUNT:.0e} units")
     nanos = int(scaled)
     if nanos != scaled:
         raise ValueError(f"amount {amount!r} is not representable in 9 decimals")
@@ -137,10 +154,45 @@ def wallet_address(seed: int) -> str:
     return "w" + digest.hexdigest()
 
 
-def _entry_hash(kind: str, src: str, dst: str, amount: int, payload: dict) -> str:
+_json_str = json.encoder.encode_basestring_ascii
+
+
+def _json(value) -> str:
+    """offsetlog.canonical_json(value); a str or an exact int is written as
+    the C encoder writes it inside a body, without a call into the encoder."""
+    if type(value) is str:
+        return _json_str(value)
+    if type(value) is int:
+        return int.__repr__(value)
+    return offsetlog.canonical_json(value)
+
+
+def _bodies(kind: str, src: str, dst: str, amount: int, payload: dict,
+            payload_hash: str | None = None, *, line: bool = False) -> tuple[str, str | None]:
+    """An entry's two canonical JSON texts, from one encoding of each value.
+
+    The hashed body is canonical_json of {amount, dst, kind, payload, src};
+    the file line's body, written only with `line` (else None), is that of
+    {amount, dst, payload, payload_hash, src}. Both sort their keys, so they
+    share the text of every value but kind and payload_hash.
+    """
+    amount, dst, payload, src = _json(amount), _json(dst), _json(payload), _json(src)
+    hashed = (f'{{"amount": {amount}, "dst": {dst}, "kind": {_json(kind)}, '
+              f'"payload": {payload}, "src": {src}}}')
+    if not line:
+        return hashed, None
+    return hashed, (f'{{"amount": {amount}, "dst": {dst}, "payload": {payload}, '
+                    f'"payload_hash": {_json(payload_hash)}, "src": {src}}}')
+
+
+def _content_hash(hashed_body: str) -> str:
     """Content hash over the whole entry body; catches any field tamper."""
-    body = {"kind": kind, "src": src, "dst": dst, "amount": amount, "payload": payload}
-    return hashlib.sha256(offsetlog.canonical_json(body).encode("utf-8")).hexdigest()
+    return hashlib.sha256(hashed_body.encode("utf-8")).hexdigest()
+
+
+def _entry_hash(kind: str, src: str, dst: str, amount: int, payload: dict) -> str:
+    """The content hash of an entry with these fields."""
+    return _content_hash(_bodies(kind, src, dst, amount, payload)[0])
 
 
 def _check_count(name: str, value) -> None:
@@ -391,7 +443,7 @@ class Ledger:
         """
         entries = read_entries(path)
         ledger = cls(fees=fees, clock=SimClock.after(entries[-1].timestamp) if entries else None)
-        violations = _fold_checked(entries, ledger).violations
+        violations = _fold_checked(entries, ledger, keep_text=True).violations
         if violations:
             raise CorruptLogError("ledger entries fail verification: " + "; ".join(violations))
         return ledger
@@ -399,10 +451,8 @@ class Ledger:
 
 def _encode(e: LedgerEntry) -> str:
     """An entry's line in the ledger file."""
-    return offsetlog.encode(e.sequence, e.kind, e.timestamp, {
-        "src": e.src, "dst": e.dst, "amount": e.amount,
-        "payload": e.payload, "payload_hash": e.payload_hash,
-    })
+    line = _bodies(e.kind, e.src, e.dst, e.amount, e.payload, e.payload_hash, line=True)[1]
+    return offsetlog.encode_text(e.sequence, e.kind, e.timestamp, line)
 
 
 def _interned(value):
@@ -447,19 +497,31 @@ def verify_entries(entries: Sequence[LedgerEntry]) -> VerifyReport:
     return _fold_checked(entries, Ledger())
 
 
-def _fold_checked(entries: Sequence[LedgerEntry], ledger: Ledger) -> VerifyReport:
+def _fold_checked(entries: Sequence[LedgerEntry], ledger: Ledger,
+                  keep_text: bool = False) -> VerifyReport:
     """Replay entries on the empty ledger; returns verify_entries' report.
 
     Each operation runs with the fields of the entry it starts at, and each
     entry it commits must be the given one there, which it commits instead.
+    With keep_text, the hash check also writes each entry's file line from
+    the same value texts, and a clean fold hands the joined lines to the
+    ledger's serialize cache, so they are not encoded again.
     """
     violations: list[str] = []
+    text, lines = "", []
     for i, e in enumerate(entries):
         if i and e.timestamp < entries[i - 1].timestamp:
             violations.append(f"seq {i}: timestamp {e.timestamp} precedes seq {i - 1}'s "
                               f"{entries[i - 1].timestamp}")
-        if _entry_hash(e.kind, e.src, e.dst, e.amount, e.payload) != e.payload_hash:
+        hashed, line = _bodies(e.kind, e.src, e.dst, e.amount, e.payload, e.payload_hash,
+                               line=keep_text)
+        if _content_hash(hashed) != e.payload_hash:
             violations.append(f"seq {i}: entry content hash mismatch")
+        if keep_text:
+            lines.append(offsetlog.encode_text(e.sequence, e.kind, e.timestamp, line))
+            if len(lines) == _ENCODE_CHUNK:
+                text += "".join(lines)
+                lines.clear()
 
     written, last = ledger._entries, len(entries) - 1
 
@@ -522,6 +584,8 @@ def _fold_checked(entries: Sequence[LedgerEntry], ledger: Ledger) -> VerifyRepor
             violations.append(
                 f"token {symbol}: circulating {circulating} != supply {token.total_supply}"
             )
+    if keep_text and not violations:
+        ledger._text = (ledger._entries, len(ledger._entries), text + "".join(lines))
     return VerifyReport(ok=not violations, violations=tuple(violations))
 
 
@@ -558,9 +622,17 @@ def generate_art(seed: int, theme: str, width: int = 64, height: int = 64) -> by
     fx, fy, phase, amp = rng.uniform(_LOW, _HIGH).reshape(3, 4, 4, 1, 1).transpose(2, 1, 0, 3, 4)
     xs = np.arange(width, dtype=np.float64) / width
     ys = (np.arange(height, dtype=np.float64) / height)[:, None]
-    field = np.zeros((3, height, width))
-    for k in range(4):
-        field += amp[k] * np.sin(2.0 * math.pi * (fx[k] * xs + fy[k] * ys) + phase[k])
+    # amp * sin(2 pi (fx xs + fy ys) + phase) for every wave of every channel,
+    # as one (4, 3, H, W) array worked in place, so a large image makes no
+    # temporaries of that size. Summing in wave order from w[0] rather than
+    # from zeros can only change a zero's sign, which the min..max scaling
+    # maps to the same byte.
+    w = fx * xs + fy * ys
+    w *= 2.0 * math.pi
+    w += phase
+    np.sin(w, out=w)
+    w *= amp
+    field = w[0] + w[1] + w[2] + w[3]
     lo = field.min(axis=(1, 2), keepdims=True)
     span = field.max(axis=(1, 2), keepdims=True) - lo
     span[span == 0.0] = 1.0
@@ -623,7 +695,7 @@ class AgentChainClient:
 
 
 __all__ = [
-    "NANO", "GENESIS", "FEE_SINK", "to_nanos", "format_nanos",
+    "NANO", "GENESIS", "FEE_SINK", "MAX_AMOUNT", "to_nanos", "format_nanos",
     "Wallet", "LedgerEntry", "MintRecord", "TokenRecord", "ChainFees",
     "VerifyReport", "Ledger", "read_entries", "verify_entries", "implied_market_cap",
     "generate_art", "parse_ppm_size", "AgentChainClient", "wallet_address",

@@ -239,6 +239,9 @@ class _CategoricalBlock:
         )
         shape = (len(rhos), n_seeds)
         self.human = _human_mask(m, rhos)
+        # rows with at least one sample from the model: at rho = 1 every one
+        # is human, and such a row needs no search of its model
+        self.modeled = np.flatnonzero(~self.human[:, 0, -1])
         self.origin_cdf, self.origin_last = np.cumsum(origin_p), np.flatnonzero(origin_p)[-1]
         self.probs = np.broadcast_to(start_p, (*shape, len(self.support)))
         self.last = np.full(shape, np.flatnonzero(start_p)[-1])  # last present symbol
@@ -250,10 +253,10 @@ class _CategoricalBlock:
         """One generation from each column's m uniforms u (S, m); returns the
         (R, S, m) sample indices into the support."""
         R, S, K = self.probs.shape
-        cdf = np.cumsum(self.probs, axis=-1)
-        drawn = np.empty((R, S, self.m), dtype=np.intp)
-        for r, s in np.ndindex(R, S):
-            drawn[r, s] = np.searchsorted(cdf[r, s], u[s], side="right")
+        cdf = np.cumsum(self.probs[self.modeled], axis=-1)
+        drawn = np.zeros((R, S, self.m), dtype=np.intp)
+        for i, s in np.ndindex(len(self.modeled), S):
+            drawn[self.modeled[i], s] = np.searchsorted(cdf[i, s], u[s], side="right")
         np.minimum(drawn, self.last[..., None], out=drawn)
         human = np.minimum(np.searchsorted(self.origin_cdf, u, side="right"), self.origin_last)
         idx = np.where(self.human, human, drawn)

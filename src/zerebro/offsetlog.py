@@ -3,7 +3,9 @@
 Both the agent's event log and the ledger are files of lines
     <offset>\\t<kind>\\t<timestamp>\\t<json body, sorted keys>\\n
 with offsets dense from 0, so line i carries offset i. This module is the
-only code that writes, parses or resumes that format.
+only code that writes, parses or resumes that format. `encode` writes a
+line from a body dict; `encode_text` frames a body its caller has already
+written as canonical JSON, as the ledger does with the text it also hashes.
 """
 
 from __future__ import annotations
@@ -21,7 +23,12 @@ canonical_json = json.JSONEncoder(sort_keys=True).encode
 
 def encode(offset: int, kind: str, timestamp: int, body: dict) -> str:
     """One log line, newline included."""
-    return f"{offset}\t{kind}\t{timestamp}\t{canonical_json(body)}\n"
+    return encode_text(offset, kind, timestamp, canonical_json(body))
+
+
+def encode_text(offset: int, kind: str, timestamp: int, body_json: str) -> str:
+    """One log line, newline included, around a body given as its canonical JSON."""
+    return f"{offset}\t{kind}\t{timestamp}\t{body_json}\n"
 
 
 def read(path, kinds: Collection[str]) -> Iterator[tuple[int, str, int, dict]]:

@@ -6,8 +6,10 @@ import json
 import math
 import os
 import platform
+import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -68,10 +70,19 @@ class TestFixedPoint:
         ("nan", "'nan' is not finite"),
         ("1e999999999", "'1e999999999' is too large"),
         ("1e-999999999", "'1e-999999999' is not representable in 9 decimals"),
-    ], ids=["inf", "minus-inf", "nan", "huge", "tiny"])
+        ("1e5000", "'1e5000' is too large: the ledger maximum is 1e\\+30 units"),
+    ], ids=["inf", "minus-inf", "nan", "huge", "tiny", "above-ledger-maximum"])
     def test_non_finite_or_out_of_range_amount_is_value_error(self, amount, named):
         with pytest.raises(ValueError, match=named):
             to_nanos(amount)
+
+    def test_ledger_maximum_is_inclusive_in_either_sign(self):
+        from zerebro.chain import MAX_AMOUNT, NANO
+
+        assert to_nanos(MAX_AMOUNT) == -to_nanos("-1e30") == MAX_AMOUNT * NANO
+        for amount in (MAX_AMOUNT + 1, -MAX_AMOUNT - 1, f"{MAX_AMOUNT}.000000001"):
+            with pytest.raises(ValueError, match=f"amount {re.escape(repr(amount))} is too large"):
+                to_nanos(amount)
 
 
 class TestWallets:
@@ -770,6 +781,50 @@ def encoded_afresh(entries) -> str:
     )
 
 
+class _Count(int):
+    """An int subclass whose repr is not its JSON text; JSON writes the int."""
+
+    def __repr__(self):
+        return f"_Count({int(self)})"
+
+
+_json_keys = st.text(max_size=6)
+_json_scalars = (
+    st.none() | st.booleans() | st.floats()
+    | st.integers() | st.integers(min_value=2**64, max_value=2**80) | st.integers().map(_Count)
+    # quotes, backslashes, control characters and non-ASCII text
+    | st.text(alphabet=st.sampled_from('ab"\\\x00\x1f\n\t\x7f\xe9\u2603\U0001f600'), max_size=8)
+    | st.text(max_size=8)
+)
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(_json_keys, inner, max_size=3)
+                   | st.dictionaries(st.integers(), inner, max_size=3)),
+    max_leaves=10,
+)
+
+
+class TestEntryEncoding:
+    """The entry hash and the file line share one encoding of each value;
+    both must stay the bytes canonical_json writes for the whole body."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(kind=_json_values, src=_json_values, dst=_json_values, amount=_json_values,
+           payload=st.dictionaries(_json_keys, _json_values, max_size=4)
+           | st.dictionaries(st.integers(), _json_values, max_size=4),
+           payload_hash=_json_values)
+    def test_hash_and_line_equal_the_whole_body_formulas(
+            self, kind, src, dst, amount, payload, payload_hash):
+        from zerebro.chain import LedgerEntry, _encode, _entry_hash
+
+        body = {"kind": kind, "src": src, "dst": dst, "amount": amount, "payload": payload}
+        expected = hashlib.sha256(offsetlog.canonical_json(body).encode("utf-8")).hexdigest()
+        assert _entry_hash(kind, src, dst, amount, payload) == expected
+        entry = LedgerEntry(3, kind, src, dst, amount, 1700000000000, payload, payload_hash)
+        assert _encode(entry) == encoded_afresh([entry])
+
+
 def live_op(ledger, addresses, code, i, j, x) -> bool:
     """One live op picked by code, wallets by i and j, amounts and art by x.
 
@@ -851,18 +906,56 @@ class TestSerializeCache:
         ledger.transfer(addresses[0], addresses[0], 0)
         assert ledger.serialize() == encoded_afresh(ledger.entries)
 
-    def test_loaded_ledger_then_appended(self, tmp_path):
-        # long enough that the first serialize encodes several chunks
+    def test_loaded_ledger_then_appended(self, tmp_path, monkeypatch):
+        import zerebro.chain
+
+        def encoded_again(e):
+            raise AssertionError(f"entry {e.sequence} encoded again")
+
+        # long enough that load and the first serialize work in several chunks
         ledger, addresses = churned(4000, seed=13, endowment="100")
         assert len(ledger.entries) > 1200
         path = tmp_path / "ledger.log"
         ledger.save(path)
         loaded = Ledger.load(path)
-        assert loaded.serialize() == encoded_afresh(loaded.entries)
-        assert loaded.serialize() == path.read_text(encoding="utf-8")
+        with monkeypatch.context() as patched:
+            # load keeps the text its verification wrote
+            patched.setattr(zerebro.chain, "_encode", encoded_again)
+            text = loaded.serialize()
+            assert loaded.serialize() is text
+        assert text == encoded_afresh(loaded.entries) == path.read_text(encoding="utf-8")
         list(random_ops(loaded, addresses, 14, 150))
         assert loaded.serialize() == encoded_afresh(loaded.entries)
         assert loaded.verify().ok
+
+    def test_non_canonical_file_loads_and_serializes_canonically(self, tmp_path):
+        ledger, (a, b) = fresh_ledger(2)
+        ledger.transfer(a.address, b.address, 5)
+        path = tmp_path / "ledger.log"
+        ledger.save(path)
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        head, body = lines[-1].rsplit("\t", 1)
+        # the same values in another key order, with one space dropped: the
+        # content hash covers values, not text, so the file still verifies
+        reordered = json.dumps(dict(reversed(json.loads(body).items())))
+        assert reordered.endswith('"amount": 5}')
+        lines[-1] = head + "\t" + reordered.replace('"amount": 5', '"amount":5') + "\n"
+        path.write_text("".join(lines), encoding="utf-8")
+
+        loaded = Ledger.load(path)
+        assert loaded.entries == ledger.entries
+        assert loaded.serialize() == encoded_afresh(loaded.entries) == ledger.serialize()
+        assert loaded.serialize() != path.read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("tamper", ["hash", "replay"])
+    def test_file_failing_verification_still_raises(self, tmp_path, tamper):
+        entries = list(churned(300, seed=16)[0].entries)
+        if tamper == "hash":
+            entries[-1] = replace(entries[-1], amount=entries[-1].amount + 1)
+        else:  # a consistent hash, but no operation writes this entry
+            entries[-1] = rehashed(entries[-1], entries[-1].payload, amount=10**15)
+        with pytest.raises(CorruptLogError, match="fail verification"):
+            Ledger.load(saved(entries, tmp_path))
 
     def test_threads_append_and_serialize(self):
         import threading

@@ -69,10 +69,15 @@ class TestExitCodes:
             (["chain", "mint", "--endowment", "1e999999999"], None,
              "amount '1e999999999' is too large"),
             (["agent", "--turns", "1", "--endowment=inf"], None, "amount 'inf' is not finite"),
+            (["chain", "mint", "--endowment", "1e5000"], None,
+             "amount '1e5000' is too large: the ledger maximum"),
+            (["agent", "--turns", "1", "--endowment", "1e5000"], None,
+             "amount '1e5000' is too large: the ledger maximum"),
         ],
         ids=["memory-source", "deploy-supply", "connector-line", "connector-none",
              "connector-outage", "connector-limit", "agent-eta", "agent-max-actions",
-             "mint-endowment-inf", "mint-endowment-huge", "agent-endowment-inf"],
+             "mint-endowment-inf", "mint-endowment-huge", "agent-endowment-inf",
+             "mint-endowment-above-maximum", "agent-endowment-above-maximum"],
     )
     def test_bad_value_is_usage_error(self, tmp_path, capsys, argv, connectors, named):
         if connectors is not None:
