@@ -158,8 +158,8 @@ _json_str = json.encoder.encode_basestring_ascii
 
 
 def _json(value) -> str:
-    """offsetlog.canonical_json(value); a str or an exact int is written as
-    the C encoder writes it inside a body, without a call into the encoder."""
+    """offsetlog.canonical_json(value); an exact str or int is written as the
+    C encoder writes it inside a body, without a call into the encoder."""
     if type(value) is str:
         return _json_str(value)
     if type(value) is int:
