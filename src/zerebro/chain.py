@@ -196,9 +196,14 @@ def _entry_hash(kind: str, src: str, dst: str, amount: int, payload: dict) -> st
 
 
 def _check_count(name: str, value) -> None:
-    """Counts and amounts are whole, in live calls and in replayed ledger files alike."""
+    """Counts and amounts are whole and at most MAX_AMOUNT units in either
+    sign, in live calls and in replayed ledger files alike."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{name} must be an int, got {value!r}")
+    if abs(value) > MAX_AMOUNT * NANO:
+        # the value is not written out: past 4300 digits str() of it raises
+        raise ValueError(f"{name} is out of range: the ledger maximum is "
+                         f"{MAX_AMOUNT * NANO:.0e} nano-units ({MAX_AMOUNT:.0e} units)")
 
 
 _ART_HASH = re.compile("[0-9a-f]{64}")

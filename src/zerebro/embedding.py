@@ -2,10 +2,11 @@
 
 Every n-gram of the utf-8 byte stream, for the fixed range of n from
 NGRAM_MIN = 3 to NGRAM_MAX = 5 (a shorter text is one whole-text gram), is
-hashed in one rolling pass into one of D buckets and contributes +1 or -1
-(second hash bit), then the bucket vector is L2-normalized. The result is
-a unit vector that is bit-reproducible for a given (text, config) pair,
-with no model files and no network. An alternate engine ("remote-stub")
+hashed in one rolling pass, finalized with every other window in one
+salted mixing pass, and lands in one of D buckets, where it contributes +1
+or -1 (second hash bit); then the bucket vector is L2-normalized. The
+result is a unit vector that is bit-reproducible for a given (text,
+config) pair, with no model files and no network. An alternate engine ("remote-stub")
 honors the same interface so a real remote embedding client could be
 swapped in later via configuration.
 
@@ -46,8 +47,8 @@ class EmbeddingConfig:
             raise BadConfigError("seed must fit in 64 unsigned bits")
 
 
-def _mix(h: np.ndarray, salt: np.uint64) -> np.ndarray:
-    """splitmix64 finalizer over a uint64 array, salted."""
+def _mix(h: np.ndarray, salt: np.ndarray) -> np.ndarray:
+    """splitmix64 finalizer over a uint64 array, salted element by element."""
     z = (h ^ salt) + _GOLDEN
     z = (z ^ (z >> np.uint64(30))) * _MIX1
     z = (z ^ (z >> np.uint64(27))) * _MIX2
@@ -60,7 +61,8 @@ def embed(text: str, config: EmbeddingConfig = EmbeddingConfig()) -> np.ndarray:
     One rolling pass extends each window's polynomial hash by a byte per n.
     Every n from min(NGRAM_MIN, len) to NGRAM_MAX that fits is hashed, salted
     with the seed and n: a text shorter than NGRAM_MIN bytes is one whole-text
-    gram, so any non-blank text embeds. Raises EmptyTextError for empty or
+    gram, so any non-blank text embeds. The windows of every n are mixed in
+    one pass, each with its own n's salt. Raises EmptyTextError for empty or
     whitespace-only text.
     """
     if not text or not text.strip():
@@ -69,13 +71,16 @@ def embed(text: str, config: EmbeddingConfig = EmbeddingConfig()) -> np.ndarray:
     data = np.frombuffer(text.encode("utf-8"), dtype=np.uint8).astype(np.uint64)
     first = min(NGRAM_MIN, len(data))
     h = np.zeros(len(data) + 1, dtype=np.uint64)  # the empty window at each start
-    hashes = []
+    windows, salts = [], []
     for n in range(1, min(NGRAM_MAX, len(data)) + 1):
         h = h[:-1] * _POLY + data[n - 1 :]
         if n >= first:
-            salt = np.uint64((config.seed ^ (n * 0x9E3779B97F4A7C15)) % 2**64)
-            hashes.append(_mix(h, salt))
-    h = np.concatenate(hashes)
+            windows.append(h)
+            salts.append((config.seed ^ (n * 0x9E3779B97F4A7C15)) % 2**64)
+    h = _mix(
+        np.concatenate(windows),
+        np.repeat(np.array(salts, dtype=np.uint64), [len(w) for w in windows]),
+    )
 
     buckets = (h % np.uint64(config.dimension)).astype(np.intp)
     signs = np.where((h >> np.uint64(32)) & np.uint64(1), 1.0, -1.0)

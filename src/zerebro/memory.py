@@ -14,13 +14,20 @@ twice. An upsert of an existing id overwrites its row, keeping its place,
 in a copy of the row's block, so vectors already handed out never change;
 a replacement therefore costs O(BLOCK_ROWS), an insert O(1).
 
-Embedding memo: the store keeps the last (text, vector) it embedded, one
-slot, and make_record and retrieve both go through it, so a text embedded
-as a record and then sent as the next query (the backrooms dialogue), or
-queried and then stored (an agent turn's observation), is embedded once.
-There is no larger cache. The vector handed out, by the memo, make_record
-or add_text, is read-only, like a stored record's, so a caller cannot
-change what a later call returns.
+Embedding memo and held-text index: make_record and retrieve both embed
+through the store, which looks in two places before it calls its engine.
+The memo is the last (text, vector) the store embedded, one slot, so a
+text embedded as a record and then sent as the next query (the backrooms
+dialogue), or queried and then stored (an agent turn's observation), is
+embedded once. The held-text index maps a text to a row that holds its
+vector, so a text the store already holds (an agent observation drawn
+again from the corpus) is not embedded again. It holds row numbers, not
+vectors, and only rows this store's engine embedded: a record enters it
+only when its (text, vector) is the memo's own pair, so a caller-made
+vector and a snapshot-loaded row never do, and a replaced row leaves it.
+The vector handed out, by the memo, the index, make_record or add_text, is
+read-only, like a stored record's, so a caller cannot change what a later
+call returns.
 
 Exactness: retrieval and admission scan the filled rows of each block with
     np.clip(np.vecdot(q, rows) / (float(np.linalg.norm(q)) * norms), -1, 1)
@@ -142,6 +149,7 @@ class MemoryStore:
         self._blocks: list[np.ndarray] = []  # (BLOCK_ROWS, D) vectors
         self._norms: list[np.ndarray] = []  # (BLOCK_ROWS,) cached norms
         self._last: tuple[str, np.ndarray] | None = None  # the embedding memo
+        self._held: dict[str, int] = {}  # text -> a row its engine vector fills
         self._lock = threading.Lock()
 
     @property
@@ -174,12 +182,17 @@ class MemoryStore:
         return list(self._rows)
 
     def _embed(self, text: str) -> np.ndarray:
-        """The engine's read-only vector for text, from the one-slot memo
-        when text is the last text embedded."""
+        """The engine's read-only vector for text: from the one-slot memo
+        when text is the last text embedded, else the row the held-text
+        index names, else the engine."""
         last = self._last
         if last is not None and last[0] == text:
             return last[1]
-        vector = _read_only(self._engine.embed_text(text))
+        with self._lock:
+            row = self._held.get(text)
+            vector = None if row is None else self._records[row].vector
+        if vector is None:
+            vector = _read_only(self._engine.embed_text(text))
         self._last = (text, vector)
         return vector
 
@@ -262,10 +275,16 @@ class MemoryStore:
         self._norms[block][offset] = float(np.linalg.norm(view))
         stored = replace(record, vector=view)
         if replacing:
+            old = self._records[row].text
+            if self._held.get(old) == row:
+                del self._held[old]
             self._records[row] = stored
         else:  # published last, so unlocked readers never see a half-made row
             self._records.append(stored)
             self._rows[record.id] = row
+        last = self._last
+        if last is not None and last[0] == record.text and last[1] is record.vector:
+            self._held[record.text] = row
 
     def _copy_block(self, block: int) -> None:
         """Move a block to new memory before one of its rows is overwritten:

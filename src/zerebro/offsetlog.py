@@ -17,8 +17,21 @@ from .errors import CorruptLogError, IoFailureError
 
 
 # The one canonical JSON, for log bodies and the ledger's content hashes:
-# json.dumps(body, sort_keys=True), without building an encoder per call
-canonical_json = json.JSONEncoder(sort_keys=True).encode
+# json.dumps(value, sort_keys=True), from one C encoder built at import
+# (JSONEncoder.encode builds a new one per call). It is given no marker dict,
+# so calls share no state, even after one raised; a self-referencing value
+# raises RecursionError, where json.dumps raises ValueError.
+_DEFAULTS = json.JSONEncoder(sort_keys=True)
+_encode = json.encoder.c_make_encoder(
+    None, _DEFAULTS.default, json.encoder.encode_basestring_ascii, None,  # no markers, no indent
+    _DEFAULTS.key_separator, _DEFAULTS.item_separator,
+    True, False, True,  # sort_keys, skipkeys, allow_nan
+)
+
+
+def canonical_json(value) -> str:
+    """json.dumps(value, sort_keys=True)."""
+    return "".join(_encode(value, 0))
 
 
 def encode(offset: int, kind: str, timestamp: int, body: dict) -> str:

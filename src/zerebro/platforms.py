@@ -4,7 +4,9 @@ Connectors assign dense, strictly increasing post ids under a lock and
 enforce per-platform length limits (280 for the short-form analog, 1024
 elsewhere). Engagement is a pure seeded function of content length and
 distinct-1 token diversity, monotone in diversity at fixed length, which
-lets the feedback loop reward diverse output end to end.
+lets the feedback loop reward diverse output end to end. Its three random
+multipliers depend on the connector seed and the post length alone, so a
+connector draws them once per length it sees and keeps them.
 
 The event log is the remote-logging analog: a local file in the
 dense-offset line format of `zerebro.offsetlog`. Replaying a session's log
@@ -18,6 +20,8 @@ import math
 import threading
 from dataclasses import dataclass
 from typing import Callable
+
+import numpy as np
 
 from . import agent as agent_mod
 from . import offsetlog
@@ -85,6 +89,9 @@ class SimulatedConnector:
         # the post count
         self._posts: dict[int, str] = {}
         self._attempts = 0
+        # the engagement multipliers drawn for each post length: at most
+        # char_limit + 1 entries, since no post is longer
+        self._multipliers: dict[int, np.ndarray] = {}
         self._lock = threading.Lock()
 
     @property
@@ -128,7 +135,10 @@ class SimulatedConnector:
         length = len(content)
         # post accepts whitespace-only content, which has no 1-grams
         diversity = distinct_n([content], 1) if content.strip() else 0.0
-        u = stream(f"{self.seed}:{length}".encode("ascii")).uniform(0.5, 1.5, size=3)
+        u = self._multipliers.get(length)
+        if u is None:
+            u = stream(f"{self.seed}:{length}".encode("ascii")).uniform(0.5, 1.5, size=3)
+            self._multipliers[length] = u
         score = math.sqrt(length) * (0.25 + 0.75 * diversity)
         return EngagementMetrics(
             post_id=post_id,

@@ -206,12 +206,14 @@ class TestEmbedOnce:
 
     def test_stored_injections_embed_each_text_once(self, embedded):
         transcript, _ = run(turns=60, seed=2, rate=0.5, store_injected=True)
-        expected = []
+        stored = []
         for t in transcript.turns:
             if t.injected:
-                expected.append(t.observation)
-            expected.append(t.generated)
-        assert embedded == expected
+                stored.append(t.observation)
+            stored.append(t.generated)
+        # a sentence injected again is one the store holds: it is not embedded again
+        assert len(set(stored)) < len(stored)
+        assert embedded == list(dict.fromkeys(stored))
 
 
 class TestDirectionCheck:

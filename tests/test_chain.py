@@ -20,6 +20,8 @@ from hypothesis import strategies as st
 from zerebro import offsetlog
 from zerebro.chain import (
     GENESIS,
+    MAX_AMOUNT,
+    NANO,
     ChainFees,
     Ledger,
     format_nanos,
@@ -731,6 +733,47 @@ class TestWholeCounts:
             assert ledger.serialize() == before
 
 
+class TestAmountBound:
+    """Live ops refuse a count or amount past MAX_AMOUNT units, in either
+    sign, naming the field, before committing; one at the bound is taken
+    and written as before."""
+
+    TOP = MAX_AMOUNT * NANO
+
+    @pytest.mark.parametrize("value", [TOP + 1, -TOP - 1, 10**5000, -(10**5000)],
+                             ids=["above", "below", "5001-digits", "minus-5001-digits"])
+    @pytest.mark.parametrize("field", ["endowment", "amount", "total_supply", "price", "units"])
+    def test_out_of_range_is_named_and_writes_nothing(self, field, value):
+        ledger, (a, b) = fresh_ledger(2)
+        ledger.mint_nft(a, generate_art(1, "moth", 8, 8))
+        ledger.deploy_token(a, "moth token", "MOTH", 1000)
+        ops = {
+            "endowment": lambda: ledger.create_wallet(seed=7, endowment=value),
+            "amount": lambda: ledger.transfer(a.address, b.address, value),
+            "total_supply": lambda: ledger.deploy_token(a, "owl token", "OWL", value),
+            "price": lambda: ledger.execute_sale(0, a.address, b.address, value),
+            "units": lambda: ledger.execute_sale(("MOTH", value), a.address, b.address, 1),
+        }
+        before = ledger.serialize()
+        with pytest.raises(ValueError, match=f"^{field} is out of range: the ledger maximum "
+                                             r"is 1e\+39 nano-units \(1e\+30 units\)$"):
+            ops[field]()
+        assert ledger.serialize() == before
+
+    def test_amounts_at_the_bound_keep_their_bytes(self):
+        ledger = Ledger()
+        a = ledger.create_wallet(seed=1, endowment=self.TOP)
+        b = ledger.create_wallet(seed=2, endowment=to_nanos("1"))
+        ledger.deploy_token(b, "moth token", "MOTH", self.TOP)
+        ledger.execute_sale(("MOTH", self.TOP), b.address, a.address, self.TOP)
+        ledger.mint_nft(b, generate_art(1, "moth", 8, 8))
+        ledger.execute_sale(0, b.address, a.address, 0)
+        ledger.transfer(b.address, a.address, self.TOP)
+        assert ledger.verify().ok
+        assert hashlib.sha256(ledger.serialize().encode("utf-8")).hexdigest() == (
+            "e5dc1952024ab7787697e822507979eea377ce8540861d1ea940bc0865cedc5f")
+
+
 class TestAssetIdentity:
     """An NFT id is an int and not a bool; an art hash is a sha256 hex digest."""
 
@@ -791,6 +834,7 @@ class _Count(int):
 _json_keys = st.text(max_size=6)
 _json_scalars = (
     st.none() | st.booleans() | st.floats()
+    | st.sampled_from([math.nan, math.inf, -math.inf, -0.0])
     | st.integers() | st.integers(min_value=2**64, max_value=2**80) | st.integers().map(_Count)
     # quotes, backslashes, control characters and non-ASCII text
     | st.text(alphabet=st.sampled_from('ab"\\\x00\x1f\n\t\x7f\xe9\u2603\U0001f600'), max_size=8)
@@ -803,6 +847,30 @@ _json_values = st.recursive(
                    | st.dictionaries(st.integers(), inner, max_size=3)),
     max_leaves=10,
 )
+
+
+class TestCanonicalJson:
+    """canonical_json is json.dumps(value, sort_keys=True), call after call."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(value=_json_values)
+    def test_equals_json_dumps(self, value):
+        assert offsetlog.canonical_json(value) == json.dumps(value, sort_keys=True)
+
+    def test_exact_after_an_unserializable_value(self):
+        value = {"a": [1, {"b": 2.5}], "bad": object()}
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            offsetlog.canonical_json(value)
+        del value["bad"]
+        # the same dict again: nothing from the failed call marks it as seen
+        assert offsetlog.canonical_json(value) == json.dumps(value, sort_keys=True)
+
+    def test_self_reference_raises(self):
+        looped = {"a": 1}
+        looped["self"] = looped
+        with pytest.raises((ValueError, RecursionError)):
+            offsetlog.canonical_json(looped)
+        assert offsetlog.canonical_json({"a": 1}) == '{"a": 1}'
 
 
 class TestEntryEncoding:

@@ -1,10 +1,12 @@
 """Memory store: upsert/replace semantics, brute-force retrieval oracle,
 diversity admission, snapshot persistence."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from zerebro.embedding import EmbeddingConfig, cosine_similarity, embed
+from zerebro.embedding import EmbeddingConfig, HashedEngine, cosine_similarity, embed
 from zerebro.errors import (
     CorruptSnapshotError,
     DimensionMismatchError,
@@ -413,10 +415,11 @@ def filled_store(size: int, dimension: int = 16, backend: str = "hashed", seed: 
     return store
 
 
-def assert_matches_oracle(store: MemoryStore, rng, queries: int = 8):
+def assert_matches_oracle(store: MemoryStore, rng, queries: int = 8, texts=()):
+    """Every retrieve equals the per-record oracle, for `queries` random
+    queries and then each of `texts`."""
     engine_store = MemoryStore(store.config, backend=store.backend)
-    for _ in range(queries):
-        query = random_text(rng)
+    for query in [random_text(rng) for _ in range(queries)] + list(texts):
         try:
             q = engine_store.make_record("q", query).vector
         except EmptyTextError:
@@ -587,18 +590,23 @@ class TestBlockStoreOracle:
             except BaseException as exc:  # pragma: no cover - failure reporting
                 errors.append(exc)
 
-        def reader():
+        def reader(w):
             try:
                 q = store.make_record("q", "record replaced by writer").vector
-                for _ in range(25):
+                for i in range(25):
                     for r in store.retrieve("record replaced by writer", 5):
                         assert r.similarity == cosine_similarity(q, r.record.vector)
                         assert (r.record.vector == embed(r.record.text, CFG16)).all()
+                    # a text a writer stores and another writer replaces: the
+                    # held-text index serves it only while its row holds it
+                    held = embed(f"record {i} replaced by writer {w}", CFG16)
+                    for r in store.retrieve(f"record {i} replaced by writer {w}", 3):
+                        assert r.similarity == cosine_similarity(held, r.record.vector)
             except BaseException as exc:  # pragma: no cover - failure reporting
                 errors.append(exc)
 
         threads = [threading.Thread(target=writer, args=(w,)) for w in range(3)]
-        threads += [threading.Thread(target=reader) for _ in range(3)]
+        threads += [threading.Thread(target=reader, args=(w,)) for w in range(3)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -644,3 +652,93 @@ class TestBlockStoreOracle:
             s.persist(path)
             digests.append(hashlib.sha256(path.read_bytes()).hexdigest())
         assert digests == PERSIST_DIGESTS
+
+
+@pytest.fixture
+def embedded(monkeypatch):
+    """How many times the hashed engine has embedded each text."""
+    counts = Counter()
+    original = HashedEngine.embed_text
+
+    def counting(self, text):
+        counts[text] += 1
+        return original(self, text)
+
+    monkeypatch.setattr(HashedEngine, "embed_text", counting)
+    return counts
+
+
+def made(record_id: str, text: str, config=CFG16) -> MemoryRecord:
+    """A record whose vector its caller made: the negated engine vector."""
+    return MemoryRecord(id=record_id, text=text, vector=-embed(text, config),
+                        source="human", timestamp=0)
+
+
+def assert_ranked_by_engine(store: MemoryStore, query: str, k: int = 5):
+    """retrieve(query) scores the records with the engine's vector for query."""
+    got = store.retrieve(query, k)
+    assert [(r.similarity, r.record.id) for r in got] == brute_force_rank(store, query)[:k]
+
+
+class TestHeldTextIndex:
+    """A text the store holds, as a vector its own engine made, is not
+    embedded again; no other vector ever stands in for the engine's."""
+
+    LANTERN = "a lantern at the ferry"
+
+    def test_text_stored_then_queried_is_embedded_once(self, embedded):
+        store = filled_store(40)
+        store.add_text("held", self.LANTERN)
+        store.upsert(made("made", self.LANTERN))
+        for i in range(6):
+            assert_ranked_by_engine(store, self.LANTERN)
+            store.retrieve(f"chalk on the bridge {i}")  # the memo now holds another text
+        assert embedded[self.LANTERN] == 1
+
+    def test_caller_made_vector_is_never_a_query_vector(self, embedded):
+        store = filled_store(40)
+        store.upsert(made("made", self.LANTERN))
+        owl = "the owl over the mill"
+        store.admit_with_diversity(made("screened", owl), AdmissionPolicy(1.0))
+        for query in (self.LANTERN, owl, self.LANTERN, owl):
+            assert_ranked_by_engine(store, query)
+        assert (embedded[self.LANTERN], embedded[owl]) == (2, 2)
+
+    def test_replaced_row_stops_serving_its_old_text(self, embedded):
+        store = filled_store(40)
+        first, second, third = self.LANTERN, "the owl over the mill", "smoke on the canal"
+        store.add_text("a", first)
+        store.add_text("a", second)  # an engine vector replaces one
+        assert_ranked_by_engine(store, first)
+        assert_ranked_by_engine(store, second)
+        assert (embedded[first], embedded[second]) == (2, 1)
+        store.upsert(made("a", third))  # a caller-made vector replaces one
+        assert_ranked_by_engine(store, third)
+        assert_ranked_by_engine(store, second)
+        assert (embedded[second], embedded[third]) == (2, 1)
+
+    def test_reloaded_snapshot_texts_are_embedded_afresh(self, embedded, tmp_path):
+        store = MemoryStore(CFG16)
+        texts = [f"the {word} at dusk" for word in WORDS[:12]]
+        for i, text in enumerate(texts):
+            store.add_text(f"r{i:02d}", text)
+        store.persist(tmp_path / "store.snapshot")
+        loaded = MemoryStore.load(tmp_path / "store.snapshot")
+        for text in texts:
+            assert_ranked_by_engine(loaded, text)
+        # once for the store that wrote the snapshot, once for the loaded one
+        assert all(embedded[text] == 2 for text in texts)
+
+    def test_oracle_with_repeated_texts(self):
+        rng = np.random.default_rng(9)
+        store = filled_store(BLOCK_ROWS + 20)
+        texts = [random_text(rng) for _ in range(12)]
+        for i in range(60):
+            text = texts[i % len(texts)]
+            if i % 5 == 4:
+                store.upsert(made(f"m{i:02d}", text))
+            elif i % 7 == 6:  # replace a first-block row, so its block is copied
+                store.add_text(f"r{i:04d}", text)
+            else:
+                store.add_text(f"t{i:02d}", text)
+        assert_matches_oracle(store, rng, queries=2, texts=texts)

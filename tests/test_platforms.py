@@ -2,6 +2,7 @@
 injection, engagement determinism, append-only replay."""
 
 import json
+import math
 import threading
 
 import pytest
@@ -10,6 +11,7 @@ from zerebro.agent import initial_state, run_session, session_state_hash
 from zerebro.chain import AgentChainClient, Ledger, to_nanos
 from zerebro.clock import SimClock
 from zerebro.corpus import human_corpus
+from zerebro.diversity import distinct_n
 from zerebro.embedding import EmbeddingConfig
 from zerebro.errors import (
     ConnectorDownError,
@@ -20,6 +22,7 @@ from zerebro.errors import (
 from zerebro.generator import MarkovGenerator
 from zerebro.memory import MemoryStore
 from zerebro.platforms import (
+    EngagementMetrics,
     EventLog,
     SimulatedConnector,
     load_connector_config,
@@ -27,6 +30,7 @@ from zerebro.platforms import (
     read_log,
     replay_log,
 )
+from zerebro.seeding import stream
 
 
 class TestConnector:
@@ -70,6 +74,24 @@ class TestConnector:
         assert lo.likes <= hi.likes
         assert lo.shares <= hi.shares
         assert lo.comments <= hi.comments
+
+    def test_engagement_matches_a_fresh_draw_per_call(self):
+        def reference(connector, post_id):
+            content = connector.get_post(post_id)
+            diversity = distinct_n([content], 1) if content.strip() else 0.0
+            u = stream(f"{connector.seed}:{len(content)}".encode("ascii")).uniform(0.5, 1.5, 3)
+            score = math.sqrt(len(content)) * (0.25 + 0.75 * diversity)
+            return EngagementMetrics(post_id, int(score * u[0] * 2.0),
+                                     int(score * u[1] * 0.6), int(score * u[2] * 0.4))
+
+        # four posts of one length, of differing diversity, and three of other lengths
+        texts = [" ".join(["aa"] * 8), "ab cd ef gh ij kl mn op", "ab ab ef ef ij ij mn op",
+                 "   " + "x" * 20, "gulls", "gulls quarrel over the same empty shell", "   "]
+        for seed in (3, 11):
+            connector = SimulatedConnector("twitter", seed=seed)
+            ids = [connector.post(text).post_id for text in texts]
+            for post_id in ids + ids[::-1]:
+                assert connector.fetch_engagement(post_id) == reference(connector, post_id)
 
     def test_whitespace_only_post_has_engagement(self):
         # post accepts it; it has no tokens, so its diversity scores 0.0
