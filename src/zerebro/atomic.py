@@ -14,8 +14,10 @@ def write_atomic(path, data: bytes) -> None:
     """Replace path's contents with data.
 
     The bytes go to a temp file in the same directory, which is flushed,
-    fsynced, then moved over path with os.replace. On any failure the temp
-    file is removed, path is left as it was, and the error propagates.
+    fsynced, then moved over path with os.replace. On any failure up to the
+    rename the temp file is removed, path is left as it was, and the error
+    propagates. The directory is then fsynced, so the rename itself survives
+    a power loss; an error there propagates with path already replaced.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.tmp")
@@ -28,3 +30,8 @@ def write_atomic(path, data: bytes) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+    directory = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(directory)
+    finally:
+        os.close(directory)

@@ -14,18 +14,11 @@ that writes it and requires that exactly the given entries come out, and
 `Ledger.load` keeps the ledger that replay built. The ledger persists in
 the dense-offset line format of `zerebro.offsetlog`.
 
-Committed entries, and their payload dicts, are immutable, and a ledger
-only ever appends to its `_entries` list. `Ledger.serialize` relies on
-this: it encodes each entry once and keeps the text, so a snapshot costs
-only the entries appended since the last one. Code that replaces entries
-(a test that tampers with a ledger) must assign a new list to `_entries`,
-never edit the list in place.
-
-An entry's two canonical texts, the body its content hash covers and its
-file line's body, are written from one encoding of each value
-(`_bodies`). `Ledger.load` writes each line as it checks that entry's
-hash and, once the file verifies, keeps the lines as the text
-`serialize` returns, so a loaded ledger encodes nothing again.
+An entry's file line is written once, when it is committed, by `_line`,
+from the same encoding of its values that its content hash reads. A
+replayed entry commits the line its hash check wrote, so a loaded ledger
+encodes nothing again, and `Ledger.serialize` only joins the lines
+committed since its last call onto the text it keeps.
 """
 
 from __future__ import annotations
@@ -62,9 +55,6 @@ NANO = 10**9
 GENESIS = "genesis"
 FEE_SINK = "fees"
 ENTRY_KINDS = ("transfer", "mint", "deploy", "sale", "fee")
-# serialize, and load's kept text, join at most this many new lines at a
-# time, so a long ledger's text is never held beside a list of all its lines
-_ENCODE_CHUNK = 512
 # the largest amount, in units, that to_nanos takes; any real supply is
 # far below it, and ledger sums of such amounts stay far inside the
 # 4300-digit limit Python sets on writing an int as text
@@ -167,32 +157,23 @@ def _json(value) -> str:
     return offsetlog.canonical_json(value)
 
 
-def _bodies(kind: str, src: str, dst: str, amount: int, payload: dict,
-            payload_hash: str | None = None, *, line: bool = False) -> tuple[str, str | None]:
-    """An entry's two canonical JSON texts, from one encoding of each value.
+def _line(sequence: int, kind: str, timestamp: int, src: str, dst: str, amount: int,
+          payload: dict) -> tuple[str, str]:
+    """An entry's content hash and its file line, from one encoding of each value.
 
-    The hashed body is canonical_json of {amount, dst, kind, payload, src};
-    the file line's body, written only with `line` (else None), is that of
-    {amount, dst, payload, payload_hash, src}. Both sort their keys, so they
-    share the text of every value but kind and payload_hash.
+    The hash, over the whole entry body so it catches any field tamper, is
+    the sha256 of canonical_json of {amount, dst, kind, payload, src}; the
+    line's body is canonical_json of {amount, dst, payload, payload_hash,
+    src}. Both sort their keys, so they share the text of every value but
+    kind and payload_hash.
     """
     amount, dst, payload, src = _json(amount), _json(dst), _json(payload), _json(src)
-    hashed = (f'{{"amount": {amount}, "dst": {dst}, "kind": {_json(kind)}, '
-              f'"payload": {payload}, "src": {src}}}')
-    if not line:
-        return hashed, None
-    return hashed, (f'{{"amount": {amount}, "dst": {dst}, "payload": {payload}, '
-                    f'"payload_hash": {_json(payload_hash)}, "src": {src}}}')
-
-
-def _content_hash(hashed_body: str) -> str:
-    """Content hash over the whole entry body; catches any field tamper."""
-    return hashlib.sha256(hashed_body.encode("utf-8")).hexdigest()
-
-
-def _entry_hash(kind: str, src: str, dst: str, amount: int, payload: dict) -> str:
-    """The content hash of an entry with these fields."""
-    return _content_hash(_bodies(kind, src, dst, amount, payload)[0])
+    payload_hash = hashlib.sha256((
+        f'{{"amount": {amount}, "dst": {dst}, "kind": {_json(kind)}, '
+        f'"payload": {payload}, "src": {src}}}').encode("utf-8")).hexdigest()
+    return payload_hash, offsetlog.encode_text(sequence, kind, timestamp, (
+        f'{{"amount": {amount}, "dst": {dst}, "payload": {payload}, '
+        f'"payload_hash": "{payload_hash}", "src": {src}}}'))
 
 
 def _check_count(name: str, value) -> None:
@@ -225,9 +206,9 @@ class Ledger:
         self._tokens: dict[str, TokenRecord] = {}
         self._token_balances: dict[str, dict[str, int]] = {}
         self._lock = threading.RLock()
-        # serialize's cache: (the _entries list it read, how many of its
-        # entries the text holds, their encoded lines joined)
-        self._text: tuple[list[LedgerEntry], int, str] = (self._entries, 0, "")
+        # the file text: the lines serialize has joined, and those committed since
+        self._text = ""
+        self._pending: list[str] = []
 
     # --- views -------------------------------------------------------------
 
@@ -257,15 +238,20 @@ class Ledger:
 
     def _append(self, kind: str, src: str, dst: str, amount: int, payload: dict) -> LedgerEntry:
         """Commit one entry and fold it into the state; callers validate first."""
-        entry = self._entry(kind, src, dst, amount, payload)
+        entry, line = self._entry(kind, src, dst, amount, payload)
         self._entries.append(entry)
+        self._pending.append(line)
         self._apply(entry)
         return entry
 
-    def _entry(self, kind: str, src: str, dst: str, amount: int, payload: dict) -> LedgerEntry:
-        """The next entry, stamped by the clock; replay puts the given one here."""
-        return LedgerEntry(len(self._entries), kind, src, dst, amount, self._clock(), payload,
-                           _entry_hash(kind, src, dst, amount, payload))
+    def _entry(self, kind: str, src: str, dst: str, amount: int,
+               payload: dict) -> tuple[LedgerEntry, str]:
+        """The next entry, stamped by the clock, and its file line; replay puts
+        the given ones here."""
+        sequence, timestamp = len(self._entries), self._clock()
+        payload_hash, line = _line(sequence, kind, timestamp, src, dst, amount, payload)
+        return LedgerEntry(sequence, kind, src, dst, amount, timestamp, payload,
+                           payload_hash), line
 
     def _apply(self, e: LedgerEntry) -> None:
         """The state transition for one committed entry; operations check, it does not."""
@@ -415,23 +401,14 @@ class Ledger:
     def serialize(self) -> str:
         """The ledger file's text: each entry's `offsetlog` line, in order.
 
-        Each entry is encoded once. The text is kept, keyed by the
-        `_entries` list object and how many of its entries it covers, and a
-        call encodes only the entries appended since the last one; with
-        none, it returns the kept text itself. This holds because committed
-        entries and their payload dicts never change and `_entries` is only
-        appended to. Code that replaces entries must assign a new list to
-        `_entries`, which is then encoded from scratch.
+        The text is kept, and a call joins onto it the lines committed since
+        the last one; with none, it returns the kept text itself.
         """
         with self._lock:
-            entries = self._entries
-            cached, done, text = self._text
-            if cached is not entries or done > len(entries):
-                done, text = 0, ""
-            for start in range(done, len(entries), _ENCODE_CHUNK):
-                text += "".join(map(_encode, entries[start:start + _ENCODE_CHUNK]))
-            self._text = (entries, len(entries), text)
-            return text
+            if self._pending:
+                self._text += "".join(self._pending)
+                self._pending.clear()
+            return self._text
 
     def save(self, path) -> None:
         try:
@@ -448,16 +425,10 @@ class Ledger:
         """
         entries = read_entries(path)
         ledger = cls(fees=fees, clock=SimClock.after(entries[-1].timestamp) if entries else None)
-        violations = _fold_checked(entries, ledger, keep_text=True).violations
+        violations = _fold_checked(entries, ledger).violations
         if violations:
             raise CorruptLogError("ledger entries fail verification: " + "; ".join(violations))
         return ledger
-
-
-def _encode(e: LedgerEntry) -> str:
-    """An entry's line in the ledger file."""
-    line = _bodies(e.kind, e.src, e.dst, e.amount, e.payload, e.payload_hash, line=True)[1]
-    return offsetlog.encode_text(e.sequence, e.kind, e.timestamp, line)
 
 
 def _interned(value):
@@ -474,16 +445,18 @@ def _interned(value):
 
 
 def read_entries(path) -> list[LedgerEntry]:
-    """A ledger file's entries, unverified; CorruptLogError on a bad line."""
+    """A ledger file's entries, unverified; CorruptLogError on a line that
+    lacks a field. Values are kept as read: replay refuses an amount that is
+    not an int."""
     entries = []
     for sequence, kind, timestamp, body in offsetlog.read(path, ENTRY_KINDS):
         try:
             entries.append(LedgerEntry(
                 sequence=sequence, kind=_interned(kind), src=_interned(body["src"]),
-                dst=_interned(body["dst"]), amount=int(body["amount"]), timestamp=timestamp,
+                dst=_interned(body["dst"]), amount=body["amount"], timestamp=timestamp,
                 payload=_interned(body["payload"]), payload_hash=body["payload_hash"],
             ))
-        except (KeyError, TypeError, ValueError) as exc:
+        except KeyError as exc:
             raise CorruptLogError(f"{path}: bad ledger line {sequence}: {exc}") from exc
     return entries
 
@@ -502,35 +475,29 @@ def verify_entries(entries: Sequence[LedgerEntry]) -> VerifyReport:
     return _fold_checked(entries, Ledger())
 
 
-def _fold_checked(entries: Sequence[LedgerEntry], ledger: Ledger,
-                  keep_text: bool = False) -> VerifyReport:
+def _fold_checked(entries: Sequence[LedgerEntry], ledger: Ledger) -> VerifyReport:
     """Replay entries on the empty ledger; returns verify_entries' report.
 
     Each operation runs with the fields of the entry it starts at, and each
-    entry it commits must be the given one there, which it commits instead.
-    With keep_text, the hash check also writes each entry's file line from
-    the same value texts, and a clean fold hands the joined lines to the
-    ledger's serialize cache, so they are not encoded again.
+    entry it commits must be the given one there, which it commits instead,
+    with the file line its hash check wrote.
     """
     violations: list[str] = []
-    text, lines = "", []
+    lines: list[str] = []
     for i, e in enumerate(entries):
         if i and e.timestamp < entries[i - 1].timestamp:
             violations.append(f"seq {i}: timestamp {e.timestamp} precedes seq {i - 1}'s "
                               f"{entries[i - 1].timestamp}")
-        hashed, line = _bodies(e.kind, e.src, e.dst, e.amount, e.payload, e.payload_hash,
-                               line=keep_text)
-        if _content_hash(hashed) != e.payload_hash:
+        payload_hash, line = _line(e.sequence, e.kind, e.timestamp, e.src, e.dst, e.amount,
+                                   e.payload)
+        if payload_hash != e.payload_hash:
             violations.append(f"seq {i}: entry content hash mismatch")
-        if keep_text:
-            lines.append(offsetlog.encode_text(e.sequence, e.kind, e.timestamp, line))
-            if len(lines) == _ENCODE_CHUNK:
-                text += "".join(lines)
-                lines.clear()
+        lines.append(line)
 
     written, last = ledger._entries, len(entries) - 1
 
-    def given(kind: str, src: str, dst: str, amount: int, payload: dict) -> LedgerEntry:
+    def given(kind: str, src: str, dst: str, amount: int,
+              payload: dict) -> tuple[LedgerEntry, str]:
         # the given entry, if it is the one written here to the byte: == takes
         # 1, 1.0 and True for one another, so the values' types must match too
         seq = len(written)
@@ -539,7 +506,7 @@ def _fold_checked(entries: Sequence[LedgerEntry], ledger: Ledger,
             ours = (seq, kind, src, dst, amount, *payload.values())
             theirs = (e.sequence, e.kind, e.src, e.dst, e.amount, *map(e.payload.get, payload))
             if ours == theirs and list(map(type, ours)) == list(map(type, theirs)):
-                return e
+                return e, lines[seq]
         raise CorruptLogError(f"seq {seq}: the {entries[start].kind} at seq {start} writes "
                               f"{kind} {src} -> {dst} amount {amount} payload {payload!r} here")
 
@@ -589,8 +556,6 @@ def _fold_checked(entries: Sequence[LedgerEntry], ledger: Ledger,
             violations.append(
                 f"token {symbol}: circulating {circulating} != supply {token.total_supply}"
             )
-    if keep_text and not violations:
-        ledger._text = (ledger._entries, len(ledger._entries), text + "".join(lines))
     return VerifyReport(ok=not violations, violations=tuple(violations))
 
 

@@ -32,6 +32,7 @@ from .embedding import EmbeddingConfig
 from .errors import ZerebroError
 from .generator import MarkovGenerator
 from .memory import DEFAULT_TOP_K, MemoryStore
+from .offsetlog import canonical_json
 from .platforms import EventLog, load_connector_config, make_default_connectors
 
 OUT_ENV = "ZEREBRO_OUT"
@@ -205,7 +206,7 @@ def cmd_memory(args, config: dict[str, str], out: Path) -> tuple[int, list[str]]
         stats = store.stats()
         print(
             f"count={stats.count} dispersion={stats.dispersion:.6f} "
-            f"histogram={json.dumps(stats.source_histogram, sort_keys=True)}"
+            f"histogram={canonical_json(stats.source_histogram)}"
         )
     return 0, [store_path.name]
 

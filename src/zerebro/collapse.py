@@ -56,7 +56,6 @@ categorical origin of K symbols (R, SEED_CHUNK, K) probabilities.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -65,6 +64,7 @@ import numpy as np
 
 from .diversity import tail_mass
 from .errors import BadConfigError, DegenerateFitError
+from .offsetlog import canonical_json
 
 MODEL_KINDS = ("gaussian", "categorical")
 TAIL_K = 2.0
@@ -460,7 +460,7 @@ def _config_json(config: RecursionConfig) -> str:
         origin = {"mu": config.origin.mu, "sigma2": config.origin.sigma2}
     else:
         origin = {"probabilities": {str(k): v for k, v in config.origin.probabilities.items()}}
-    return json.dumps(
+    return canonical_json(
         {
             "model_kind": config.model_kind,
             "m": config.m,
@@ -468,8 +468,7 @@ def _config_json(config: RecursionConfig) -> str:
             "rho": config.rho,
             "seed": config.seed,
             "origin": origin,
-        },
-        sort_keys=True,
+        }
     )
 
 

@@ -72,6 +72,7 @@ from .errors import (
     IoFailureError,
     ZerebroError,
 )
+from .offsetlog import canonical_json
 
 SOURCES = ("human", "agent", "platform-feedback")
 DEFAULT_TOP_K = 5
@@ -368,7 +369,7 @@ class MemoryStore:
                     np.ascontiguousarray(r.vector, dtype="<f8").tobytes()
                 ).decode("ascii"),
             }
-            lines.append(json.dumps(payload, sort_keys=True, ensure_ascii=True))
+            lines.append(canonical_json(payload))
         body = ("\n".join(lines) + "\n").encode("utf-8")
         checksum = hashlib.sha256(body).hexdigest()
         try:

@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from zerebro.atomic import write_atomic
 from zerebro.chain import Ledger, to_nanos
 from zerebro.embedding import EmbeddingConfig
 from zerebro.errors import IoFailureError
@@ -46,3 +47,24 @@ def test_failed_write_keeps_previous_file(tmp_path, monkeypatch, writer):
     writer(grow=True)(path)
     assert path.read_bytes() != previous
 
+
+def test_rename_is_fsynced_in_its_directory(tmp_path, monkeypatch):
+    """The rename reaches the disk too: after os.replace, the directory that
+    holds the file is fsynced."""
+    calls = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fsync(fd):
+        calls.append(("fsync", os.path.samestat(os.fstat(fd), tmp_path.stat())))
+        real_fsync(fd)
+
+    def replace(src, dst):
+        calls.append(("replace", None))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    write_atomic(tmp_path / "state", b"new bytes")
+    # the temp file's own fsync, the rename, then the directory's
+    assert calls == [("fsync", False), ("replace", None), ("fsync", True)]
+    assert (tmp_path / "state").read_bytes() == b"new bytes"

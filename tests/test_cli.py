@@ -412,9 +412,8 @@ class TestOutEnvDefault:
 
 class TestChainVerifyViolations:
     def test_token_sale_without_units(self, tmp_path, capsys):
-        from dataclasses import replace
-
-        from zerebro.chain import Ledger, _entry_hash, to_nanos
+        from test_chain import rehashed, saved
+        from zerebro.chain import Ledger, to_nanos
 
         ledger = Ledger()
         a = ledger.create_wallet(seed=1, endowment=to_nanos("10"))
@@ -423,13 +422,7 @@ class TestChainVerifyViolations:
         ledger.execute_sale(("MOTH", 250), a.address, b.address, to_nanos("1"))
         sale = ledger.entries[-1]
         payload = {"token": "MOTH", "price": sale.payload["price"]}
-        tampered = Ledger()
-        tampered._entries = [*ledger.entries[:-1], replace(
-            sale, payload=payload,
-            payload_hash=_entry_hash(sale.kind, sale.src, sale.dst, sale.amount, payload),
-        )]
-        path = tmp_path / "ledger.log"
-        path.write_text(tampered.serialize(), encoding="utf-8")
+        path = saved([*ledger.entries[:-1], rehashed(sale, payload)], tmp_path)
 
         code = run_cli("chain", "verify", "--ledger", str(path), "--out", str(tmp_path))
         assert code == 1
@@ -439,9 +432,8 @@ class TestChainVerifyViolations:
         assert f"violation: seq {sale.sequence}: sale payload {read!r} cannot be read" in out
 
     def test_sale_payload_not_an_object(self, tmp_path, capsys):
-        from dataclasses import replace
-
-        from zerebro.chain import Ledger, _entry_hash, generate_art, to_nanos
+        from test_chain import rehashed, saved
+        from zerebro.chain import Ledger, generate_art, to_nanos
 
         ledger = Ledger()
         a = ledger.create_wallet(seed=1, endowment=to_nanos("10"))
@@ -450,13 +442,7 @@ class TestChainVerifyViolations:
         ledger.execute_sale(minted.token_id, a.address, b.address, to_nanos("1"))
         sale = ledger.entries[-1]
         payload = [sale.payload["nft"]]
-        tampered = Ledger()
-        tampered._entries = [*ledger.entries[:-1], replace(
-            sale, payload=payload,
-            payload_hash=_entry_hash(sale.kind, sale.src, sale.dst, sale.amount, payload),
-        )]
-        path = tmp_path / "ledger.log"
-        path.write_text(tampered.serialize(), encoding="utf-8")
+        path = saved([*ledger.entries[:-1], rehashed(sale, payload)], tmp_path)
 
         code = run_cli("chain", "verify", "--ledger", str(path), "--out", str(tmp_path))
         assert code == 1
@@ -464,6 +450,28 @@ class TestChainVerifyViolations:
         assert (f"violation: seq {sale.sequence}: sale payload {payload!r} cannot be read"
                 in captured.out)
         assert "Traceback" not in captured.out + captured.err
+
+    @pytest.mark.parametrize("amount", ["Infinity", "1e400", "2.5"])
+    def test_amount_not_an_int(self, tmp_path, capsys, amount):
+        from test_chain import rehashed, saved
+        from zerebro.chain import Ledger, to_nanos
+
+        ledger = Ledger()
+        ledger.create_wallet(seed=1, endowment=to_nanos("10"))
+        value = json.loads(amount)  # 1e400 reads as inf
+        path = saved([rehashed(ledger.entries[0], ledger.entries[0].payload, amount=value)],
+                     tmp_path)
+        # the amount as the file spells it, under a content hash that matches
+        path.write_text(path.read_text(encoding="utf-8").replace(json.dumps(value), amount),
+                        encoding="utf-8")
+
+        assert run_cli("chain", "verify", "--out", str(tmp_path)) == 1
+        assert capsys.readouterr().out == (
+            f"violation: seq 0: endowment must be an int, got {value!r}\n")
+        assert run_cli("chain", "mint", "--art-seed", "3", "--out", str(tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"endowment must be an int, got {value!r}" in err
 
 
 def tree(root) -> dict[str, bytes]:
