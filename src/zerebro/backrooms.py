@@ -9,18 +9,20 @@ narrowing vocabulary shows up as falling distinct-2 and dispersion.
 
 The window (`_Window`) is kept, not rebuilt: each turn adds the new text
 and evicts the oldest. It holds only what a turn cannot rebuild cheaply:
-each text's token list, split once; the records' own read-only vectors,
-not copies; and the bigram counts, so distinct-2 is len(counts) / total,
-the integer ratio `distinct_n` computes. The unigram histogram is rebuilt
-from the token lists in window order, so entropy sums in the full
-recompute's order, and distinct-1 is its key count over its total.
-Dispersion is one gram product over the WINDOW vectors, and tail mass
-reads the token lists' lengths. The store embeds each text once (see
-`memory`): the generated text stored as a record is the next turn's
-query. So a turn's Python work is one split and bigram count of its new
-text, one embed per new text, the retrieval scan, and the O(WINDOW)
-histogram and gram product; nothing is re-split or re-embedded. Every
-figure equals the full recompute over the window bit for bit.
+each text's token list, split once; each text's unit row, normalised once
+as it enters, in one contiguous slice of a (2 * WINDOW, D) array that is
+moved to the front when it reaches the end; and the bigram counts, so
+distinct-2 is len(counts) / total, the integer ratio `distinct_n`
+computes. The unigram histogram is rebuilt from the token lists in window
+order, so entropy sums in the full recompute's order, and distinct-1 is
+its key count over its total. Dispersion is one gram product over the
+kept unit rows, and tail mass reads the token lists' lengths. The store
+embeds each text once (see `memory`): the generated text stored as a
+record is the next turn's query. So a turn's Python work is one split and
+bigram count of its new text, one embed and one row normalisation per new
+text, the retrieval scan, and the O(WINDOW) histogram and gram product;
+nothing is re-split, re-embedded or re-normalised. Every figure equals
+the full recompute over the window bit for bit.
 """
 
 from __future__ import annotations
@@ -33,7 +35,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import human_corpus
-from .diversity import DiversityReport, distinct_n, embedding_dispersion, shannon_entropy, tail_mass
+from .diversity import DiversityReport, distinct_n, normalize_rows, shannon_entropy, tail_mass
+from .diversity import embedding_dispersion  # noqa: F401  the name perfbench/tracer.py wraps
+from .diversity import unit_dispersion
 from .errors import BadConfigError, ZerebroError
 from .generator import Generator
 from .memory import MemoryStore
@@ -87,11 +91,13 @@ class TurnError(ZerebroError):
 
 
 class _Window:
-    """The last WINDOW generated texts: token lists, vectors, bigram counts."""
+    """The last WINDOW generated texts: token lists, unit rows, bigram counts."""
 
-    def __init__(self):
+    def __init__(self, dimension: int):
         self._tokens: deque[list[str]] = deque()
-        self._vectors: deque[np.ndarray] = deque()
+        # the live unit rows are _rows[_stop - len(_tokens) : _stop]
+        self._rows = np.empty((2 * WINDOW, dimension))
+        self._stop = 0
         # a key is deleted when its count reaches 0
         self._bigrams: dict[tuple[str, str], int] = {}
 
@@ -100,10 +106,14 @@ class _Window:
         tokens = text.split()
         self._count(tokens, 1)
         self._tokens.append(tokens)
-        self._vectors.append(vector)
         if len(self._tokens) > WINDOW:
             self._count(self._tokens.popleft(), -1)
-            self._vectors.popleft()
+        if self._stop == len(self._rows):  # move the kept rows to the front
+            self._stop = len(self._tokens) - 1
+            self._rows[: self._stop] = self._rows[len(self._rows) - self._stop :]
+        self._rows[self._stop] = vector
+        normalize_rows(self._rows[self._stop : self._stop + 1])
+        self._stop += 1
 
     def _count(self, tokens: list[str], step: int) -> None:
         """Add (step 1) or remove (step -1) one text's bigrams."""
@@ -116,7 +126,7 @@ class _Window:
 
     def report(self, baseline: tuple[float, float]) -> DiversityReport:
         n = len(self._tokens)
-        dispersion = embedding_dispersion(list(self._vectors)) if n >= 2 else 0.0
+        dispersion = unit_dispersion(self._rows[self._stop - n : self._stop]) if n >= 2 else 0.0
         # rebuilt in window order, so entropy sums in the full recompute's order
         histogram = Counter(itertools.chain.from_iterable(self._tokens))
         bigrams = sum(self._bigrams.values())
@@ -149,7 +159,7 @@ def run_backrooms(
     baseline = statistics.fmean(lengths), statistics.pstdev(lengths)
     rng = np.random.default_rng(config.seed)
 
-    window = _Window()
+    window = _Window(memory.dimension)
     records: list[TurnRecord] = []
     last_output = config.opening_prompt
 

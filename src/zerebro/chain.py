@@ -465,7 +465,8 @@ def verify_entries(entries: Sequence[LedgerEntry]) -> VerifyReport:
     """Replay entries at the default fees; report, never raise, each violation.
 
     Each is one line, `seq N: <message>`: `timestamp T precedes seq M's T'`,
-    `entry content hash mismatch`, the refusing operation's own error,
+    `entry content hash mismatch`, `<kind> src|dst must be a str, got A`
+    (for an address of another JSON type), the refusing operation's own error,
     `<kind> payload P cannot be read`, `the <kind> at seq M writes <entry>
     here` (for an entry that differs or is missing), `the <kind> at seq N
     writes nothing`, `no operation starts with a '<kind>' entry`, `negative
@@ -515,7 +516,10 @@ def _fold_checked(entries: Sequence[LedgerEntry], ledger: Ledger) -> VerifyRepor
     while start <= last:
         e, p, stop = entries[start], entries[start].payload, None
         try:
-            if e.kind == "transfer" and e.src == GENESIS:
+            if type(e.src) is not str or type(e.dst) is not str:
+                bad = "src" if type(e.src) is not str else "dst"
+                stop = f"seq {start}: {e.kind} {bad} must be a str, got {getattr(e, bad)!r}"
+            elif e.kind == "transfer" and e.src == GENESIS:
                 ledger._endow(e.dst, e.amount)
             elif e.kind == "transfer":
                 ledger.transfer(e.src, e.dst, e.amount)

@@ -4,6 +4,8 @@ Four independent measurements cover token-level variety (entropy,
 distinct-n), semantic spread (embedding dispersion), and how much of the
 origin distribution's tails survive (tail mass). The collapse lab, the
 memory store, and the backrooms experiment all report through these.
+Dispersion is `unit_dispersion` (one gram product) over `normalize_rows`;
+the backrooms window keeps unit rows and does only the gram each turn.
 """
 
 from __future__ import annotations
@@ -28,16 +30,17 @@ def shannon_entropy(histogram: Mapping[object, int]) -> float:
 
     Zero-count bins are ignored; negative counts are invalid.
     """
-    counts = [c for c in histogram.values() if c != 0]
-    if any(c < 0 for c in counts):
+    counts = histogram.values()
+    if min(counts, default=0) < 0:
         raise ValueError("histogram counts must be non-negative")
     total = sum(counts)
     if total < 1:
         raise EmptyHistogramError("histogram has no mass")
     h = 0.0
     for c in counts:
-        p = c / total
-        h -= p * math.log2(p)
+        if c:
+            p = c / total
+            h -= p * math.log2(p)
     return max(0.0, h)
 
 
@@ -75,14 +78,26 @@ def embedding_dispersion(vectors: Sequence[np.ndarray]) -> float:
     for v in vectors[1:]:
         if v.shape != dim:
             raise DimensionMismatchError(f"mixed dimensions: {dim} vs {v.shape}")
-    mat = np.array(vectors, dtype=np.float64)  # np.stack(vectors), as float64
+    # np.stack(vectors), as float64
+    return unit_dispersion(normalize_rows(np.array(vectors, dtype=np.float64)))
+
+
+def normalize_rows(mat: np.ndarray) -> np.ndarray:
+    """Divide each float64 row by its norm, in place, and return mat. A row's
+    norm is the same alone or in a batch, so a kept unit row equals the batch's."""
     norms = np.linalg.norm(mat, axis=1)
-    if np.any(norms == 0.0):
+    if (norms == 0.0).any():
         raise ValueError("dispersion is undefined for zero-norm vectors")
-    unit = mat / norms[:, None]
-    gram = np.clip(unit @ unit.T, -1.0, 1.0)
+    mat /= norms[:, None]
+    return mat
+
+
+def unit_dispersion(unit: np.ndarray) -> float:
+    """embedding_dispersion of rows already divided by their norms."""
+    gram = unit @ unit.T
+    np.clip(gram, -1.0, 1.0, out=gram)
     # the pairs i < j, in np.triu_indices(n, k=1)'s row-major order
-    return float(np.mean(1.0 - gram[~np.tri(len(vectors), dtype=bool)]))
+    return float(np.mean(1.0 - gram[~np.tri(len(unit), dtype=bool)]))
 
 
 def tail_mass(samples: Sequence[float], mu0: float, sigma0: float, k: float) -> float:

@@ -44,7 +44,8 @@ memory.
 
 Snapshot format (utf-8, "\\n" line endings):
     memstore v1 dim=<D> ngram_min=3 ngram_max=5 seed=<s> backend=<name>
-    <one JSON record per line, vector as base64 little-endian float64>
+    <one JSON record per line, vector as base64 little-endian float64;
+     a field of another JSON type than _RECORD_FIELDS states is corrupt>
     checksum=<sha256 hex of every prior byte>
 The n-gram range is embedding's fixed NGRAM_MIN..NGRAM_MAX; a snapshot
 stating any other range is refused as corrupt.
@@ -77,6 +78,9 @@ from .offsetlog import canonical_json
 SOURCES = ("human", "agent", "platform-feedback")
 DEFAULT_TOP_K = 5
 SNAPSHOT_VERSION = "memstore v1"
+# each snapshot record field's exact JSON type; a bool is not an int here
+_RECORD_FIELDS = {"id": str, "text": str, "vector": str, "source": str, "timestamp": int,
+                 "screened": bool}
 BLOCK_ROWS = 512
 
 
@@ -414,14 +418,18 @@ class MemoryStore:
         for lineno, line in enumerate(lines[1:-2], start=2):
             try:
                 payload = json.loads(line.decode("utf-8"))
+                for name, kind in _RECORD_FIELDS.items():
+                    if type(payload[name]) is not kind:
+                        raise CorruptSnapshotError(f"field {name!r} must be {kind.__name__}, "
+                                                   f"got {payload[name]!r}")
                 vector = np.frombuffer(base64.b64decode(payload["vector"]), dtype="<f8")
                 record = MemoryRecord(
                     id=payload["id"],
                     text=payload["text"],
                     vector=vector,
                     source=payload["source"],
-                    timestamp=int(payload["timestamp"]),
-                    screened=bool(payload["screened"]),
+                    timestamp=payload["timestamp"],
+                    screened=payload["screened"],
                 )
                 if record.id in store:
                     raise CorruptSnapshotError(f"duplicate record id {record.id!r}")

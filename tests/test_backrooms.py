@@ -2,19 +2,22 @@
 the kept window against a full recompute, embed counts, error annotation,
 transcript files."""
 
+import math
 import statistics
 
+import numpy as np
 import pytest
 
 from zerebro.backrooms import (
     WINDOW,
     BackroomsConfig,
     TurnError,
+    _Window,
     run_backrooms,
     write_transcript,
 )
 from zerebro.corpus import human_corpus
-from zerebro.diversity import distinct_n, embedding_dispersion, shannon_entropy, tail_mass
+from zerebro.diversity import distinct_n, tail_mass
 from zerebro.embedding import EmbeddingConfig, HashedEngine
 from zerebro.errors import BadConfigError, NoNgramsError
 from zerebro.generator import MarkovGenerator
@@ -23,8 +26,8 @@ from zerebro.memory import MemoryStore
 CFG = EmbeddingConfig(dimension=64)
 
 
-def run(turns=10, seed=0, rate=0.0, store_injected=False, memory=None):
-    memory = memory if memory is not None else MemoryStore(CFG)
+def run(turns=10, seed=0, rate=0.0, store_injected=False, memory=None, config=CFG):
+    memory = memory if memory is not None else MemoryStore(config)
     config = BackroomsConfig(
         turns=turns, seed=seed, injection_rate=rate, store_injected=store_injected
     )
@@ -116,8 +119,27 @@ class RepeatingGenerator:
         return " ".join(words[(seed >> k) % 4] for k in range(1 + seed % 7))
 
 
+def full_dispersion(vectors):
+    """Dispersion over the whole window: stack, normalise every row, gram."""
+    mat = np.array(vectors, dtype=np.float64)
+    unit = mat / np.linalg.norm(mat, axis=1)[:, None]
+    gram = np.clip(unit @ unit.T, -1.0, 1.0)
+    return float(np.mean(1.0 - gram[np.triu_indices(len(vectors), k=1)]))
+
+
+def full_entropy(histogram):
+    """Entropy in bits over positive counts, summed in histogram order."""
+    total = sum(histogram.values())
+    h = 0.0
+    for c in histogram.values():
+        p = c / total
+        h -= p * math.log2(p)
+    return max(0.0, h)
+
+
 def recomputed(transcript, memory):
-    """Every turn's report, rebuilt from scratch over the window's texts."""
+    """Every turn's report, rebuilt from scratch over the window's texts with
+    formulas written out here, not the library's own."""
     lengths = [len(s.split()) for s in human_corpus()]
     mu0, sigma0 = statistics.fmean(lengths), statistics.pstdev(lengths)
     reports = []
@@ -130,10 +152,10 @@ def recomputed(transcript, memory):
             for tok in text.split():
                 tokens[tok] = tokens.get(tok, 0) + 1
         reports.append({
-            "shannon_entropy_bits": shannon_entropy(tokens),
+            "shannon_entropy_bits": full_entropy(tokens),
             "distinct_1": distinct_n(texts, 1),
             "distinct_2": distinct_n(texts, 2),
-            "embedding_dispersion": embedding_dispersion(vectors) if len(vectors) > 1 else 0.0,
+            "embedding_dispersion": full_dispersion(vectors) if len(vectors) > 1 else 0.0,
             "tail_mass": tail_mass([len(t.split()) for t in texts], mu0, sigma0, 2.0),
         })
     return reports
@@ -148,6 +170,27 @@ class TestKeptWindow:
         transcript, memory = run(turns=70, seed=seed, rate=rate, store_injected=stored)
         for turn, expected in zip(transcript.turns, recomputed(transcript, memory)):
             assert vars(turn.report) == expected, turn.turn
+
+    @pytest.mark.parametrize("dimension", [5, 33, 768])
+    def test_odd_dimensions_equal_recompute(self, dimension):
+        # rows of 5 or 33 float64s put most kept slices off 64-byte boundaries;
+        # 130 turns pass the row array's end, 2 * WINDOW rows, four times
+        transcript, memory = run(turns=130, seed=dimension, rate=0.5, store_injected=True,
+                                 config=EmbeddingConfig(dimension=dimension))
+        for turn, expected in zip(transcript.turns, recomputed(transcript, memory)):
+            assert vars(turn.report) == expected, turn.turn
+
+    @pytest.mark.parametrize("dimension", [5, 33, 768])
+    def test_kept_rows_equal_the_batch_past_compaction(self, dimension):
+        # 128 pushes into 2 * WINDOW rows: the kept rows move to the front 4 times
+        rng = np.random.default_rng(dimension)
+        vectors = rng.standard_normal((5 * WINDOW + 3, dimension))
+        window = _Window(dimension)
+        for i, vector in enumerate(vectors):
+            window.push(f"text {i}", vector)
+            batch = vectors[max(0, i + 1 - WINDOW) : i + 1]
+            live = window._rows[window._stop - len(batch) : window._stop]
+            assert np.array_equal(live, batch / np.linalg.norm(batch, axis=1)[:, None]), i
 
     @pytest.mark.parametrize("seed", [0, 5])
     def test_repeated_tokens_equal_recompute(self, seed):

@@ -616,6 +616,24 @@ class TestNonObjectPayloads:
         )
 
 
+class TestAddressFields:
+    """An entry whose src or dst is not a JSON string is one violation line
+    naming that field, not its payload."""
+
+    @pytest.mark.parametrize("kind", ["transfer", "mint", "deploy", "sale"])
+    @pytest.mark.parametrize("field", ["src", "dst"])
+    @pytest.mark.parametrize("value", [["w1"], {"w": 1}, 5, None, True])
+    def test_reported_by_field(self, tmp_path, kind, field, value):
+        entries = mixed_entries()
+        index = next(i for i, e in enumerate(entries) if e.kind == kind)
+        entries[index] = rehashed(entries[index], entries[index].payload, **{field: value})
+        report = verify_entries(entries)
+        assert report.violations == (f"seq {index}: {kind} {field} must be a str, got {value!r}",)
+
+        with pytest.raises(CorruptLogError, match=f"seq {index}: {kind} {field} must be a str"):
+            Ledger.load(saved(entries, tmp_path))
+
+
 def ledger_ending_with(op):
     """Two endowed wallets, then op as the ledger's last operation."""
     ledger, (a, b) = fresh_ledger(2)

@@ -451,6 +451,20 @@ class TestChainVerifyViolations:
                 in captured.out)
         assert "Traceback" not in captured.out + captured.err
 
+    @pytest.mark.parametrize("field, value", [("src", ["genesis"]), ("dst", {"w": 1})])
+    def test_address_not_a_str(self, tmp_path, capsys, field, value):
+        from test_chain import rehashed, saved
+        from zerebro.chain import Ledger, to_nanos
+
+        ledger = Ledger()
+        ledger.create_wallet(seed=1, endowment=to_nanos("10"))
+        saved([rehashed(ledger.entries[0], ledger.entries[0].payload, **{field: value})],
+              tmp_path)
+
+        assert run_cli("chain", "verify", "--out", str(tmp_path)) == 1
+        assert capsys.readouterr().out == (
+            f"violation: seq 0: transfer {field} must be a str, got {value!r}\n")
+
     @pytest.mark.parametrize("amount", ["Infinity", "1e400", "2.5"])
     def test_amount_not_an_int(self, tmp_path, capsys, amount):
         from test_chain import rehashed, saved

@@ -12,6 +12,7 @@ from zerebro.diversity import (
     DiversityReport,
     distinct_n,
     embedding_dispersion,
+    normalize_rows,
     shannon_entropy,
     tail_mass,
 )
@@ -118,6 +119,31 @@ class TestEmbeddingDispersion:
         full = float(np.mean(1.0 - gram[np.triu_indices(n, k=1)]))
         assert embedding_dispersion(rows) == full
         assert embedding_dispersion(np.stack(rows)) == full
+
+
+class TestUnitRows:
+    """The kept window's identity: a row normalised alone, in place in a
+    larger array, equals the same row normalised in a batch, by ==."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(dim=st.integers(2, 1024), n=st.integers(1, 25),
+           exponents=st.lists(st.floats(-150, 150), min_size=1, max_size=25),
+           seed=st.integers(0, 2**32 - 1))
+    def test_one_row_equals_batched_row(self, dim, n, exponents, seed):
+        rng = np.random.default_rng(seed)
+        scales = 10.0 ** np.resize(np.array(exponents), n)
+        mat = rng.standard_normal((n, dim)) * scales[:, None]
+        batched = normalize_rows(mat.copy())
+        rows = np.empty((n + 2, dim))
+        for i in range(n):
+            row = rows[i + 1 : i + 2]
+            row[0] = mat[i]
+            normalize_rows(row)
+            assert np.array_equal(row[0], batched[i]), i
+
+    def test_zero_row_refused(self):
+        with pytest.raises(ValueError, match="zero-norm"):
+            normalize_rows(np.zeros((1, 4)))
 
 
 class TestTailMass:

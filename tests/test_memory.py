@@ -332,6 +332,48 @@ class TestPersistence:
         store.persist(path)
         assert MemoryStore.load(path).get("c1").screened
 
+    @pytest.mark.parametrize("field, value", [
+        ("text", 5),
+        ("id", 7),
+        ("source", ["agent"]),
+        ("vector", None),
+        ("screened", "yes"),
+        ("screened", 1),
+        ("timestamp", 2.5),
+        ("timestamp", True),
+        ("timestamp", "4"),
+    ])
+    def test_wrong_typed_field_is_corrupt(self, tmp_path, field, value):
+        """A re-checksummed record line holding a field of another JSON type."""
+        import hashlib
+        import json as js
+
+        store = MemoryStore(CFG)
+        store.add_text("r1", "a field of the wrong type", timestamp=4)
+        path = tmp_path / "store.snapshot"
+        store.persist(path)
+        lines = path.read_bytes().split(b"\n")
+        payload = js.loads(lines[1])
+        payload[field] = value
+        lines[1] = js.dumps(payload, sort_keys=True).encode()
+        body = b"\n".join(lines[:-2]) + b"\n"
+        checksum = hashlib.sha256(body).hexdigest()
+        path.write_bytes(body + f"checksum={checksum}\n".encode())
+        with pytest.raises(CorruptSnapshotError,
+                           match=f"bad record at line 2: field '{field}' must be ") as excinfo:
+            MemoryStore.load(path)
+        assert str(path) in str(excinfo.value)
+
+    def test_load_then_persist_keeps_the_bytes(self, tmp_path):
+        rng = np.random.default_rng(43)
+        store = fresh_store(rng, 30)
+        store.admit_with_diversity(store.make_record("c1", "screened on the way in"))
+        store.add_text("a1", "an agent line", source="agent", timestamp=2**40)
+        first, second = tmp_path / "first.snapshot", tmp_path / "second.snapshot"
+        store.persist(first)
+        MemoryStore.load(first).persist(second)
+        assert second.read_bytes() == first.read_bytes()
+
     def test_concurrent_readers_with_one_writer(self):
         import threading
 
