@@ -75,11 +75,11 @@ def cmd_collapse(args, config: dict[str, str], out: Path) -> tuple[int, list[str
         rho=args.rho, seed=args.seed, origin=origin,
     )
 
+    # both computed before either is written, so a refused run leaves --out as it was
     trajectory = collapse_mod.run_recursion(base)
+    report = collapse_mod.compare_regimens(base, [args.rho], n_seeds=args.seeds)
     traj_path = out / "trajectory.tsv"
     collapse_mod.write_trajectory(trajectory, traj_path)
-
-    report = collapse_mod.compare_regimens(base, [args.rho], n_seeds=args.seeds)
     report_path = out / "collapse_report.txt"
     row = report.rows[0]
     lines = [collapse_mod.format_regimen_report(report).rstrip("\n")]
@@ -180,7 +180,8 @@ def cmd_agent(args, config: dict[str, str], out: Path) -> tuple[int, list[str]]:
 
 def cmd_memory(args, config: dict[str, str], out: Path) -> tuple[int, list[str]]:
     store_path = Path(args.store) if args.store else out / "memory.snapshot"
-    if store_path.exists():
+    # only upsert may start a store; query and stats report on one that exists
+    if args.op != "upsert" or store_path.exists():
         store = MemoryStore.load(store_path)
     else:
         _resolve(args, config, "dimension", "embedding.dimension", int,
@@ -219,7 +220,7 @@ def cmd_chain(args, config: dict[str, str], out: Path) -> tuple[int, list[str]]:
     artifacts = [ledger_path.name]
     if args.op == "verify":
         # the entries as read, since Ledger.load refuses a ledger that fails verification
-        entries = chain_mod.read_entries(ledger_path) if ledger_path.exists() else []
+        entries = chain_mod.read_entries(ledger_path)
         report = chain_mod.verify_entries(entries)
         if report.ok:
             print("ok")

@@ -14,20 +14,17 @@ twice. An upsert of an existing id overwrites its row, keeping its place,
 in a copy of the row's block, so vectors already handed out never change;
 a replacement therefore costs O(BLOCK_ROWS), an insert O(1).
 
-Embedding memo and held-text index: make_record and retrieve both embed
-through the store, which looks in two places before it calls its engine.
-The memo is the last (text, vector) the store embedded, one slot, so a
-text embedded as a record and then sent as the next query (the backrooms
-dialogue), or queried and then stored (an agent turn's observation), is
-embedded once. The held-text index maps a text to a row that holds its
-vector, so a text the store already holds (an agent observation drawn
-again from the corpus) is not embedded again. It holds row numbers, not
-vectors, and only rows this store's engine embedded: a record enters it
-only when its (text, vector) is the memo's own pair, so a caller-made
-vector and a snapshot-loaded row never do, and a replaced row leaves it.
-The vector handed out, by the memo, the index, make_record or add_text, is
-read-only, like a stored record's, so a caller cannot change what a later
-call returns.
+Embedding cache: make_record and retrieve embed through the store, which
+maps each text to the vector its engine made, read-only so no caller can
+change what a later call returns. Each text is embedded once, whether
+stored then queried (backrooms), queried then stored (an agent
+observation) or drawn again. Storing a record that holds that very
+vector points the entry at the record's row view, so no vector is held
+twice. Nothing is invalidated: the engine is a pure function of
+the text; only a cache miss inserts, so a caller-made or snapshot-loaded
+vector never enters; and no published row is written again, since a
+replacement writes into a copy of its block. An entry may thus keep a
+replaced block's old copy alive; no workload replaces an id.
 
 Exactness: retrieval and admission scan the filled rows of each block with
     np.clip(np.vecdot(q, rows) / (float(np.linalg.norm(q)) * norms), -1, 1)
@@ -153,8 +150,7 @@ class MemoryStore:
         self._rows: dict[str, int] = {}
         self._blocks: list[np.ndarray] = []  # (BLOCK_ROWS, D) vectors
         self._norms: list[np.ndarray] = []  # (BLOCK_ROWS,) cached norms
-        self._last: tuple[str, np.ndarray] | None = None  # the embedding memo
-        self._held: dict[str, int] = {}  # text -> a row its engine vector fills
+        self._vectors: dict[str, np.ndarray] = {}  # text -> its engine's read-only vector
         self._lock = threading.Lock()
 
     @property
@@ -187,18 +183,10 @@ class MemoryStore:
         return list(self._rows)
 
     def _embed(self, text: str) -> np.ndarray:
-        """The engine's read-only vector for text: from the one-slot memo
-        when text is the last text embedded, else the row the held-text
-        index names, else the engine."""
-        last = self._last
-        if last is not None and last[0] == text:
-            return last[1]
-        with self._lock:
-            row = self._held.get(text)
-            vector = None if row is None else self._records[row].vector
-        if vector is None:
-            vector = _read_only(self._engine.embed_text(text))
-        self._last = (text, vector)
+        """The engine's read-only vector for text, embedded on its first use."""
+        vector = self._vectors.get(text)
+        if vector is None:  # no lock: setdefault keeps a concurrent miss's entry
+            vector = self._vectors.setdefault(text, _read_only(self._engine.embed_text(text)))
         return vector
 
     # --- writes -------------------------------------------------------------
@@ -279,17 +267,13 @@ class MemoryStore:
         view = _read_only(self._blocks[block][offset])
         self._norms[block][offset] = float(np.linalg.norm(view))
         stored = replace(record, vector=view)
+        if self._vectors.get(record.text) is record.vector:
+            self._vectors[record.text] = view
         if replacing:
-            old = self._records[row].text
-            if self._held.get(old) == row:
-                del self._held[old]
             self._records[row] = stored
         else:  # published last, so unlocked readers never see a half-made row
             self._records.append(stored)
             self._rows[record.id] = row
-        last = self._last
-        if last is not None and last[0] == record.text and last[1] is record.vector:
-            self._held[record.text] = row
 
     def _copy_block(self, block: int) -> None:
         """Move a block to new memory before one of its rows is overwritten:

@@ -109,10 +109,27 @@ class TestExitCodes:
         assert "offset 1 is not UTF-8" in err
 
     def test_success_is_zero(self, tmp_path, capsys):
+        (tmp_path / "ledger.log").write_bytes(b"")  # an empty ledger is a valid one
         assert run_cli("chain", "verify", "--out", str(tmp_path)) == 0
         assert capsys.readouterr().out.strip() == "ok"
 
+    @pytest.mark.parametrize("argv", [
+        ["chain", "verify", "--ledger", "{out}/no-such/ledger.log"],
+        ["memory", "query", "--text", "a lantern", "--store", "{out}/no-such/memory.snapshot"],
+        ["memory", "stats", "--store", "{out}/no-such/memory.snapshot"],
+        ["memory", "stats"],
+    ], ids=["chain-verify", "memory-query", "memory-stats", "memory-stats-default-store"])
+    def test_read_only_command_on_missing_file_is_one_error_line(self, tmp_path, capsys,
+                                                                 argv):
+        argv = [a.replace("{out}", str(tmp_path)) for a in argv]
+        assert run_cli(*argv, "--out", str(tmp_path)) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: cannot read ") and captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []  # no manifest names a missing file
+
     def test_module_entrypoint_runs(self, tmp_path):
+        (tmp_path / "ledger.log").write_bytes(b"")
         result = subprocess.run(
             [sys.executable, "-m", "zerebro", "chain", "verify", "--out", str(tmp_path)],
             capture_output=True,
@@ -144,6 +161,15 @@ class TestCollapseCommand:
             if line and not line.startswith(("#", "generation"))
         ]
         assert len(rows) == 1
+
+    def test_refused_run_leaves_earlier_run_as_it_was(self, tmp_path, capsys):
+        assert run_cli("collapse", "--model", "gaussian", "--G", "3",
+                       "--out", str(tmp_path)) == 0
+        before = tree(tmp_path)
+        assert run_cli("collapse", "--model", "gaussian", "--G", "4", "--seeds", "0",
+                       "--out", str(tmp_path)) == 1
+        assert "n_seeds must be positive" in capsys.readouterr().err
+        assert tree(tmp_path) == before
 
 
 class TestMemoryCommand:
@@ -406,6 +432,8 @@ class TestReportCommand:
 class TestOutEnvDefault:
     def test_zerebro_out_env(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("ZEREBRO_OUT", str(tmp_path / "envout"))
+        (tmp_path / "envout").mkdir()
+        (tmp_path / "envout" / "ledger.log").write_bytes(b"")
         assert run_cli("chain", "verify") == 0
         assert (tmp_path / "envout" / "manifest.json").exists()
 
@@ -549,6 +577,11 @@ class TestManifestIsWholeRun:
         out = str(tmp_path)
         assert run_cli("backrooms", "--turns", "2", "--out", out) == 0
         argv = [a.replace("{out}", out) for a in argv]
+        if argv[0] == "memory" and argv[1] != "upsert":  # query and stats read a store
+            assert run_cli("memory", "upsert", "--id", "m0", "--text", "a lantern",
+                           "--out", out) == 0
+        if argv[:2] == ["chain", "verify"]:
+            (tmp_path / "ledger.log").write_bytes(b"")
         assert run_cli(*argv, "--out", out) == 0
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         dests = set(vars(build_parser().parse_args(argv))) - {"func", "config", "out"}

@@ -582,13 +582,13 @@ class TestBlockStoreOracle:
             record.vector[0] = 0.0
         assert not store.add_text("b", "the owl over the mill").vector.flags.writeable
 
-    def test_memo_returns_the_same_vector_once(self):
+    def test_a_text_returns_the_same_vector_every_time(self):
         store = MemoryStore(CFG)
         record = store.make_record("a", "a lantern at the ferry")
         assert store.make_record("b", "a lantern at the ferry").vector is record.vector
         other = store.make_record("c", "the owl over the mill").vector
         again = store.make_record("d", "a lantern at the ferry").vector
-        assert again is not record.vector
+        assert again is record.vector
         assert np.array_equal(again, record.vector) and not np.array_equal(again, other)
 
     def test_stored_vector_unchanged_by_later_embeds(self):
@@ -722,9 +722,9 @@ def assert_ranked_by_engine(store: MemoryStore, query: str, k: int = 5):
     assert [(r.similarity, r.record.id) for r in got] == brute_force_rank(store, query)[:k]
 
 
-class TestHeldTextIndex:
-    """A text the store holds, as a vector its own engine made, is not
-    embedded again; no other vector ever stands in for the engine's."""
+class TestEmbeddingCache:
+    """Each text is embedded once, by the store's own engine; no other
+    vector ever stands in for the engine's."""
 
     LANTERN = "a lantern at the ferry"
 
@@ -734,7 +734,7 @@ class TestHeldTextIndex:
         store.upsert(made("made", self.LANTERN))
         for i in range(6):
             assert_ranked_by_engine(store, self.LANTERN)
-            store.retrieve(f"chalk on the bridge {i}")  # the memo now holds another text
+            store.retrieve(f"chalk on the bridge {i}")  # another text embedded between
         assert embedded[self.LANTERN] == 1
 
     def test_caller_made_vector_is_never_a_query_vector(self, embedded):
@@ -744,20 +744,37 @@ class TestHeldTextIndex:
         store.admit_with_diversity(made("screened", owl), AdmissionPolicy(1.0))
         for query in (self.LANTERN, owl, self.LANTERN, owl):
             assert_ranked_by_engine(store, query)
-        assert (embedded[self.LANTERN], embedded[owl]) == (2, 2)
+        assert (embedded[self.LANTERN], embedded[owl]) == (1, 1)
 
-    def test_replaced_row_stops_serving_its_old_text(self, embedded):
+    def test_replaced_row_text_is_not_embedded_again(self, embedded):
         store = filled_store(40)
         first, second, third = self.LANTERN, "the owl over the mill", "smoke on the canal"
         store.add_text("a", first)
         store.add_text("a", second)  # an engine vector replaces one
         assert_ranked_by_engine(store, first)
         assert_ranked_by_engine(store, second)
-        assert (embedded[first], embedded[second]) == (2, 1)
+        assert (embedded[first], embedded[second]) == (1, 1)
         store.upsert(made("a", third))  # a caller-made vector replaces one
         assert_ranked_by_engine(store, third)
         assert_ranked_by_engine(store, second)
-        assert (embedded[second], embedded[third]) == (2, 1)
+        assert (embedded[second], embedded[third]) == (1, 1)
+
+    def test_stored_text_vector_is_held_once(self):
+        store = filled_store(40)
+        store.add_text("held", self.LANTERN)
+        assert store.make_record("other", self.LANTERN).vector is store.get("held").vector
+
+    def test_backrooms_embeds_each_distinct_text_once(self, embedded):
+        from zerebro.backrooms import BackroomsConfig, run_backrooms
+        from zerebro.generator import MarkovGenerator
+
+        config = BackroomsConfig(turns=80, seed=0, injection_rate=0.5)
+        turns = run_backrooms(config, memory=MemoryStore(CFG16),
+                              generator=MarkovGenerator()).turns
+        injected = Counter(t.observation for t in turns if t.injected)
+        assert max(injected.values()) > 1  # an unstored sentence is queried again
+        assert set(embedded) == set(injected) | {t.generated for t in turns}
+        assert set(embedded.values()) == {1}
 
     def test_reloaded_snapshot_texts_are_embedded_afresh(self, embedded, tmp_path):
         store = MemoryStore(CFG16)
