@@ -23,8 +23,19 @@ vector points the entry at the record's row view, so no vector is held
 twice. Nothing is invalidated: the engine is a pure function of
 the text; only a cache miss inserts, so a caller-made or snapshot-loaded
 vector never enters; and no published row is written again, since a
-replacement writes into a copy of its block. An entry may thus keep a
-replaced block's old copy alive; no workload replaces an id.
+replacement writes into a copy of its block. That copy takes the
+entries viewing the block with it, and the overwritten row's old text
+keeps a copy of its own vector, so the old block is freed.
+
+Ranked cache: retrieve keeps each (query text, top_k)'s results with the
+number of rows it scanned, and a repeated call scans only the rows
+stored since, merging them with the kept results by (-similarity, id).
+That is a total order, so the top k of the union is the top k of the
+whole store; and a row's similarity does not depend on which rows are
+scanned with it (below). Appends leave the cache as it is; a replacement
+clears it, since it changes a scanned row and re-points records. It
+holds at most top_k references per distinct (query text, top_k), beside
+the embedding cache's one vector per text.
 
 Exactness: retrieval and admission scan the filled rows of each block with
     np.clip(np.vecdot(q, rows) / (float(np.linalg.norm(q)) * norms), -1, 1)
@@ -151,6 +162,8 @@ class MemoryStore:
         self._blocks: list[np.ndarray] = []  # (BLOCK_ROWS, D) vectors
         self._norms: list[np.ndarray] = []  # (BLOCK_ROWS,) cached norms
         self._vectors: dict[str, np.ndarray] = {}  # text -> its engine's read-only vector
+        # (query text, top_k) -> (rows scanned, their top_k results)
+        self._ranked: dict[tuple[str, int], tuple[int, list[RetrievalResult]]] = {}
         self._lock = threading.Lock()
 
     @property
@@ -259,7 +272,7 @@ class MemoryStore:
         replacing = row < len(self._records)
         block, offset = divmod(row, BLOCK_ROWS)
         if replacing:
-            self._copy_block(block)
+            self._copy_block(block, row)
         elif block == len(self._blocks):
             self._blocks.append(np.empty((BLOCK_ROWS, self.dimension)))
             self._norms.append(np.empty(BLOCK_ROWS))
@@ -275,18 +288,24 @@ class MemoryStore:
             self._records.append(stored)
             self._rows[record.id] = row
 
-    def _copy_block(self, block: int) -> None:
-        """Move a block to new memory before one of its rows is overwritten:
-        vectors handed out are views of the old memory, and must not change."""
+    def _copy_block(self, block: int, overwritten: int) -> None:
+        """Move a block to new memory before row `overwritten` of it is
+        overwritten: vectors handed out are views of the old memory, and must
+        not change. Cache entries viewing the block follow it, the overwritten
+        row's as a copy of its own, so nothing the store holds keeps the old
+        memory alive; the ranked cache is cleared."""
         start = block * BLOCK_ROWS
         filled = min(BLOCK_ROWS, len(self._records) - start)
         vectors = np.empty_like(self._blocks[block])
         vectors[:filled] = self._blocks[block][:filled]
         self._blocks[block] = vectors
         for row in range(start, start + filled):
-            self._records[row] = replace(
-                self._records[row], vector=_read_only(vectors[row - start])
-            )
+            record = self._records[row]
+            moved = _read_only(vectors[row - start])
+            if self._vectors.get(record.text) is record.vector:
+                self._vectors[record.text] = _read_only(moved.copy()) if row == overwritten else moved
+            self._records[row] = replace(record, vector=moved)
+        self._ranked.clear()
 
     # --- reads ----------------------------------------------------------------
 
@@ -297,32 +316,40 @@ class MemoryStore:
         if top_k < 1:
             raise ValueError(f"top_k must be positive, got {top_k}")
         query = self._embed(query_text)
+        key = (query_text, top_k)
         with self._lock:
-            similarities = self._similarities(query)
+            # rows before start are ranked in kept (see the module docstring)
+            start, kept = self._ranked.get(key, (0, []))
+            similarities = self._similarities(query, start)
             rows = np.arange(len(similarities))
-            cut = len(similarities) - top_k
+            if len(kept) == top_k:  # a new row enters only at or above the k-th kept
+                rows = np.flatnonzero(similarities >= kept[-1].similarity)
+            cut = len(rows) - top_k
             if cut > 0:
                 # keep every row tied with the k-th largest: ids break the tie
-                kth = np.partition(similarities, cut)[cut]
-                rows = np.flatnonzero(similarities >= kth)
-            scored = [
+                kth = np.partition(similarities[rows], cut)[cut]
+                rows = rows[similarities[rows] >= kth]
+            scored = kept + [
                 RetrievalResult(record=self._records[row], similarity=similarity)
-                for row, similarity in zip(rows.tolist(), similarities[rows].tolist())
+                for row, similarity in zip((rows + start).tolist(), similarities[rows].tolist())
             ]
-        scored.sort(key=lambda rr: (-rr.similarity, rr.record.id))
-        return scored[:top_k]
+            scored.sort(key=lambda rr: (-rr.similarity, rr.record.id))
+            del scored[top_k:]
+            self._ranked[key] = (len(self._records), scored)
+        return list(scored)
 
-    def _similarities(self, vector: np.ndarray) -> np.ndarray:
-        """cosine_similarity(vector, r.vector) for every record, in row
-        order, bit for bit (see the module docstring); lock held."""
+    def _similarities(self, vector: np.ndarray, start: int = 0) -> np.ndarray:
+        """cosine_similarity(vector, r.vector) for the records from row start
+        on, in row order, bit for bit (see the module docstring); lock held."""
         query_norm = float(np.linalg.norm(vector))
         parts = []
-        for block, (vectors, norms) in enumerate(zip(self._blocks, self._norms)):
+        for block in range(start // BLOCK_ROWS, len(self._blocks)):
+            first = max(start - block * BLOCK_ROWS, 0)
             filled = min(BLOCK_ROWS, len(self._records) - block * BLOCK_ROWS)
-            denominators = query_norm * norms[:filled]
+            denominators = query_norm * self._norms[block][first:filled]
             if not denominators.all():
                 raise ValueError("cosine similarity is undefined for zero-norm vectors")
-            parts.append(np.vecdot(vector, vectors[:filled]) / denominators)
+            parts.append(np.vecdot(vector, self._blocks[block][first:filled]) / denominators)
         return np.clip(np.concatenate(parts), -1.0, 1.0) if parts else np.empty(0)
 
     def stats(self) -> MemoryStats:

@@ -639,10 +639,12 @@ class TestBlockStoreOracle:
                     for r in store.retrieve("record replaced by writer", 5):
                         assert r.similarity == cosine_similarity(q, r.record.vector)
                         assert (r.record.vector == embed(r.record.text, CFG16)).all()
-                    # a text a writer stores and another writer replaces: the
-                    # held-text index serves it only while its row holds it
-                    held = embed(f"record {i} replaced by writer {w}", CFG16)
-                    for r in store.retrieve(f"record {i} replaced by writer {w}", 3):
+                    # a text a writer stores and another writer replaces, asked
+                    # five times: its ranked results are kept, and extended or
+                    # cleared, while writers append and replace
+                    text = f"record {i % 5} replaced by writer {w}"
+                    held = embed(text, CFG16)
+                    for r in store.retrieve(text, 3):
                         assert r.similarity == cosine_similarity(held, r.record.vector)
             except BaseException as exc:  # pragma: no cover - failure reporting
                 errors.append(exc)
@@ -720,6 +722,7 @@ def assert_ranked_by_engine(store: MemoryStore, query: str, k: int = 5):
     """retrieve(query) scores the records with the engine's vector for query."""
     got = store.retrieve(query, k)
     assert [(r.similarity, r.record.id) for r in got] == brute_force_rank(store, query)[:k]
+    return got
 
 
 class TestEmbeddingCache:
@@ -788,6 +791,27 @@ class TestEmbeddingCache:
         # once for the store that wrote the snapshot, once for the loaded one
         assert all(embedded[text] == 2 for text in texts)
 
+    def test_replacements_free_the_old_block(self):
+        import tracemalloc
+
+        store = MemoryStore(EmbeddingConfig(dimension=768))
+        for i in range(100):
+            store.add_text(f"r{i:03d}", f"the {WORDS[i % len(WORDS)]} at dusk {i}")
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for i in range(20):  # each copies the 512 x 768 block (3 MB)
+                store.add_text(f"r{i:03d}", f"record {i} written again")
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held < 8 * 2**20
+        # the overwritten rows' old texts keep their own vectors
+        for i in range(20):
+            text = f"the {WORDS[i % len(WORDS)]} at dusk {i}"
+            assert store.make_record("q", text).vector.base is None
+            assert_ranked_by_engine(store, text)
+
     def test_oracle_with_repeated_texts(self):
         rng = np.random.default_rng(9)
         store = filled_store(BLOCK_ROWS + 20)
@@ -801,3 +825,72 @@ class TestEmbeddingCache:
             else:
                 store.add_text(f"t{i:02d}", text)
         assert_matches_oracle(store, rng, queries=2, texts=texts)
+
+
+@pytest.fixture
+def scans(monkeypatch):
+    """(start, len(store)) of every _similarities call."""
+    calls = []
+    original = MemoryStore._similarities
+
+    def spying(self, vector, start=0):
+        calls.append((start, len(self)))
+        return original(self, vector, start)
+
+    monkeypatch.setattr(MemoryStore, "_similarities", spying)
+    return calls
+
+
+class TestRankedCache:
+    """A repeated retrieve scans only the rows stored since the last call with
+    the same query and top_k, and returns what a full scan returns."""
+
+    def test_interleaved_writes_match_the_oracle(self):
+        rng = np.random.default_rng(12)
+        store = filled_store(BLOCK_ROWS - 25)
+        queries = [random_text(rng) for _ in range(2)] + ["the same words stored twice"]
+        for step in range(36):
+            text = random_text(rng)
+            if step % 4 == 0:
+                store.add_text(f"n{step:02d}", text)
+            elif step % 4 == 1:  # a replacement, in the first block
+                store.add_text(f"r{int(rng.integers(BLOCK_ROWS - 25)):04d}", text)
+            elif step % 4 == 2:
+                candidate = store.make_record(f"c{step:02d}", text)
+                store.admit_with_diversity(candidate, AdmissionPolicy(0.9))
+            else:  # ties with the kept results under a smaller id: it ranks first
+                store.add_text(f"d{35 - step:02d}", queries[2])
+            for query in queries:
+                expected = brute_force_rank(store, query)
+                for k in (1, 3, 5, len(store)):
+                    got = store.retrieve(query, k)
+                    assert [(r.similarity, r.record.id) for r in got] == expected[:k]
+        assert len(store) > BLOCK_ROWS
+
+    def test_returned_list_is_the_callers(self):
+        store = filled_store(40)
+        query = "lantern river ferry"
+        got = store.retrieve(query, 3)
+        expected = [(r.similarity, r.record.id) for r in got]
+        got.clear()
+        assert [(r.similarity, r.record.id) for r in store.retrieve(query, 3)] == expected
+        store.retrieve(query, 3).pop()
+        store.add_text("late", "chalk on the bridge")
+        assert_ranked_by_engine(store, query, 3)
+
+    def test_repeated_query_scans_only_new_rows(self, scans):
+        store = filled_store(BLOCK_ROWS - 2)
+        query = "owl over the canal mill"
+        assert_ranked_by_engine(store, query, 5)
+        for i in range(3):  # across the block boundary
+            store.add_text(f"x{i}", f"owl canal mill {i}")
+        assert_ranked_by_engine(store, query, 5)
+        assert_ranked_by_engine(store, query, 5)
+        assert_ranked_by_engine(store, query, 3)  # another top_k is another entry
+        store.admit_with_diversity(store.make_record("c", "owl canal"), AdmissionPolicy(1.0))
+        assert_ranked_by_engine(store, query, 5)
+        store.add_text("r0001", "owl over the canal mill")  # a replacement clears
+        assert_ranked_by_engine(store, query, 5)
+        n = BLOCK_ROWS - 2
+        assert scans == [(0, n), (n, n + 3), (n + 3, n + 3), (0, n + 3), (0, n + 3),
+                         (n + 3, n + 4), (0, n + 4)]
