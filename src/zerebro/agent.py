@@ -10,7 +10,9 @@ split keeps the planner testable independent of any language model.
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from types import SimpleNamespace
 from typing import Callable, Mapping, Sequence
@@ -22,12 +24,35 @@ from .corpus import negative_words, positive_words
 from .errors import EmptyTextError, NoGeneratorError, ZerebroError
 from .generator import Generator
 from .memory import MemoryStore
-from .seeding import stream, u64
+from .seeding import Draws, u64
 
 ACTION_KINDS = ("post_text", "generate_image", "mint_art", "deploy_token")
 DEFAULT_WEIGHTS = {kind: 0.25 for kind in ACTION_KINDS}
 DEFAULT_MAX_ACTIONS = 3
 DEFAULT_ETA = 0.1
+
+
+def _weight_sum(weights: Mapping[str, float]) -> float:
+    """The weights' sum as numpy adds fewer than 8 values: in order
+    (ACTION_KINDS order; zero weights add nothing)."""
+    total = 0.0
+    for kind in ACTION_KINDS:
+        total += weights.get(kind, 0.0)
+    return total
+
+
+def _kind_cdf(weights: Mapping[str, float]) -> tuple[list[str], list[float]]:
+    """The kinds of positive weight in ACTION_KINDS order, and the cdf
+    numpy's `choice(p=...)` draws them by: p is the weights over their sum,
+    and the cdf p's running sum over its last value."""
+    kinds = [k for k in ACTION_KINDS if weights.get(k, 0.0) > 0]
+    total = _weight_sum(weights)
+    cdf = []
+    running = 0.0
+    for kind in kinds:
+        running += weights[kind] / total
+        cdf.append(running)
+    return kinds, [c / running for c in cdf]
 
 
 @dataclass(frozen=True)
@@ -48,6 +73,9 @@ class AgentState:
                 raise ValueError(f"weight for {kind!r} must be finite and >= 0, got {w}")
         if not any(w > 0 for w in weights.values()):
             raise ValueError("at least one action kind needs positive weight")
+        total = _weight_sum(weights)
+        if not math.isfinite(total):
+            raise ValueError(f"strategy weights must have a finite sum, got {total}")
         if not -1.0 <= self.sentiment_threshold <= 1.0:
             raise ValueError("sentiment_threshold must lie in [-1, 1]")
 
@@ -141,27 +169,27 @@ def plan(
         raise NoGeneratorError("no text generator configured")
     if not targets:
         raise ValueError("at least one posting target is required")
+    if max_actions < 0:
+        raise ValueError(f"max_actions must be non-negative, got {max_actions}")
 
     retrieved = memory.retrieve(observation) if len(memory) else []
     context = [r.record.text for r in retrieved]
     provenance = tuple(r.record.id for r in retrieved)
 
-    rng = stream(u64(state.persona_seed), u64(state.turn_counter), observation.encode("utf-8"))
-    kinds = [k for k in ACTION_KINDS if state.strategy_weights.get(k, 0.0) > 0]
-    probs = np.array([state.strategy_weights[k] for k in kinds], dtype=np.float64)
-    probs /= probs.sum()
+    draws = Draws(u64(state.persona_seed), u64(state.turn_counter), observation.encode("utf-8"))
+    kinds, cdf = _kind_cdf(state.strategy_weights)
 
-    n_actions = int(rng.integers(0, max_actions + 1))
+    n_actions = draws.integers(max_actions + 1)
     requests: list[ActionRequest] = []
     for _ in range(n_actions):
-        kind = kinds[rng.choice(len(kinds), p=probs)]
-        action_seed = int(rng.integers(0, 2**63))
+        kind = kinds[bisect_right(cdf, draws.random())]
+        action_seed = draws.integers(2**63)
         if kind == "post_text":
             content: str | dict = generator.generate(observation, context, action_seed)
-            target = targets[int(rng.integers(len(targets)))]
+            target = targets[draws.integers(len(targets))]
         else:
             theme_pool = observation.split()
-            theme = theme_pool[int(rng.integers(len(theme_pool)))]
+            theme = theme_pool[draws.integers(len(theme_pool))]
             content = {"theme": theme, "seed": action_seed}
             target = "simchain"
         requests.append(

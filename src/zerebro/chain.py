@@ -49,7 +49,7 @@ from .errors import (
     SymbolTakenError,
     ZerebroError,
 )
-from .seeding import stream, u64
+from .seeding import Draws, u64
 
 NANO = 10**9
 GENESIS = "genesis"
@@ -572,8 +572,8 @@ def implied_market_cap(total_supply: int, price_nanos_per_unit: int) -> int:
 
 
 # the bounds of generate_art's 48 uniforms: per channel, per wave, (fx, fy, phase, amplitude).
-# With array bounds numpy computes each value as the scalar calls do, by its own
-# low + (high - low) * u; `_LOW + span * rng.random(48)` could round differently.
+# With array bounds `Draws.uniform` computes each value as numpy's scalar calls
+# do, low + (high - low) * u, so the 48 values equal twelve per-wave draws.
 _LOW = np.tile([1.0, 1.0, 0.0, 0.4], 12)
 _HIGH = np.tile([7.0, 7.0, 2.0 * math.pi, 1.0], 12)
 
@@ -582,7 +582,7 @@ def generate_art(seed: int, theme: str, width: int = 64, height: int = 64) -> by
     """Deterministic plasma-style image as binary PPM (P6) bytes.
 
     Each of the three channels sums four sine waves over the unit square.
-    The stream keyed by (theme, seed) gives 48 uniforms in one draw: by
+    The draws keyed by (theme, seed) give 48 uniforms in one call: by
     channel, then wave, then (fx, fy) in [1, 7), phase in [0, 2 pi) and
     amplitude in [0.4, 1). Each pixel sums its waves in wave order, and
     each channel is scaled from its own min..max to 0..255. Width and
@@ -591,9 +591,9 @@ def generate_art(seed: int, theme: str, width: int = 64, height: int = 64) -> by
     for name, size in (("width", width), ("height", height)):
         if size < 1:
             raise ValueError(f"art {name} must be at least 1, got {size}")
-    rng = stream(theme.encode("utf-8"), key=u64(seed % 2**64))
+    draws = Draws(theme.encode("utf-8"), key=u64(seed % 2**64))
     # each (4 waves, 3 channels, 1, 1): wave k's value for every channel
-    fx, fy, phase, amp = rng.uniform(_LOW, _HIGH).reshape(3, 4, 4, 1, 1).transpose(2, 1, 0, 3, 4)
+    fx, fy, phase, amp = draws.uniform(_LOW, _HIGH).reshape(3, 4, 4, 1, 1).transpose(2, 1, 0, 3, 4)
     xs = np.arange(width, dtype=np.float64) / width
     ys = (np.arange(height, dtype=np.float64) / height)[:, None]
     # amp * sin(2 pi (fx xs + fy ys) + phase) for every wave of every channel,

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadConfigError, DimensionMismatchError, EmptyTextError
-from .seeding import stream, u64
+from .seeding import Draws, u64
 
 DEFAULT_DIMENSION = 768
 NGRAM_MIN, NGRAM_MAX = 3, 5
@@ -142,8 +142,9 @@ class RemoteStubEngine:
     def embed_text(self, text: str) -> np.ndarray:
         if not text or not text.strip():
             raise EmptyTextError("cannot embed empty or whitespace-only text")
-        rng = stream(text.encode("utf-8"), key=u64(self.config.seed))
-        vec = rng.standard_normal(self.config.dimension)
+        # standard_normal has no raw-word form in Draws: the PCG64 goes to numpy
+        bit_generator = Draws(text.encode("utf-8"), key=u64(self.config.seed)).bit_generator
+        vec = np.random.Generator(bit_generator).standard_normal(self.config.dimension)
         return vec / float(np.linalg.norm(vec))
 
 

@@ -10,6 +10,13 @@ fresh human sentences open new ones.
 Contract: generate(prompt, retrieved_context, seed) is a pure function of
 its arguments. Any object with that method (a remote LLM client included)
 can be dropped in.
+
+The walk's draws come from `seeding.Draws` keyed by the seed, the prompt
+and each context text, the draws numpy's default generator would make for
+that seed, without numpy's per-call dispatch: a text of about 30 scalar
+draws is a tight Python loop, which is why `generate` binds its draws and
+the corpus tables to locals and builds each word's focus successors once
+per call.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from __future__ import annotations
 from typing import Protocol, Sequence
 
 from .corpus import human_corpus
-from .seeding import stream, u64
+from .seeding import Draws, u64
 
 
 class Generator(Protocol):
@@ -49,34 +56,36 @@ class MarkovGenerator:
                 self._chain.setdefault(a, []).append(b)
 
     def generate(self, prompt: str, retrieved_context: Sequence[str], seed: int) -> str:
-        rng = stream(u64(seed), prompt.encode("utf-8"),
-                     *(b"\x1f" + ctx.encode("utf-8") for ctx in retrieved_context))
-        focus: list[str] = []
-        seen: set[str] = set()
-        for text in [prompt, *retrieved_context]:
-            for tok in text.split():
-                if tok not in seen:
-                    seen.add(tok)
-                    focus.append(tok)
-        focus_in_chain = [t for t in focus if t in self._chain]
+        draws = Draws(u64(seed), prompt.encode("utf-8"),
+                      *(b"\x1f" + ctx.encode("utf-8") for ctx in retrieved_context))
+        random, integers = draws.random, draws.integers
+        chain, starts = self._chain, self._starts
+        n_starts = len(starts)
+        jump_prob, focus_bias = self.jump_prob, self.focus_bias
+        # the focus vocabulary, in first-seen order
+        focus = dict.fromkeys(" ".join((prompt, *retrieved_context)).split())
+        focus_in_chain = [t for t in focus if t in chain]
+        n_focus = len(focus_in_chain)
+        # each word's focus successors, in chain order, made on first use
+        focused_of: dict[str, list[str]] = {}
 
-        def pick_start() -> str:
-            if focus_in_chain and rng.random() < 0.85:
-                return focus_in_chain[rng.integers(len(focus_in_chain))]
-            return self._starts[rng.integers(len(self._starts))]
-
-        length = int(rng.integers(self.min_tokens, self.max_tokens + 1))
-        word = pick_start()
-        out = [word]
+        length = self.min_tokens + integers(self.max_tokens - self.min_tokens + 1)
+        out: list[str] = []
+        options = None  # so the first word is a start pick, as after a jump
         while len(out) < length:
-            options = self._chain.get(word)
-            if options is None or rng.random() < self.jump_prob:
-                word = pick_start()
-            else:
-                focused = [w for w in options if w in seen]
-                if focused and rng.random() < self.focus_bias:
-                    word = focused[rng.integers(len(focused))]
+            if options is None or random() < jump_prob:
+                if n_focus and random() < 0.85:
+                    word = focus_in_chain[integers(n_focus)]
                 else:
-                    word = options[rng.integers(len(options))]
+                    word = starts[integers(n_starts)]
+            else:
+                focused = focused_of.get(word)
+                if focused is None:
+                    focused = focused_of[word] = [w for w in options if w in focus]
+                if focused and random() < focus_bias:
+                    word = focused[integers(len(focused))]
+                else:
+                    word = options[integers(len(options))]
             out.append(word)
+            options = chain.get(word)
         return " ".join(out)

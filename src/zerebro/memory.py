@@ -46,7 +46,11 @@ are those of embedding.cosine_similarity, so every similarity equals the
 per-pair cosine_similarity(q, record.vector). tests/test_memory.py checks
 this with exact ==. (V @ q, einsum and (V * q).sum(axis=1) sum in another
 order and differ in the last bit on up to about 60% of pairs, depending on
-D; np.linalg.norm(V, axis=1) differs from the per-vector norm too.) Only
+D; np.linalg.norm(V, axis=1) differs from the per-vector norm too.) The
+scan spells the query norm math.sqrt(q.dot(q)), which is np.linalg.norm's
+own arithmetic for a 1-d float vector, and the clamp np.maximum then
+np.minimum in place, which equals np.clip bit for bit (-0.0, +-inf and NaN
+included), to skip those functions' Python wrappers. Only
 filled rows are scanned: the tail of an np.empty block is uninitialised
 memory.
 
@@ -64,6 +68,7 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
+import math
 import threading
 from dataclasses import dataclass, replace
 from typing import Iterator
@@ -341,7 +346,7 @@ class MemoryStore:
     def _similarities(self, vector: np.ndarray, start: int = 0) -> np.ndarray:
         """cosine_similarity(vector, r.vector) for the records from row start
         on, in row order, bit for bit (see the module docstring); lock held."""
-        query_norm = float(np.linalg.norm(vector))
+        query_norm = math.sqrt(vector.dot(vector))
         parts = []
         for block in range(start // BLOCK_ROWS, len(self._blocks)):
             first = max(start - block * BLOCK_ROWS, 0)
@@ -350,7 +355,12 @@ class MemoryStore:
             if not denominators.all():
                 raise ValueError("cosine similarity is undefined for zero-norm vectors")
             parts.append(np.vecdot(vector, self._blocks[block][first:filled]) / denominators)
-        return np.clip(np.concatenate(parts), -1.0, 1.0) if parts else np.empty(0)
+        if not parts:
+            return np.empty(0)
+        similarities = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        # the clamp to [-1, 1] (see the module docstring)
+        np.maximum(similarities, -1.0, out=similarities)
+        return np.minimum(similarities, 1.0, out=similarities)
 
     def stats(self) -> MemoryStats:
         with self._lock:

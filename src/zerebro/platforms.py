@@ -33,7 +33,7 @@ from .errors import (
     TooLongError,
     UnknownPostError,
 )
-from .seeding import stream
+from .seeding import Draws
 
 LOG_KINDS = ("observation", "plan", "gate", "dispatch", "receipt", "error", "feedback")
 SHORT_FORM_LIMIT = 280
@@ -137,7 +137,7 @@ class SimulatedConnector:
         diversity = distinct_n([content], 1) if content.strip() else 0.0
         u = self._multipliers.get(length)
         if u is None:
-            u = stream(f"{self.seed}:{length}".encode("ascii")).uniform(0.5, 1.5, size=3)
+            u = Draws(f"{self.seed}:{length}".encode("ascii")).uniform(0.5, 1.5, size=3)
             self._multipliers[length] = u
         score = math.sqrt(length) * (0.25 + 0.75 * diversity)
         return EngagementMetrics(

@@ -132,6 +132,10 @@ class TestPlan:
             for rid in request.provenance:
                 assert rid in memory
 
+    def test_negative_max_actions_rejected(self, memory, generator):
+        with pytest.raises(ValueError, match="max_actions must be non-negative, got -1"):
+            plan(initial_state(1), memory, "something", generator, max_actions=-1)
+
     def test_bounded_plan_length(self, memory, generator):
         state = initial_state(11)
         for i in range(10):
@@ -287,6 +291,12 @@ class TestStateValidation:
         with pytest.raises(ValueError):
             AgentState(persona_seed=1, strategy_weights={"post_text": 1.0},
                        sentiment_threshold=2.0)
+
+    def test_rejects_weights_whose_sum_overflows(self):
+        # each weight is finite; their sum is not, so p would be 0/inf
+        with pytest.raises(ValueError, match="finite sum, got inf"):
+            initial_state(0, {"post_text": 1e308, "mint_art": 1e308})
+        initial_state(0, {"post_text": 1e308, "mint_art": 1e307})  # finite: accepted
 
 
 @pytest.mark.parametrize("flags, named", [

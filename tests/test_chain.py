@@ -34,7 +34,7 @@ from zerebro.chain import (
     wallet_address,
 )
 from zerebro.clock import STEP_MS
-from zerebro.seeding import stream, u64
+from zerebro.seeding import seed as seed_of, u64
 from zerebro.errors import (
     BadSymbolError,
     CorruptLogError,
@@ -368,7 +368,7 @@ class TestPersistence:
 def loop_art(seed, theme, width, height):
     """generate_art as it was first written: twelve draws and twelve sine
     passes of one channel at a time. The reference its bytes must equal."""
-    rng = stream(theme.encode("utf-8"), key=u64(seed % 2**64))
+    rng = np.random.default_rng(seed_of(theme.encode("utf-8"), key=u64(seed % 2**64)))
     ys, xs = np.mgrid[0:height, 0:width].astype(np.float64)
     xs = xs / width
     ys = ys / height

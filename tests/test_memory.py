@@ -1,6 +1,7 @@
 """Memory store: upsert/replace semantics, brute-force retrieval oracle,
 diversity admission, snapshot persistence."""
 
+import math
 from collections import Counter
 
 import numpy as np
@@ -723,6 +724,30 @@ def assert_ranked_by_engine(store: MemoryStore, query: str, k: int = 5):
     got = store.retrieve(query, k)
     assert [(r.similarity, r.record.id) for r in got] == brute_force_rank(store, query)[:k]
     return got
+
+
+class TestScanArithmetic:
+    """The scan's spellings of the query norm and the clamp equal the numpy
+    functions cosine_similarity uses, bit for bit."""
+
+    def test_clamp_equals_clip(self):
+        one_up, one_down = np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0)
+        values = np.array([
+            -0.0, 0.0, 1.0, -1.0, one_up, -one_up, one_down, -one_down, 2.0, -2.0,
+            np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324, 1e308, -1e308,
+        ])
+        values = np.concatenate([values, np.random.default_rng(0).uniform(-1.5, 1.5, 200)])
+        clamped = values.copy()
+        np.maximum(clamped, -1.0, out=clamped)
+        np.minimum(clamped, 1.0, out=clamped)
+        assert clamped.tobytes() == np.clip(values, -1.0, 1.0).tobytes()
+
+    @pytest.mark.parametrize("dimension", [1, 2, 16, 37, 256, 768, 1024])
+    def test_query_norm_equals_linalg_norm(self, dimension):
+        rng = np.random.default_rng(dimension)
+        for scale in (1e-200, 1e-3, 1.0, 1e150):
+            vector = rng.standard_normal(dimension) * scale
+            assert math.sqrt(vector.dot(vector)) == float(np.linalg.norm(vector))
 
 
 class TestEmbeddingCache:

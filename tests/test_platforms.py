@@ -5,6 +5,7 @@ import json
 import math
 import threading
 
+import numpy as np
 import pytest
 
 from zerebro.agent import initial_state, run_session, session_state_hash
@@ -30,7 +31,7 @@ from zerebro.platforms import (
     read_log,
     replay_log,
 )
-from zerebro.seeding import stream
+from zerebro.seeding import seed as seed_of
 
 
 class TestConnector:
@@ -79,7 +80,8 @@ class TestConnector:
         def reference(connector, post_id):
             content = connector.get_post(post_id)
             diversity = distinct_n([content], 1) if content.strip() else 0.0
-            u = stream(f"{connector.seed}:{len(content)}".encode("ascii")).uniform(0.5, 1.5, 3)
+            rng = np.random.default_rng(seed_of(f"{connector.seed}:{len(content)}".encode("ascii")))
+            u = rng.uniform(0.5, 1.5, 3)
             score = math.sqrt(len(content)) * (0.25 + 0.75 * diversity)
             return EngagementMetrics(post_id, int(score * u[0] * 2.0),
                                      int(score * u[1] * 0.6), int(score * u[2] * 0.4))
