@@ -19,6 +19,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from . import seeding
 from .clock import SimClock
 from .corpus import negative_words, positive_words
 from .errors import EmptyTextError, NoGeneratorError, ZerebroError
@@ -176,7 +177,8 @@ def plan(
     context = [r.record.text for r in retrieved]
     provenance = tuple(r.record.id for r in retrieved)
 
-    draws = Draws(u64(state.persona_seed), u64(state.turn_counter), observation.encode("utf-8"))
+    draws = Draws(seeding.seed(u64(state.persona_seed), u64(state.turn_counter),
+                               observation.encode("utf-8")))
     kinds, cdf = _kind_cdf(state.strategy_weights)
 
     n_actions = draws.integers(max_actions + 1)
@@ -383,12 +385,12 @@ def session_state_hash(state: AgentState, memory: MemoryStore, connectors: Mappi
 # --- multi-turn session -----------------------------------------------------------
 
 
-def check_session_args(eta: float, max_actions: int) -> None:
-    """Refuse a learning rate or an action cap no session can run with.
-
-    eta must be finite and above -1, so that each weight's factor
-    1 + eta * x, x in [0, 1], stays positive; max_actions must be >= 0.
-    """
+def check_session_args(turns: int, eta: float, max_actions: int) -> None:
+    """Refuse negative turns or max_actions, and an eta not finite and above
+    -1, since each weight's factor 1 + eta * x, x in [0, 1], must stay
+    positive."""
+    if turns < 0:
+        raise ValueError(f"turns must be non-negative, got {turns}")
     if not (np.isfinite(eta) and eta > -1):
         raise ValueError(f"eta must be a finite number above -1, got {eta}")
     if max_actions < 0:
@@ -413,9 +415,9 @@ def run_session(
 
     Returns the final state and its hash. With a log attached and the
     default starting weights, replaying the log file reproduces the hash.
-    Bad eta or max_actions raise ValueError before the first turn.
+    Bad turns, eta or max_actions raise ValueError before the first turn.
     """
-    check_session_args(eta, max_actions)
+    check_session_args(turns, eta, max_actions)
     clock = clock or SimClock()
     log = _NO_LOG if log is None else log
     for turn in range(turns):

@@ -1,7 +1,7 @@
 """Crash-safe file replacement: a file is either its old bytes or its new ones.
 
-Snapshots, ledgers and run manifests are written through `write_atomic`,
-so a crash or a failed write mid-way never loses the previous file.
+`write_atomic` is the one writer of whole files; only the event log,
+streamed a line at a time, is written otherwise.
 """
 
 from __future__ import annotations
@@ -9,29 +9,33 @@ from __future__ import annotations
 import os
 from pathlib import Path
 
+from .errors import IoFailureError
 
-def write_atomic(path, data: bytes) -> None:
-    """Replace path's contents with data.
 
-    The bytes go to a temp file in the same directory, which is flushed,
-    fsynced, then moved over path with os.replace. On any failure up to the
-    rename the temp file is removed, path is left as it was, and the error
-    propagates. The directory is then fsynced, so the rename itself survives
-    a power loss; an error there propagates with path already replaced.
+def write_atomic(path, data: bytes | str) -> None:
+    """Replace path's contents with data, text encoded as UTF-8.
+
+    The bytes go to a temp file beside path, which is fsynced and moved over
+    path with os.replace; the directory is then fsynced, so the rename too
+    survives a power loss. A failure up to the rename removes the temp file
+    and leaves path as it was. Any OSError raises IoFailureError.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.tmp")
     try:
-        with open(tmp, "wb") as fh:
-            fh.write(data)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-    directory = os.open(path.parent, os.O_RDONLY)
-    try:
-        os.fsync(directory)
-    finally:
-        os.close(directory)
+        try:
+            with open(tmp, "wb") as fh:
+                fh.write(data.encode("utf-8") if isinstance(data, str) else data)
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+        directory = os.open(path.parent, os.O_RDONLY)
+        try:
+            os.fsync(directory)
+        finally:
+            os.close(directory)
+    except OSError as exc:
+        raise IoFailureError(f"cannot write {path}: {exc}") from exc

@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .atomic import write_atomic
 from .corpus import human_corpus
 from .diversity import DiversityReport, distinct_n, normalize_rows, shannon_entropy, tail_mass
 from .diversity import embedding_dispersion  # noqa: F401  the name perfbench/tracer.py wraps
@@ -41,6 +42,7 @@ from .diversity import unit_dispersion
 from .errors import BadConfigError, ZerebroError
 from .generator import Generator
 from .memory import MemoryStore
+from .seeding import Draws
 
 WINDOW = 25
 DEFAULT_OPENING_PROMPT = "the corridor repeats itself in soft fluorescent hums"
@@ -157,15 +159,15 @@ def run_backrooms(
     pool = human_corpus()
     lengths = [len(s.split()) for s in pool]
     baseline = statistics.fmean(lengths), statistics.pstdev(lengths)
-    rng = np.random.default_rng(config.seed)
+    draws = Draws(config.seed)
 
     window = _Window(memory.dimension)
     records: list[TurnRecord] = []
     last_output = config.opening_prompt
 
     for turn in range(config.turns):
-        coin = rng.random()
-        pick = int(rng.integers(len(pool)))
+        coin = draws.random()
+        pick = draws.integers(len(pool))
         injected = turn > 0 and coin < config.injection_rate
         observation = pool[pick] if injected else last_output
 
@@ -223,5 +225,4 @@ def write_transcript(transcript: DialogueTranscript, path) -> None:
         f"final_dispersion={final.embedding_dispersion!r} "
         f"final_entropy_bits={final.shannon_entropy_bits!r}"
     )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(blocks) + "\n")
+    write_atomic(path, "\n".join(blocks) + "\n")

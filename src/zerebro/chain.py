@@ -36,7 +36,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import offsetlog
+from . import offsetlog, seeding
 from .atomic import write_atomic
 from .clock import SimClock
 from .errors import (
@@ -44,7 +44,6 @@ from .errors import (
     CorruptLogError,
     DuplicateArtError,
     InsufficientFundsError,
-    IoFailureError,
     NotOwnerError,
     SymbolTakenError,
     ZerebroError,
@@ -411,10 +410,7 @@ class Ledger:
             return self._text
 
     def save(self, path) -> None:
-        try:
-            write_atomic(path, self.serialize().encode("utf-8"))
-        except OSError as exc:
-            raise IoFailureError(f"cannot write ledger {path}: {exc}") from exc
+        write_atomic(path, self.serialize())
 
     @classmethod
     def load(cls, path, fees: ChainFees = ChainFees()) -> "Ledger":
@@ -591,7 +587,7 @@ def generate_art(seed: int, theme: str, width: int = 64, height: int = 64) -> by
     for name, size in (("width", width), ("height", height)):
         if size < 1:
             raise ValueError(f"art {name} must be at least 1, got {size}")
-    draws = Draws(theme.encode("utf-8"), key=u64(seed % 2**64))
+    draws = Draws(seeding.seed(theme.encode("utf-8"), key=u64(seed % 2**64)))
     # each (4 waves, 3 channels, 1, 1): wave k's value for every channel
     fx, fy, phase, amp = draws.uniform(_LOW, _HIGH).reshape(3, 4, 4, 1, 1).transpose(2, 1, 0, 3, 4)
     xs = np.arange(width, dtype=np.float64) / width

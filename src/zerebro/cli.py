@@ -19,8 +19,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import agent as agent_mod
 from . import backrooms as backrooms_mod
 from . import chain as chain_mod
@@ -34,6 +32,7 @@ from .generator import MarkovGenerator
 from .memory import DEFAULT_TOP_K, MemoryStore
 from .offsetlog import canonical_json
 from .platforms import EventLog, load_connector_config, make_default_connectors
+from .seeding import Draws
 
 OUT_ENV = "ZEREBRO_OUT"
 
@@ -86,7 +85,7 @@ def cmd_collapse(args, config: dict[str, str], out: Path) -> tuple[int, list[str
     if base.model_kind == "gaussian":
         analytic = ((base.m - 1) / base.m) ** base.generations
         lines.append(f"analytic_rho0_variance_ratio={analytic!r}")
-    report_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_atomic(report_path, "\n".join(lines) + "\n")
 
     mean = row.mean_variance_ratio if row.mean_variance_ratio is not None else row.mean_entropy_bits
     print(f"collapse: wrote {traj_path} and {report_path} (final metric mean {mean:.6f})")
@@ -129,8 +128,8 @@ def cmd_agent(args, config: dict[str, str], out: Path) -> tuple[int, list[str]]:
              agent_mod.DEFAULT_MAX_ACTIONS)
     _resolve(args, config, "eta", "agent.eta", float, agent_mod.DEFAULT_ETA)
     _resolve(args, config, "dimension", "embedding.dimension", int, 256)
-    # before any artifact is written
-    agent_mod.check_session_args(args.eta, args.max_actions)
+    # every refusal comes before --out is touched: the art is written after the session
+    agent_mod.check_session_args(args.turns, args.eta, args.max_actions)
     seed = args.seed
 
     clock = SimClock()
@@ -141,32 +140,30 @@ def cmd_agent(args, config: dict[str, str], out: Path) -> tuple[int, list[str]]:
         connectors = make_default_connectors(seed=seed, clock=clock)
     ledger = chain_mod.Ledger(clock=clock)
     wallet = ledger.create_wallet(seed=seed, endowment=chain_mod.to_nanos(args.endowment))
-    art_dir = out / "art"
-    art_dir.mkdir(exist_ok=True)
-    client = chain_mod.AgentChainClient(
-        ledger, wallet,
-        art_sink=lambda art_hash, art: (art_dir / f"{art_hash}.ppm").write_bytes(art),
-    )
+    arts: dict[str, bytes] = {}
+    client = chain_mod.AgentChainClient(ledger, wallet, art_sink=arts.__setitem__)
     state = agent_mod.initial_state(seed, sentiment_threshold=args.threshold)
 
     corpus = human_corpus()
-    obs_rng = np.random.default_rng(seed)
+    obs_draws = Draws(seed)
 
     def observations(_turn: int) -> str:
-        return corpus[int(obs_rng.integers(len(corpus)))]
+        return corpus[obs_draws.integers(len(corpus))]
 
     log_path = out / "agent.log"
-    if log_path.exists():
-        log_path.unlink()
+    log_path.unlink(missing_ok=True)
     with EventLog(log_path, clock=clock) as log:
         final, state_digest = agent_mod.run_session(
             state, memory, connectors, client, MarkovGenerator(), observations,
             args.turns, log=log, clock=clock, eta=args.eta, max_actions=args.max_actions,
         )
+    (out / "art").mkdir(exist_ok=True)
+    for art_hash, art in arts.items():
+        write_atomic(out / "art" / f"{art_hash}.ppm", art)
     ledger_path = out / "ledger.log"
     ledger.save(ledger_path)
     hash_path = out / "state_hash.txt"
-    hash_path.write_text(state_digest + "\n", encoding="utf-8")
+    write_atomic(hash_path, state_digest + "\n")
 
     print(
         f"agent: {final.turn_counter} turns, memory {len(memory)} records, "
@@ -235,7 +232,7 @@ def cmd_chain(args, config: dict[str, str], out: Path) -> tuple[int, list[str]]:
         art = chain_mod.generate_art(args.art_seed, args.theme)
         record = ledger.mint_nft(wallet, art)
         art_path = out / f"{record.art_hash}.ppm"
-        art_path.write_bytes(art)
+        write_atomic(art_path, art)
         artifacts.append(art_path.name)
         done = f"minted token {record.token_id} (art {record.art_hash[:16]}...)"
     else:
@@ -291,7 +288,7 @@ def cmd_report(args, config: dict[str, str], out: Path) -> tuple[int, list[str]]
         raise ZerebroError("report: nothing to merge (pass --collapse and/or --backrooms)")
     merged = "\n".join(sections) + "\n"
     report_path = out / "report.txt"
-    report_path.write_text(merged, encoding="utf-8")
+    write_atomic(report_path, merged)
     print(merged, end="")
     return 0, [report_path.name]
 
@@ -387,8 +384,7 @@ def main(argv: list[str] | None = None) -> int:
         code, artifacts = args.func(args, config, out)
         resolved = {k: v for k, v in vars(args).items() if k not in ("func", "config", "out")}
         manifest = {"command": args.command, "config": resolved, "artifacts": artifacts}
-        text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-        write_atomic(out / "manifest.json", text.encode("utf-8"))
+        write_atomic(out / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
         return code
     except ZerebroError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -62,6 +62,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .atomic import write_atomic
 from .diversity import tail_mass
 from .errors import BadConfigError, DegenerateFitError
 from .offsetlog import canonical_json
@@ -492,8 +493,7 @@ def write_trajectory(trajectory: CollapseTrajectory, path) -> None:
         lines.append("generation\tentropy_bits\tdistinct\ttail_mass")
         for r in trajectory.records:
             lines.append(f"{r.generation}\t{r.entropy_bits!r}\t{r.distinct}\t{r.tail_mass!r}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def format_regimen_report(report: RegimenReport) -> str:

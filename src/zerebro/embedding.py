@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import seeding
 from .errors import BadConfigError, DimensionMismatchError, EmptyTextError
 from .seeding import Draws, u64
 
@@ -143,8 +144,8 @@ class RemoteStubEngine:
         if not text or not text.strip():
             raise EmptyTextError("cannot embed empty or whitespace-only text")
         # standard_normal has no raw-word form in Draws: the PCG64 goes to numpy
-        bit_generator = Draws(text.encode("utf-8"), key=u64(self.config.seed)).bit_generator
-        vec = np.random.Generator(bit_generator).standard_normal(self.config.dimension)
+        seed = seeding.seed(text.encode("utf-8"), key=u64(self.config.seed))
+        vec = np.random.Generator(Draws(seed).bit_generator).standard_normal(self.config.dimension)
         return vec / float(np.linalg.norm(vec))
 
 

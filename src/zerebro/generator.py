@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from typing import Protocol, Sequence
 
+from . import seeding
 from .corpus import human_corpus
 from .seeding import Draws, u64
 
@@ -56,8 +57,8 @@ class MarkovGenerator:
                 self._chain.setdefault(a, []).append(b)
 
     def generate(self, prompt: str, retrieved_context: Sequence[str], seed: int) -> str:
-        draws = Draws(u64(seed), prompt.encode("utf-8"),
-                      *(b"\x1f" + ctx.encode("utf-8") for ctx in retrieved_context))
+        parts = (b"\x1f" + ctx.encode("utf-8") for ctx in retrieved_context)
+        draws = Draws(seeding.seed(u64(seed), prompt.encode("utf-8"), *parts))
         random, integers = draws.random, draws.integers
         chain, starts = self._chain, self._starts
         n_starts = len(starts)

@@ -397,10 +397,7 @@ class MemoryStore:
             lines.append(canonical_json(payload))
         body = ("\n".join(lines) + "\n").encode("utf-8")
         checksum = hashlib.sha256(body).hexdigest()
-        try:
-            write_atomic(path, body + f"checksum={checksum}\n".encode("ascii"))
-        except OSError as exc:
-            raise IoFailureError(f"cannot write snapshot {path}: {exc}") from exc
+        write_atomic(path, body + f"checksum={checksum}\n".encode("ascii"))
 
     @classmethod
     def load(cls, path) -> "MemoryStore":

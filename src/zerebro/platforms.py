@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from . import agent as agent_mod
-from . import offsetlog
+from . import offsetlog, seeding
 from .clock import SimClock
 from .diversity import distinct_n
 from .errors import (
@@ -137,7 +137,8 @@ class SimulatedConnector:
         diversity = distinct_n([content], 1) if content.strip() else 0.0
         u = self._multipliers.get(length)
         if u is None:
-            u = Draws(f"{self.seed}:{length}".encode("ascii")).uniform(0.5, 1.5, size=3)
+            draws = Draws(seeding.seed(f"{self.seed}:{length}".encode("ascii")))
+            u = draws.uniform(0.5, 1.5, size=3)
             self._multipliers[length] = u
         score = math.sqrt(length) * (0.25 + 0.75 * diversity)
         return EngagementMetrics(

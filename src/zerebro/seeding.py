@@ -1,11 +1,11 @@
-"""Content-keyed random draws.
+"""Seeded random draws.
 
-Every draw seeded by content (a turn's plan, a generated text, procedural
-art, a remote-stub vector, a post's engagement) is derived the same way:
-the 8-byte BLAKE2b digest of its parts, optionally keyed, read as a
-little-endian integer (`seed`) and handed to numpy's PCG64 bit generator
-through its SeedSequence, as `np.random.default_rng(seed)` does. Hashing
-the joined parts equals feeding them to the hash one `update` at a time.
+A draw seeded by content (a plan, a text, art, a remote-stub vector, a
+post's engagement) takes as its seed the 8-byte BLAKE2b digest of its
+parts, optionally keyed, read as a little-endian integer (`seed`); a
+run's own draws (backrooms' coin and corpus pick, the agent command's
+observations) take the run's seed. `Draws(seed)` hands it to numpy's
+PCG64 through its SeedSequence, as `np.random.default_rng(seed)` does.
 
 `Draws` computes from PCG64's raw 64-bit words exactly what
 `np.random.default_rng(seed)` returns for the same sequence of calls to
@@ -18,7 +18,7 @@ keeps it. What this saves is numpy's per-call dispatch, several
 microseconds a scalar draw, which dominated text generation and planning.
 
 Words are pulled 32 at a time. Pulling ahead is safe because a `Draws` is
-private to one call: nothing else reads its bit generator after it, so
+private to one caller: nothing else reads its bit generator after it, so
 the words past the last one used are never seen. Reading the bit
 generator's words ties the bytes zerebro writes to the PCG64 stream,
 which NumPy's NEP 19 policy keeps fixed across releases, rather than to
@@ -52,8 +52,8 @@ def seed(*parts: bytes, key: bytes = b"") -> int:
 
 
 class Draws:
-    """The draws of `np.random.default_rng(seed(*parts, key=key))`, computed
-    from PCG64's raw words; private to one call (see the module docstring).
+    """The draws of `np.random.default_rng(seed)`, computed from PCG64's raw
+    words; private to one caller (see the module docstring).
 
     `bit_generator` is the PCG64 itself, for a draw with no raw-word form
     here: wrapped in `np.random.Generator` before any draw, it gives the
@@ -62,8 +62,8 @@ class Draws:
 
     __slots__ = ("bit_generator", "_words", "_next", "_half")
 
-    def __init__(self, *parts: bytes, key: bytes = b""):
-        self.bit_generator = np.random.PCG64(seed(*parts, key=key))
+    def __init__(self, seed: int):
+        self.bit_generator = np.random.PCG64(seed)
         self._words = iter(())  # the pulled words not yet used
         self._next = self._words.__next__
         self._half = -1  # the buffered high half of a word, or -1 for none

@@ -313,3 +313,15 @@ def test_session_flags_checked_before_first_turn(generator, flags, named):
         run_session(initial_state(0), MemoryStore(CFG), connectors, make_chain(), generator,
                     lambda turn: observed.append(turn) or "a calm sea", 3, **flags)
     assert observed == []
+
+
+def test_negative_turns_refused_zero_accepted(generator):
+    """A negative turn count is refused before anything runs; zero turns is
+    a valid, empty session."""
+    connectors = {"twitter": SimulatedConnector("twitter", seed=0)}
+    with pytest.raises(ValueError, match="turns must be non-negative, got -3"):
+        run_session(initial_state(0), MemoryStore(CFG), connectors, make_chain(), generator,
+                    lambda turn: "a calm sea", -3)
+    final, _ = run_session(initial_state(0), MemoryStore(CFG), connectors, make_chain(),
+                           generator, lambda turn: "a calm sea", 0)
+    assert final.turn_counter == 0

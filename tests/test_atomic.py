@@ -1,13 +1,17 @@
-"""Crash-safe writes: a failed save or persist leaves the previous file intact."""
+"""Crash-safe writes: a failed save, persist or artifact write leaves the
+previous file intact."""
 
 import os
 
 import pytest
 
 from zerebro.atomic import write_atomic
+from zerebro.backrooms import BackroomsConfig, run_backrooms, write_transcript
 from zerebro.chain import Ledger, to_nanos
+from zerebro.collapse import GaussianModel, RecursionConfig, run_recursion, write_trajectory
 from zerebro.embedding import EmbeddingConfig
 from zerebro.errors import IoFailureError
+from zerebro.generator import MarkovGenerator
 from zerebro.memory import MemoryStore
 
 
@@ -31,14 +35,30 @@ def store_writer(grow: bool):
     return store.persist
 
 
-@pytest.mark.parametrize("writer", [ledger_writer, store_writer], ids=["ledger", "snapshot"])
+def trajectory_writer(grow: bool):
+    config = RecursionConfig("gaussian", 10, 3 if grow else 2, 0.0, 1, GaussianModel(0.0, 1.0))
+    trajectory = run_recursion(config)
+    return lambda path: write_trajectory(trajectory, path)
+
+
+def transcript_writer(grow: bool):
+    config = BackroomsConfig(turns=3 if grow else 2, seed=1)
+    memory = MemoryStore(EmbeddingConfig(dimension=32))
+    transcript = run_backrooms(config, memory=memory, generator=MarkovGenerator())
+    return lambda path: write_transcript(transcript, path)
+
+
+@pytest.mark.parametrize(
+    "writer", [ledger_writer, store_writer, trajectory_writer, transcript_writer],
+    ids=["ledger", "snapshot", "trajectory", "transcript"],
+)
 def test_failed_write_keeps_previous_file(tmp_path, monkeypatch, writer):
     path = tmp_path / "state"
     writer(grow=False)(path)
     previous = path.read_bytes()
 
     monkeypatch.setattr(os, "fsync", fail_fsync)
-    with pytest.raises(IoFailureError, match="simulated I/O error"):
+    with pytest.raises(IoFailureError, match=f"cannot write {path}: .*simulated I/O error"):
         writer(grow=True)(path)
     assert path.read_bytes() == previous
     assert sorted(p.name for p in tmp_path.iterdir()) == ["state"]
@@ -68,3 +88,8 @@ def test_rename_is_fsynced_in_its_directory(tmp_path, monkeypatch):
     # the temp file's own fsync, the rename, then the directory's
     assert calls == [("fsync", False), ("replace", None), ("fsync", True)]
     assert (tmp_path / "state").read_bytes() == b"new bytes"
+
+
+def test_text_is_written_as_utf8(tmp_path):
+    write_atomic(tmp_path / "state", "a lantern \u2014 at dusk\n")
+    assert (tmp_path / "state").read_bytes() == "a lantern \u2014 at dusk\n".encode("utf-8")

@@ -2,6 +2,7 @@
 reproducibility."""
 
 import json
+import os
 import subprocess
 import sys
 import warnings
@@ -65,6 +66,8 @@ class TestExitCodes:
              "connectors.conf: line 'platform=x limit=lots'"),
             (["agent", "--turns", "60", "--eta", "-5"], None, "eta must be"),
             (["agent", "--turns", "5", "--max-actions", "-2"], None, "max_actions must be"),
+            (["agent", "--threshold", "5"], None, "sentiment_threshold must lie in [-1, 1]"),
+            (["agent", "--turns", "-3"], None, "turns must be non-negative, got -3"),
             (["chain", "mint", "--endowment", "inf"], None, "amount 'inf' is not finite"),
             (["chain", "mint", "--endowment", "1e999999999"], None,
              "amount '1e999999999' is too large"),
@@ -76,6 +79,7 @@ class TestExitCodes:
         ],
         ids=["memory-source", "deploy-supply", "connector-line", "connector-none",
              "connector-outage", "connector-limit", "agent-eta", "agent-max-actions",
+             "agent-threshold", "agent-negative-turns",
              "mint-endowment-inf", "mint-endowment-huge", "agent-endowment-inf",
              "mint-endowment-above-maximum", "agent-endowment-above-maximum"],
     )
@@ -89,7 +93,7 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
         assert named in err
-        # a usage error writes no artifact
+        # a usage error writes no artifact, not even an empty directory
         assert sorted(p.name for p in tmp_path.iterdir()) == (
             [] if connectors is None else ["connectors.conf"])
 
@@ -617,3 +621,46 @@ class TestManifestIsWholeRun:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not (tmp_path / "manifest.json").exists()
+
+
+# each writing command twice into one --out: a first run, then one whose
+# writes fail at fsync; a repeated mint or deploy would be refused before it
+# writes, so the chain commands' second run mints or deploys something new
+WRITE_FAULT_RUNS = {
+    "collapse": [["collapse", "--model", "gaussian", "--G", "3"]] * 2,
+    "backrooms": [["backrooms", "--turns", "3"]] * 2,
+    "agent": [["agent", "--turns", "6", "--seed", "4"]] * 2,
+    "memory-upsert": [["memory", "upsert", "--id", "m1", "--text", "the lantern at dusk"],
+                      ["memory", "upsert", "--id", "m2", "--text", "an owl over the mill"]],
+    "chain-mint": [["chain", "mint", "--art-seed", "3"], ["chain", "mint", "--art-seed", "4"]],
+    "chain-deploy": [["chain", "deploy", "--name", "t", "--symbol", "CORR"],
+                     ["chain", "deploy", "--name", "m", "--symbol", "MOTH"]],
+    "report": [["report", "--collapse", "{input}/collapse_report.txt"]] * 2,
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRITE_FAULT_RUNS))
+def test_failed_write_is_one_error_line_and_keeps_files(tmp_path, capsys, monkeypatch, name):
+    """A write that fails exits 1 with one error line, and every file of the
+    run before keeps its bytes; agent.log, streamed as the session runs, is
+    the one file written otherwise."""
+    out, source = tmp_path / "out", str(tmp_path / "input")
+    assert run_cli("collapse", "--model", "gaussian", "--G", "2", "--out", source) == 0
+    first, second = ([a.replace("{input}", source) for a in argv]
+                     for argv in WRITE_FAULT_RUNS[name])
+    assert run_cli(*first, "--out", str(out)) == 0
+    before = tree(out)
+    before.pop("agent.log", None)
+    capsys.readouterr()
+
+    def fail_fsync(_fd):
+        raise OSError(5, "simulated I/O error at fsync")
+
+    monkeypatch.setattr(os, "fsync", fail_fsync)
+    assert run_cli(*second, "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write ") and err.count("\n") == 1
+    assert "simulated I/O error" in err
+    after = tree(out)
+    after.pop("agent.log", None)
+    assert after == before

@@ -29,7 +29,7 @@ def oracle_integers(rng, n):
 
 def replay(parts, calls):
     """The values of `calls` from Draws and from default_rng of the same seed."""
-    draws = Draws(*parts)
+    draws = Draws(seed(*parts))
     rng = np.random.default_rng(seed(*parts))
     ours, theirs = [], []
     for call in calls:
@@ -67,9 +67,22 @@ class TestDraws:
         assert ours == theirs
 
     def test_key_seeds_like_the_shared_helper(self):
-        draws = Draws(b"theme", key=u64(7))
+        draws = Draws(seed(b"theme", key=u64(7)))
         rng = np.random.default_rng(seed(b"theme", key=u64(7)))
         assert [draws.random() for _ in range(40)] == [rng.random() for _ in range(40)]
+
+    @pytest.mark.parametrize("run_seed", [0, 7, 123456789, 2**64 + 5])
+    def test_run_seed_draws_like_default_rng(self, run_seed):
+        # backrooms' per-turn coin and corpus pick, from the run's own seed
+        draws, rng = Draws(run_seed), np.random.default_rng(run_seed)
+        ours = [(draws.random(), draws.integers(165)) for _ in range(300)]
+        assert ours == [(rng.random(), int(rng.integers(165))) for _ in range(300)]
+
+    def test_negative_seed_refused_like_default_rng(self):
+        with pytest.raises(ValueError):
+            np.random.default_rng(-1)
+        with pytest.raises(ValueError):
+            Draws(-1)
 
     @pytest.mark.parametrize("low, high, size", [
         (0.5, 1.5, 3),
@@ -81,7 +94,7 @@ class TestDraws:
         (np.arange(4.0), 10.0, None),
     ], ids=["scalar", "scalar-2d", "scalar-one", "empty", "art-bounds", "broadcast", "array-low"])
     def test_uniform(self, low, high, size):
-        draws = Draws(b"uniform")
+        draws = Draws(seed(b"uniform"))
         rng = np.random.default_rng(seed(b"uniform"))
         # a half-word held from an integer draw is untouched by uniform, as in numpy
         assert draws.integers(15) == oracle_integers(rng, 15)
@@ -94,10 +107,10 @@ class TestDraws:
     @pytest.mark.parametrize("n", [0, -1, 2**64 + 1])
     def test_out_of_range_bound_raises(self, n):
         with pytest.raises(ValueError):
-            Draws(b"x").integers(n)
+            Draws(seed(b"x")).integers(n)
 
     def test_bit_generator_wraps_into_default_rng(self):
-        wrapped = np.random.Generator(Draws(b"normal", key=u64(3)).bit_generator)
+        wrapped = np.random.Generator(Draws(seed(b"normal", key=u64(3))).bit_generator)
         rng = np.random.default_rng(seed(b"normal", key=u64(3)))
         assert wrapped.standard_normal(50).tobytes() == rng.standard_normal(50).tobytes()
 
