@@ -463,11 +463,13 @@ def verify_entries(entries: Sequence[LedgerEntry]) -> VerifyReport:
     Each is one line, `seq N: <message>`: `timestamp T precedes seq M's T'`,
     `entry content hash mismatch`, `<kind> src|dst must be a str, got A`
     (for an address of another JSON type), the refusing operation's own error,
-    `<kind> payload P cannot be read`, `the <kind> at seq M writes <entry>
-    here` (for an entry that differs or is missing), `the <kind> at seq N
-    writes nothing`, `no operation starts with a '<kind>' entry`, `negative
-    balance for <address>` or `conservation violated: ...`; or, unnumbered,
-    `token <symbol>: circulating C != supply S`. Replay stops at the first.
+    `<kind> payload P has no '<key>'` (for an object without a key the
+    operation reads), `<kind> payload P cannot be read` (for a payload of
+    another shape), `the <kind> at seq M writes <entry> here` (for an entry
+    that differs or is missing), `the <kind> at seq N writes nothing`, `no
+    operation starts with a '<kind>' entry`, `negative balance for
+    <address>` or `conservation violated: ...`; or, unnumbered, `token
+    <symbol>: circulating C != supply S`. Replay stops at the first.
     """
     return _fold_checked(entries, Ledger())
 
@@ -534,7 +536,9 @@ def _fold_checked(entries: Sequence[LedgerEntry], ledger: Ledger) -> VerifyRepor
             stop = str(exc)
         except (ZerebroError, ValueError) as exc:
             stop = f"seq {start}: {exc}"
-        except (KeyError, TypeError, AttributeError):
+        except KeyError as exc:  # only an object payload without the key raises it
+            stop = f"seq {start}: {e.kind} payload {p!r} has no {exc.args[0]!r}"
+        except (TypeError, AttributeError):
             stop = f"seq {start}: {e.kind} payload {p!r} cannot be read"
         if stop is None and len(written) == start:
             stop = f"seq {start}: the {e.kind} at seq {start} writes nothing"

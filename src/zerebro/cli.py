@@ -98,14 +98,11 @@ def cmd_collapse(args, config: dict[str, str], out: Path) -> tuple[int, list[str
 def cmd_backrooms(args, config: dict[str, str], out: Path) -> tuple[int, list[str]]:
     _resolve(args, config, "seed", "backrooms.seed", int, 0)
     _resolve(args, config, "dimension", "embedding.dimension", int, EmbeddingConfig().dimension)
-    _resolve(args, config, "backend", "embedding.backend", str, "hashed")
     cfg = backrooms_mod.BackroomsConfig(
         turns=args.turns, seed=args.seed, injection_rate=args.injection_rate,
         opening_prompt=args.prompt, store_injected=args.store_injected,
     )
-    memory = MemoryStore(
-        EmbeddingConfig(dimension=args.dimension, seed=args.seed), backend=args.backend
-    )
+    memory = MemoryStore(EmbeddingConfig(dimension=args.dimension, seed=args.seed))
     transcript = backrooms_mod.run_backrooms(cfg, memory=memory, generator=MarkovGenerator())
     transcript_path = out / "transcript.txt"
     backrooms_mod.write_transcript(transcript, transcript_path)
@@ -184,11 +181,7 @@ def cmd_memory(args, config: dict[str, str], out: Path) -> tuple[int, list[str]]
         _resolve(args, config, "dimension", "embedding.dimension", int,
                  EmbeddingConfig().dimension)
         _resolve(args, config, "embedding_seed", "embedding.seed", int, 0)
-        _resolve(args, config, "backend", "embedding.backend", str, "hashed")
-        store = MemoryStore(
-            EmbeddingConfig(dimension=args.dimension, seed=args.embedding_seed),
-            backend=args.backend,
-        )
+        store = MemoryStore(EmbeddingConfig(dimension=args.dimension, seed=args.embedding_seed))
 
     if args.op == "upsert":
         store.add_text(args.id, args.text, source=args.source, timestamp=SimClock()())
@@ -379,6 +372,10 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = parse_config_file(args.config)
+        backend = config.get("embedding.backend", "hashed")
+        if backend != "hashed":  # a usage error, so refused before --out exists
+            raise ValueError(f"config key embedding.backend is retired: the hashed engine is "
+                             f"the only one, got {backend!r}")
         out = Path(args.out or os.environ.get(OUT_ENV) or "zerebro-out")
         out.mkdir(parents=True, exist_ok=True)
         code, artifacts = args.func(args, config, out)

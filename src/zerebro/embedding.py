@@ -6,9 +6,7 @@ hashed in one rolling pass, finalized with every other window in one
 salted mixing pass, and lands in one of D buckets, where it contributes +1
 or -1 (second hash bit); then the bucket vector is L2-normalized. The
 result is a unit vector that is bit-reproducible for a given (text,
-config) pair, with no model files and no network. An alternate engine ("remote-stub")
-honors the same interface so a real remote embedding client could be
-swapped in later via configuration.
+config) pair, with no model files and no network.
 
 Vectors are plain float64 numpy arrays of shape (dimension,).
 """
@@ -19,9 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import seeding
 from .errors import BadConfigError, DimensionMismatchError, EmptyTextError
-from .seeding import Draws, u64
 
 DEFAULT_DIMENSION = 768
 NGRAM_MIN, NGRAM_MAX = 3, 5
@@ -107,57 +103,10 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
 
 
 class HashedEngine:
-    """Default engine: the pure-function embed() behind an object interface."""
-
-    backend = "hashed"
+    """The memory store's engine: the pure-function embed() bound to one config."""
 
     def __init__(self, config: EmbeddingConfig = EmbeddingConfig()):
         self.config = config
-
-    @property
-    def dimension(self) -> int:
-        return self.config.dimension
 
     def embed_text(self, text: str) -> np.ndarray:
         return embed(text, self.config)
-
-
-class RemoteStubEngine:
-    """Stand-in for a remote embedding service.
-
-    Produces a seeded pseudo-random unit vector per distinct text. It keeps
-    the operational contract (deterministic, unit norm, fixed dimension)
-    but carries no n-gram locality; it exists so the wiring for a real
-    client is exercised without a network.
-    """
-
-    backend = "remote-stub"
-
-    def __init__(self, config: EmbeddingConfig = EmbeddingConfig()):
-        self.config = config
-
-    @property
-    def dimension(self) -> int:
-        return self.config.dimension
-
-    def embed_text(self, text: str) -> np.ndarray:
-        if not text or not text.strip():
-            raise EmptyTextError("cannot embed empty or whitespace-only text")
-        # standard_normal has no raw-word form in Draws: the PCG64 goes to numpy
-        seed = seeding.seed(text.encode("utf-8"), key=u64(self.config.seed))
-        vec = np.random.Generator(Draws(seed).bit_generator).standard_normal(self.config.dimension)
-        return vec / float(np.linalg.norm(vec))
-
-
-_ENGINES = {"hashed": HashedEngine, "remote-stub": RemoteStubEngine}
-
-
-def make_engine(backend: str = "hashed", config: EmbeddingConfig = EmbeddingConfig()):
-    """Engine factory keyed by the `embedding.backend` configuration value."""
-    try:
-        cls = _ENGINES[backend]
-    except KeyError:
-        raise BadConfigError(
-            f"unknown embedding backend {backend!r}; choose from {sorted(_ENGINES)}"
-        ) from None
-    return cls(config)

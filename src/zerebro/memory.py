@@ -55,12 +55,13 @@ filled rows are scanned: the tail of an np.empty block is uninitialised
 memory.
 
 Snapshot format (utf-8, "\\n" line endings):
-    memstore v1 dim=<D> ngram_min=3 ngram_max=5 seed=<s> backend=<name>
+    memstore v1 dim=<D> ngram_min=3 ngram_max=5 seed=<s> backend=hashed
     <one JSON record per line, vector as base64 little-endian float64;
      a field of another JSON type than _RECORD_FIELDS states is corrupt>
     checksum=<sha256 hex of every prior byte>
-The n-gram range is embedding's fixed NGRAM_MIN..NGRAM_MAX; a snapshot
-stating any other range is refused as corrupt.
+The n-gram range is embedding's fixed NGRAM_MIN..NGRAM_MAX, and the hashed
+engine is the only backend; a snapshot stating any other range or backend
+is refused as corrupt.
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ import numpy as np
 
 from .atomic import write_atomic
 from .diversity import embedding_dispersion
-from .embedding import NGRAM_MAX, NGRAM_MIN, EmbeddingConfig, make_engine
+from .embedding import NGRAM_MAX, NGRAM_MIN, EmbeddingConfig, HashedEngine
 from .errors import (
     BadConfigError,
     CorruptSnapshotError,
@@ -154,14 +155,19 @@ class AdmissionDecision:
 
 
 class MemoryStore:
-    """Exact-search vector memory over one embedding engine.
+    """Exact-search vector memory over the hashed embedding engine.
+
+    `backend` is accepted for callers that still name the engine; "hashed"
+    is its only value.
 
     Concurrency: a single lock serializes writers and scans, so readers
     never observe a partially applied upsert.
     """
 
     def __init__(self, config: EmbeddingConfig = EmbeddingConfig(), backend: str = "hashed"):
-        self._engine = make_engine(backend, config)
+        if backend != "hashed":
+            raise BadConfigError(f"unknown embedding backend {backend!r}; the only one is 'hashed'")
+        self._engine = HashedEngine(config)
         self._records: list[MemoryRecord] = []  # row order, which is insertion order
         self._rows: dict[str, int] = {}
         self._blocks: list[np.ndarray] = []  # (BLOCK_ROWS, D) vectors
@@ -176,12 +182,8 @@ class MemoryStore:
         return self._engine.config
 
     @property
-    def backend(self) -> str:
-        return self._engine.backend
-
-    @property
     def dimension(self) -> int:
-        return self._engine.dimension
+        return self._engine.config.dimension
 
     def __len__(self) -> int:
         return len(self._records)
@@ -381,7 +383,7 @@ class MemoryStore:
         cfg = self.config
         lines = [
             f"{SNAPSHOT_VERSION} dim={cfg.dimension} ngram_min={NGRAM_MIN} "
-            f"ngram_max={NGRAM_MAX} seed={cfg.seed} backend={self.backend}"
+            f"ngram_max={NGRAM_MAX} seed={cfg.seed} backend=hashed"
         ]
         for r in self.records():
             payload = {

@@ -1,11 +1,11 @@
 """Seeded random draws.
 
-A draw seeded by content (a plan, a text, art, a remote-stub vector, a
-post's engagement) takes as its seed the 8-byte BLAKE2b digest of its
-parts, optionally keyed, read as a little-endian integer (`seed`); a
-run's own draws (backrooms' coin and corpus pick, the agent command's
-observations) take the run's seed. `Draws(seed)` hands it to numpy's
-PCG64 through its SeedSequence, as `np.random.default_rng(seed)` does.
+A draw seeded by content (a plan, a text, art, a post's engagement)
+takes as its seed the 8-byte BLAKE2b digest of its parts, optionally
+keyed, read as a little-endian integer (`seed`); a run's own draws
+(backrooms' coin and corpus pick, the agent command's observations) take
+the run's seed. `Draws(seed)` hands it to numpy's PCG64 through its
+SeedSequence, as `np.random.default_rng(seed)` does.
 
 `Draws` computes from PCG64's raw 64-bit words exactly what
 `np.random.default_rng(seed)` returns for the same sequence of calls to
@@ -53,24 +53,19 @@ def seed(*parts: bytes, key: bytes = b"") -> int:
 
 class Draws:
     """The draws of `np.random.default_rng(seed)`, computed from PCG64's raw
-    words; private to one caller (see the module docstring).
+    words; private to one caller (see the module docstring)."""
 
-    `bit_generator` is the PCG64 itself, for a draw with no raw-word form
-    here: wrapped in `np.random.Generator` before any draw, it gives the
-    generator `default_rng` would.
-    """
-
-    __slots__ = ("bit_generator", "_words", "_next", "_half")
+    __slots__ = ("_bit_generator", "_words", "_next", "_half")
 
     def __init__(self, seed: int):
-        self.bit_generator = np.random.PCG64(seed)
+        self._bit_generator = np.random.PCG64(seed)
         self._words = iter(())  # the pulled words not yet used
         self._next = self._words.__next__
         self._half = -1  # the buffered high half of a word, or -1 for none
 
     def _refill(self) -> int:
         """Pull the next batch of words; return the first."""
-        self._words = iter(self.bit_generator.random_raw(_BATCH).tolist())
+        self._words = iter(self._bit_generator.random_raw(_BATCH).tolist())
         self._next = self._words.__next__
         return self._next()
 
@@ -144,7 +139,7 @@ class Draws:
         u = np.empty(np.broadcast(low, high).shape if size is None else size)
         # the pulled words first, then the rest straight from the bit generator
         held = list(islice(self._words, u.size))
-        words = self.bit_generator.random_raw(u.size - len(held))
+        words = self._bit_generator.random_raw(u.size - len(held))
         if held:
             words = np.concatenate((np.array(held, dtype=np.uint64), words))
         u.flat = (words >> 11) * _DOUBLE_UNIT

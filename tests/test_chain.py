@@ -510,7 +510,7 @@ class TestUncountablePayloads:
         sale = entries[-1]
         payload = {k: v for k, v in sale.payload.items() if k != "units"}
         if units == "missing":
-            expected = f"seq {sale.sequence}: sale payload {payload!r} cannot be read"
+            expected = f"seq {sale.sequence}: sale payload {payload!r} has no 'units'"
         else:
             payload["units"] = units
             expected = f"seq {sale.sequence}: units must be an int, got {units!r}"
@@ -534,7 +534,7 @@ class TestUncountablePayloads:
         sale = ledger.entries[-1]
         path = saved([*ledger.entries[:-1], rehashed(sale, {
             k: v for k, v in sale.payload.items() if k != "units"})], tmp_path)
-        with pytest.raises(CorruptLogError, match="sale payload .* cannot be read"):
+        with pytest.raises(CorruptLogError, match="sale payload .* has no 'units'"):
             Ledger.load(path)
 
 

@@ -322,24 +322,26 @@ class TestConfigFile:
         assert "twitter" not in log_text
         assert "shortwave" in log_text
 
-    def test_memory_remote_stub_backend(self, tmp_path, capsys):
+    @pytest.mark.parametrize("argv", [
+        ["memory", "upsert", "--id", "m1", "--text", "a lantern"],
+        ["backrooms", "--turns", "3"],
+    ])
+    def test_retired_backend_key(self, tmp_path, capsys, argv):
+        """embedding.backend=hashed changes nothing; any other value is a
+        usage error, refused before --out is made."""
         conf = tmp_path / "conf"
-        conf.write_text("embedding.backend=remote-stub\nembedding.dimension=64\n",
-                        encoding="utf-8")
-        store = tmp_path / "mem.snapshot"
-        assert run_cli(
-            "memory", "upsert", "--id", "s1", "--text", "stub backed record",
-            "--store", str(store), "--config", str(conf), "--out", str(tmp_path),
-        ) == 0
-        header = store.read_text(encoding="utf-8").splitlines()[0]
-        assert "backend=remote-stub" in header
-        capsys.readouterr()
-        assert run_cli(
-            "memory", "query", "--text", "stub backed record", "--k", "1",
-            "--store", str(store), "--out", str(tmp_path),
-        ) == 0
-        out = capsys.readouterr().out
-        assert "s1" in out
+        conf.write_text("embedding.backend=remote-stub\n", encoding="utf-8")
+        refused = tmp_path / "refused"
+        assert run_cli(*argv, "--config", str(conf), "--out", str(refused)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config key embedding.backend ") and err.count("\n") == 1
+        assert not refused.exists()
+
+        conf.write_text("embedding.backend=hashed\n", encoding="utf-8")
+        named, unnamed = tmp_path / "named", tmp_path / "unnamed"
+        assert run_cli(*argv, "--config", str(conf), "--out", str(named)) == 0
+        assert run_cli(*argv, "--out", str(unnamed)) == 0
+        assert tree(named) == tree(unnamed)
 
 
 class TestManifestReproducibility:
@@ -461,7 +463,7 @@ class TestChainVerifyViolations:
         out = capsys.readouterr().out
         # the file holds the payload's keys sorted
         read = dict(sorted(payload.items()))
-        assert f"violation: seq {sale.sequence}: sale payload {read!r} cannot be read" in out
+        assert f"violation: seq {sale.sequence}: sale payload {read!r} has no 'units'" in out
 
     def test_sale_payload_not_an_object(self, tmp_path, capsys):
         from test_chain import rehashed, saved
@@ -603,8 +605,8 @@ class TestManifestIsWholeRun:
 
     def test_config_file_values_recorded(self, tmp_path, capsys):
         conf = tmp_path / "conf"
-        conf.write_text("embedding.backend=remote-stub\nembedding.dimension=64\n"
-                        "embedding.seed=7\nbackrooms.seed=5\n", encoding="utf-8")
+        conf.write_text("embedding.dimension=64\nembedding.seed=7\nbackrooms.seed=5\n",
+                        encoding="utf-8")
         runs = [
             (["memory", "upsert", "--id", "m1", "--text", "a lantern"], "embedding_seed", 7),
             (["backrooms", "--turns", "3"], "seed", 5),
@@ -613,7 +615,7 @@ class TestManifestIsWholeRun:
             out = tmp_path / argv[0]
             assert run_cli(*argv, "--config", str(conf), "--out", str(out)) == 0
             config = json.loads((out / "manifest.json").read_text())["config"]
-            assert (config["backend"], config["dimension"]) == ("remote-stub", 64)
+            assert config["dimension"] == 64 and "backend" not in config
             assert config[seed_key] == seed
 
     def test_empty_report_error_line(self, tmp_path, capsys):

@@ -5,14 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from zerebro.embedding import (
-    EmbeddingConfig,
-    HashedEngine,
-    RemoteStubEngine,
-    cosine_similarity,
-    embed,
-    make_engine,
-)
+from zerebro.embedding import EmbeddingConfig, cosine_similarity, embed
 from zerebro.errors import BadConfigError, DimensionMismatchError, EmptyTextError
 
 CFG = EmbeddingConfig()
@@ -172,23 +165,3 @@ def test_embed_matches_per_window_reference(text, dimension, seed):
             embed(text, config)
     else:
         assert np.array_equal(embed(text, config), counts / norm)
-
-
-def test_engine_selection():
-    hashed = make_engine("hashed", CFG)
-    stub = make_engine("remote-stub", CFG)
-    assert isinstance(hashed, HashedEngine)
-    assert isinstance(stub, RemoteStubEngine)
-    with pytest.raises(BadConfigError):
-        make_engine("pinetree", CFG)
-
-
-def test_remote_stub_honors_operation_contracts():
-    stub = RemoteStubEngine(EmbeddingConfig(dimension=96))
-    a = stub.embed_text("hello corridor")
-    b = stub.embed_text("hello corridor")
-    assert (a == b).all()
-    assert a.shape == (96,)
-    assert abs(np.linalg.norm(a) - 1.0) <= 1e-9
-    with pytest.raises(EmptyTextError):
-        stub.embed_text("  ")

@@ -2,11 +2,12 @@
 
 The agent's event log, its ledger and state hash, a serialized ledger after
 a fixed mix of operations, verify_entries' reports on two tampered copies,
-the collapse lab's trajectory files and regimen reports, and backrooms
-transcripts are all pinned by sha256. Any change to the log line format,
-the ledger's state transition, its verification messages, the collapse
-lab's sampling, refitting or tail-mass scoring, or the backrooms window's
-diversity figures fails here.
+the collapse lab's trajectory files and regimen reports, backrooms
+transcripts, and the files of three console runs (two `collapse` reports
+and a ledger that `chain mint` then `chain deploy` wrote) are all pinned by
+sha256. Any change to the log line format, the ledger's state transition,
+its verification messages, the collapse lab's sampling, refitting or
+tail-mass scoring, or the backrooms window's diversity figures fails here.
 """
 
 import hashlib
@@ -68,20 +69,40 @@ REPORT_DIGESTS = {
 }
 
 # 60-turn transcripts at 768-d, past WINDOW so the window evicts:
-# (backend, injection_rate, store_injected)
+# (injection_rate, store_injected)
 BACKROOMS_CONFIGS = {
-    "hashed-rate0": ("hashed", 0.0, False),
-    "hashed-rate0.5": ("hashed", 0.5, False),
-    "hashed-rate1-stored": ("hashed", 1.0, True),
-    "remote-stub-rate0.5-stored": ("remote-stub", 0.5, True),
+    "hashed-rate0": (0.0, False),
+    "hashed-rate0.5": (0.5, False),
+    "hashed-rate1-stored": (1.0, True),
 }
 BACKROOMS_DIGESTS = {
     "hashed-rate0": "c4c5bd3472988f2feb2c108fced96dae836bf677c9c6b1b78eb9f588f50a5ce6",
     "hashed-rate0.5": "aa3ed65a4bc9fd9d4c73dc699804da5a9ebc55b367c6286866fc61d5ab17b048",
     "hashed-rate1-stored": "68eb6953ba09072d1bdee71f85837805dba3ae2546b8a0a6a00286860b6b4f3c",
-    "remote-stub-rate0.5-stored": "6f668aa233a5b9c0d1230e981ed761df88460d75ab3e447682fb1273b3392e2d",
 }
 BACKROOMS_TURNS = 60
+
+# commands run in turn into one --out, then the file they leave and its sha256
+CLI_PINS = {
+    "gaussian-report": (
+        [["collapse", "--model", "gaussian", "--G", "20", "--seeds", "50", "--rho", "0.25",
+          "--seed", "3"]],
+        "collapse_report.txt",
+        "df3e3a84956f9e719016b50a91b6bc5c7957e624d8acc43cc6b572f0a3a66713",
+    ),
+    "categorical-report": (
+        [["collapse", "--model", "categorical", "--G", "5", "--seeds", "2", "--seed", "1"]],
+        "collapse_report.txt",
+        "d5e8333112f31ddd2c199ee97e4d2bdcbb106aba7392396c42d07a9d81bece3f",
+    ),
+    # chain deploy loads the minted ledger, appends to the text its load kept and saves it
+    "chain-ledger": (
+        [["chain", "mint", "--art-seed", "3", "--theme", "lantern"],
+         ["chain", "deploy", "--name", "t", "--symbol", "CORR"]],
+        "ledger.log",
+        "09cb27872356b63361f7bb35bccf829cdee9411fc528f20965ae057a548e60ed",
+    ),
+}
 
 
 def sha256(data: bytes) -> str:
@@ -153,12 +174,20 @@ def test_regimen_report(family):
 
 @pytest.mark.parametrize("name", sorted(BACKROOMS_CONFIGS))
 def test_backrooms_transcript(tmp_path, name):
-    backend, rate, stored = BACKROOMS_CONFIGS[name]
+    rate, stored = BACKROOMS_CONFIGS[name]
     assert BACKROOMS_TURNS > WINDOW
-    memory = MemoryStore(EmbeddingConfig(dimension=768, seed=1), backend=backend)
+    memory = MemoryStore(EmbeddingConfig(dimension=768, seed=1))
     config = BackroomsConfig(
         turns=BACKROOMS_TURNS, seed=1, injection_rate=rate, store_injected=stored
     )
     path = tmp_path / "transcript.txt"
     write_transcript(run_backrooms(config, memory=memory, generator=MarkovGenerator()), path)
     assert sha256(path.read_bytes()) == BACKROOMS_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(CLI_PINS))
+def test_cli_artifact(tmp_path, name):
+    runs, artifact, digest = CLI_PINS[name]
+    for argv in runs:
+        assert main([*argv, "--out", str(tmp_path)]) == 0
+    assert sha256((tmp_path / artifact).read_bytes()) == digest

@@ -9,6 +9,7 @@ import pytest
 
 from zerebro.embedding import EmbeddingConfig, HashedEngine, cosine_similarity, embed
 from zerebro.errors import (
+    BadConfigError,
     CorruptSnapshotError,
     DimensionMismatchError,
     EmptyTextError,
@@ -294,6 +295,7 @@ class TestPersistence:
         (b"seed=0", b"seed=-1"),
         (b"dim=64", b"dim=1"),
         (b"backend=hashed", b"backend=bogus"),
+        (b"backend=hashed", b"backend=remote-stub"),  # the retired engine's snapshots
         (b"dim=64", b"dim64"),
     ])
     def test_header_config_refused_is_corrupt(self, tmp_path, stated, edited):
@@ -313,6 +315,7 @@ class TestPersistence:
         with pytest.raises(CorruptSnapshotError, match="unreadable header") as excinfo:
             MemoryStore.load(path)
         assert str(path) in str(excinfo.value)
+        assert edited.decode() in str(excinfo.value)
 
     def test_flipped_byte_detected(self, tmp_path):
         rng = np.random.default_rng(41)
@@ -405,16 +408,10 @@ class TestPersistence:
         assert not errors
         assert len(store) == 81
 
-    def test_remote_stub_backend_round_trips(self, tmp_path):
-        store = MemoryStore(CFG, backend="remote-stub")
-        store.add_text("r1", "served by the stub engine")
-        results = store.retrieve("served by the stub engine", 1)
-        assert results[0].similarity >= 1 - 1e-9
-        path = tmp_path / "stub.snapshot"
-        store.persist(path)
-        loaded = MemoryStore.load(path)
-        assert loaded.backend == "remote-stub"
-        assert (loaded.get("r1").vector == store.get("r1").vector).all()
+    def test_only_the_hashed_backend(self):
+        assert MemoryStore(CFG, backend="hashed").config == CFG
+        with pytest.raises(BadConfigError, match="'remote-stub'"):
+            MemoryStore(CFG, backend="remote-stub")
 
 
 # --- the block store against the per-pair oracle --------------------------------------
@@ -423,12 +420,9 @@ class TestPersistence:
 
 BIG = 600  # more rows than one block of the store holds (BLOCK_ROWS)
 CFG16 = EmbeddingConfig(dimension=16)  # filled_store's default
-# sha256 of the two snapshots test_persist_bytes_unchanged writes, recorded
-# with the dict-backed store this one replaced
-PERSIST_DIGESTS = [
-    "9cdb23590df938bc9500d49337f9bf92f445c930ca83ec2e933d62b6e7ff3438",
-    "abaa50b4268ac74c4113b151b229705bbe79e71f8b895ca66cf1795197b28aa7",
-]
+# sha256 of the snapshot test_persist_bytes_unchanged writes, recorded with
+# the dict-backed store this one replaced
+PERSIST_DIGEST = "9cdb23590df938bc9500d49337f9bf92f445c930ca83ec2e933d62b6e7ff3438"
 
 
 def oracle_admission(store: MemoryStore, vector, tau: float):
@@ -444,9 +438,9 @@ def oracle_admission(store: MemoryStore, vector, tau: float):
     return True, worst
 
 
-def filled_store(size: int, dimension: int = 16, backend: str = "hashed", seed: int = 5):
+def filled_store(size: int, dimension: int = 16, seed: int = 5):
     rng = np.random.default_rng(seed)
-    store = MemoryStore(EmbeddingConfig(dimension=dimension), backend=backend)
+    store = MemoryStore(EmbeddingConfig(dimension=dimension))
     i = 0
     while len(store) < size:
         text = f"{random_text(rng)} #{i}"
@@ -461,7 +455,7 @@ def filled_store(size: int, dimension: int = 16, backend: str = "hashed", seed: 
 def assert_matches_oracle(store: MemoryStore, rng, queries: int = 8, texts=()):
     """Every retrieve equals the per-record oracle, for `queries` random
     queries and then each of `texts`."""
-    engine_store = MemoryStore(store.config, backend=store.backend)
+    engine_store = MemoryStore(store.config)
     for query in [random_text(rng) for _ in range(queries)] + list(texts):
         try:
             q = engine_store.make_record("q", query).vector
@@ -478,10 +472,9 @@ def assert_matches_oracle(store: MemoryStore, rng, queries: int = 8, texts=()):
 
 
 class TestBlockStoreOracle:
-    @pytest.mark.parametrize("dimension", [2, 37, 257])
-    @pytest.mark.parametrize("backend", ["hashed", "remote-stub"])
-    def test_odd_dimensions_and_backends(self, dimension, backend):
-        store = filled_store(60, dimension, backend)
+    @pytest.mark.parametrize("dimension", [2, 37, 257], ids="hashed-{}".format)
+    def test_odd_dimensions_and_backends(self, dimension):
+        store = filled_store(60, dimension)
         assert_matches_oracle(store, np.random.default_rng(dimension))
 
     def test_store_larger_than_one_block(self):
@@ -688,15 +681,9 @@ class TestBlockStoreOracle:
         store.add_text("r0007", "replaced in place", source="agent", timestamp=BIG)
         for i in range(5):
             store.admit_with_diversity(store.make_record(f"c{i}", random_text(rng)))
-        stub = MemoryStore(EmbeddingConfig(dimension=257), backend="remote-stub")
-        for i in range(20):
-            stub.add_text(f"s{i}", f"stub text {i}", timestamp=i)
-        digests = []
-        for name, s in (("hashed", store), ("stub", stub)):
-            path = tmp_path / f"{name}.snapshot"
-            s.persist(path)
-            digests.append(hashlib.sha256(path.read_bytes()).hexdigest())
-        assert digests == PERSIST_DIGESTS
+        path = tmp_path / "hashed.snapshot"
+        store.persist(path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == PERSIST_DIGEST
 
 
 @pytest.fixture

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zerebro.agent import ACTION_KINDS, AgentState, _kind_cdf, plan
-from zerebro.embedding import EmbeddingConfig, RemoteStubEngine
+from zerebro.embedding import EmbeddingConfig
 from zerebro.generator import MarkovGenerator
 from zerebro.memory import MemoryStore
 from zerebro.seeding import Draws, seed, u64
@@ -108,18 +108,6 @@ class TestDraws:
     def test_out_of_range_bound_raises(self, n):
         with pytest.raises(ValueError):
             Draws(seed(b"x")).integers(n)
-
-    def test_bit_generator_wraps_into_default_rng(self):
-        wrapped = np.random.Generator(Draws(seed(b"normal", key=u64(3))).bit_generator)
-        rng = np.random.default_rng(seed(b"normal", key=u64(3)))
-        assert wrapped.standard_normal(50).tobytes() == rng.standard_normal(50).tobytes()
-
-    def test_remote_stub_vector_is_default_rng_normal(self):
-        config = EmbeddingConfig(dimension=96, seed=5)
-        vec = np.random.default_rng(seed(b"hello corridor", key=u64(5))).standard_normal(96)
-        expected = vec / float(np.linalg.norm(vec))
-        got = RemoteStubEngine(config).embed_text("hello corridor")
-        assert got.tobytes() == expected.tobytes()
 
 
 # --- generate against its numpy-Generator form ----------------------------------------
