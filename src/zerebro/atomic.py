@@ -1,31 +1,34 @@
 """Crash-safe file replacement: a file is either its old bytes or its new ones.
 
-`write_atomic` is the one writer of whole files; only the event log,
-streamed a line at a time, is written otherwise.
+`staged` is the one commit path for every file a command leaves: `write_atomic`
+writes a whole file through it, and the event log streams its lines into it.
 """
 
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
 from pathlib import Path
 
 from .errors import IoFailureError
 
 
-def write_atomic(path, data: bytes | str) -> None:
-    """Replace path's contents with data, text encoded as UTF-8.
+@contextmanager
+def staged(path):
+    """Yield a binary file that replaces path's contents on a clean exit.
 
-    The bytes go to a temp file beside path, which is fsynced and moved over
-    path with os.replace; the directory is then fsynced, so the rename too
-    survives a power loss. A failure up to the rename removes the temp file
-    and leaves path as it was. Any OSError raises IoFailureError.
+    The file is a temp file beside path. On a clean exit it is fsynced and
+    moved over path with os.replace; the directory is then fsynced, so the
+    rename too survives a power loss. An exception up to the rename removes
+    the temp file and leaves path as it was. Any OSError raises
+    IoFailureError.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.tmp")
     try:
         try:
             with open(tmp, "wb") as fh:
-                fh.write(data.encode("utf-8") if isinstance(data, str) else data)
+                yield fh
                 fh.flush()
                 os.fsync(fh.fileno())
             os.replace(tmp, path)
@@ -39,3 +42,9 @@ def write_atomic(path, data: bytes | str) -> None:
             os.close(directory)
     except OSError as exc:
         raise IoFailureError(f"cannot write {path}: {exc}") from exc
+
+
+def write_atomic(path, data: bytes | str) -> None:
+    """Replace path's contents with data, text encoded as UTF-8, through `staged`."""
+    with staged(path) as fh:
+        fh.write(data.encode("utf-8") if isinstance(data, str) else data)

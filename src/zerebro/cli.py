@@ -42,13 +42,16 @@ def parse_config_file(path: str | None) -> dict[str, str]:
     if not path:
         return {}
     values: dict[str, str] = {}
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"config file {path} is not UTF-8 ({exc})") from None
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ZerebroError(f"config line {raw!r} is not key=value")
+            raise ZerebroError(f"config file {path}: line {raw!r} is not key=value")
         key, value = line.split("=", 1)
         values[key.strip()] = value.strip()
     return values
@@ -57,7 +60,10 @@ def parse_config_file(path: str | None) -> dict[str, str]:
 def _resolve(args, config: dict[str, str], dest: str, key: str, cast, default) -> None:
     """Set args.<dest> from its flag, else the config key, else the default."""
     if getattr(args, dest, None) is None:
-        setattr(args, dest, cast(config[key]) if key in config else default)
+        try:
+            setattr(args, dest, cast(config[key]) if key in config else default)
+        except ValueError as exc:
+            raise ValueError(f"config value {key}={config[key]!r}: {exc}") from None
 
 
 # --- collapse --------------------------------------------------------------------
@@ -148,7 +154,6 @@ def cmd_agent(args, config: dict[str, str], out: Path) -> tuple[int, list[str]]:
         return corpus[obs_draws.integers(len(corpus))]
 
     log_path = out / "agent.log"
-    log_path.unlink(missing_ok=True)
     with EventLog(log_path, clock=clock) as log:
         final, state_digest = agent_mod.run_session(
             state, memory, connectors, client, MarkovGenerator(), observations,

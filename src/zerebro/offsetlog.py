@@ -3,9 +3,12 @@
 Both the agent's event log and the ledger are files of lines
     <offset>\\t<kind>\\t<timestamp>\\t<json body, sorted keys>\\n
 with offsets dense from 0, so line i carries offset i. This module is the
-only code that writes, parses or resumes that format. `encode` writes a
-line from a body dict; `encode_text` frames a body its caller has already
-written as canonical JSON, as the ledger does with the text it also hashes.
+only code that writes or parses that format. `encode` writes a line from
+a body dict; `encode_text` frames a body its caller has already written as
+canonical JSON, as the ledger does with the text it also hashes.
+
+Nothing appends to an existing file: each log is committed whole by `atomic.staged`,
+so a new log starts at offset 0 and a torn last line is never built on.
 """
 
 from __future__ import annotations
@@ -79,26 +82,3 @@ def read(path, kinds: Collection[str]) -> Iterator[tuple[int, str, int, dict]]:
                 raise CorruptLogError(f"{path}: body at offset {offset} is not a JSON object")
             yield offset, parts[1], timestamp, body
 
-
-def resume(path) -> int:
-    """The offset the next appended line gets: 0 for a missing or empty file,
-    else its line count.
-
-    A non-empty file that does not end in a newline has a torn last line,
-    and appending would glue the next line onto it, so that raises
-    CorruptLogError. Other OSErrors propagate to the caller.
-    """
-    lines, last = 0, b"\n"
-    try:
-        with open(path, "rb") as fh:
-            for chunk in iter(lambda: fh.read(1 << 16), b""):
-                lines += chunk.count(b"\n")
-                last = chunk[-1:]
-    except FileNotFoundError:
-        return 0
-    if last != b"\n":
-        raise CorruptLogError(
-            f"{path}: line at offset {lines} is torn (no trailing newline); "
-            "truncate it before appending"
-        )
-    return lines

@@ -19,12 +19,13 @@ import hashlib
 import math
 import threading
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
 from . import agent as agent_mod
-from . import offsetlog, seeding
+from . import atomic, offsetlog, seeding
 from .clock import SimClock
 from .diversity import distinct_n
 from .errors import (
@@ -220,21 +221,23 @@ def load_connector_config(
 
 
 class EventLog:
-    """Append-only log file with dense offsets. One writer at a time.
+    """Log file with dense offsets from 0, committed whole. One writer at a time.
 
-    Opening an existing log resumes its offsets; a torn last line raises
-    CorruptLogError instead of being appended to.
+    The lines stream, flushed one at a time, into the file `atomic.staged`
+    opens beside the path given, and `self.path` names that staged file
+    while the log is open. A clean close commits it over the path given,
+    which `self.path` then names; an exception out of the `with` block
+    discards it, so a file already at the path keeps its bytes.
     """
 
     def __init__(self, path, clock: Callable[[], int] | None = None):
-        self.path = path
         self._clock = clock or SimClock()
         self._lock = threading.Lock()
-        try:
-            self._offset = offsetlog.resume(path)
-            self._fh = open(path, "a", encoding="utf-8", newline="\n")
-        except OSError as exc:
-            raise IoFailureError(f"cannot open log {path}: {exc}") from exc
+        self._offset = 0
+        self._final = Path(path)
+        self._staged = atomic.staged(path)
+        self._fh = self._staged.__enter__()
+        self.path = Path(self._fh.name)
 
     def append(self, kind: str, payload: dict) -> int:
         if kind not in LOG_KINDS:
@@ -243,7 +246,7 @@ class EventLog:
             offset = self._offset
             line = offsetlog.encode(offset, kind, self._clock(), payload)
             try:
-                self._fh.write(line)
+                self._fh.write(line.encode("utf-8"))
                 self._fh.flush()
             except OSError as exc:
                 raise IoFailureError(f"cannot append to log {self.path}: {exc}") from exc
@@ -251,13 +254,15 @@ class EventLog:
         return offset
 
     def close(self) -> None:
-        self._fh.close()
+        self.__exit__(None, None, None)
 
     def __enter__(self) -> "EventLog":
         return self
 
     def __exit__(self, *exc_info) -> None:
-        self.close()
+        self._staged.__exit__(*exc_info)
+        if exc_info[0] is None:
+            self.path = self._final
 
 
 def read_log(path) -> list[LogEntry]:

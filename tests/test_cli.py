@@ -9,7 +9,9 @@ import warnings
 
 import pytest
 
+from zerebro import agent as agent_mod
 from zerebro.cli import main, parse_config_file
+from zerebro.errors import ConnectorDownError
 
 
 def run_cli(*argv) -> int:
@@ -343,6 +345,20 @@ class TestConfigFile:
         assert run_cli(*argv, "--out", str(unnamed)) == 0
         assert tree(named) == tree(unnamed)
 
+    @pytest.mark.parametrize("text,message", [
+        (b"embedding.dimension=abc\n", "config value embedding.dimension='abc': "),
+        (b"agent.seed=\xff\n", "config file {conf} is not UTF-8 "),
+    ], ids=["bad-value", "non-utf8"])
+    def test_config_error_names_its_source(self, tmp_path, capsys, text, message):
+        """A value that does not parse names its key; a file that is not
+        UTF-8 names the file. Either is one line and exit 2."""
+        conf = tmp_path / "conf"
+        conf.write_bytes(text)
+        assert run_cli("agent", "--turns", "2", "--config", str(conf),
+                       "--out", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: " + message.format(conf=conf)) and err.count("\n") == 1
+
 
 class TestManifestReproducibility:
     def rerun_args(self, manifest: dict, out: str) -> list[str]:
@@ -631,7 +647,7 @@ class TestManifestIsWholeRun:
 WRITE_FAULT_RUNS = {
     "collapse": [["collapse", "--model", "gaussian", "--G", "3"]] * 2,
     "backrooms": [["backrooms", "--turns", "3"]] * 2,
-    "agent": [["agent", "--turns", "6", "--seed", "4"]] * 2,
+    "agent": [["agent", "--turns", "6", "--seed", "4"], ["agent", "--turns", "7", "--seed", "5"]],
     "memory-upsert": [["memory", "upsert", "--id", "m1", "--text", "the lantern at dusk"],
                       ["memory", "upsert", "--id", "m2", "--text", "an owl over the mill"]],
     "chain-mint": [["chain", "mint", "--art-seed", "3"], ["chain", "mint", "--art-seed", "4"]],
@@ -644,15 +660,14 @@ WRITE_FAULT_RUNS = {
 @pytest.mark.parametrize("name", sorted(WRITE_FAULT_RUNS))
 def test_failed_write_is_one_error_line_and_keeps_files(tmp_path, capsys, monkeypatch, name):
     """A write that fails exits 1 with one error line, and every file of the
-    run before keeps its bytes; agent.log, streamed as the session runs, is
-    the one file written otherwise."""
+    run before keeps its bytes, agent.log included: it is staged and
+    committed like every other file."""
     out, source = tmp_path / "out", str(tmp_path / "input")
     assert run_cli("collapse", "--model", "gaussian", "--G", "2", "--out", source) == 0
     first, second = ([a.replace("{input}", source) for a in argv]
                      for argv in WRITE_FAULT_RUNS[name])
     assert run_cli(*first, "--out", str(out)) == 0
     before = tree(out)
-    before.pop("agent.log", None)
     capsys.readouterr()
 
     def fail_fsync(_fd):
@@ -664,5 +679,28 @@ def test_failed_write_is_one_error_line_and_keeps_files(tmp_path, capsys, monkey
     assert err.startswith("error: cannot write ") and err.count("\n") == 1
     assert "simulated I/O error" in err
     after = tree(out)
-    after.pop("agent.log", None)
     assert after == before
+
+
+def test_failed_session_keeps_the_old_log(tmp_path, capsys, monkeypatch):
+    """A session that raises mid-run on a reused --out exits 1 with one
+    error line, and the previous run's files keep their bytes, agent.log
+    included."""
+    out = tmp_path / "out"
+    assert run_cli("agent", "--turns", "6", "--seed", "4", "--out", str(out)) == 0
+    before = tree(out)
+    capsys.readouterr()
+
+    real_step, turns = agent_mod.step, []
+
+    def step(*args, **kwargs):
+        turns.append(None)
+        if len(turns) == 4:
+            raise ConnectorDownError("every connector is down")
+        return real_step(*args, **kwargs)
+
+    monkeypatch.setattr(agent_mod, "step", step)
+    assert run_cli("agent", "--turns", "7", "--seed", "5", "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err == "error: every connector is down\n"
+    assert tree(out) == before

@@ -194,10 +194,11 @@ class TestEventLog:
         path = tmp_path / "x.log"
         with EventLog(path) as log:
             log.append("observation", {"n": 1})
-            before = path.read_bytes()
+            before = log.path.read_bytes()
             log.append("observation", {"n": 2})
-            after = path.read_bytes()
+            after = log.path.read_bytes()
         assert after.startswith(before)
+        assert log.path == path and path.read_bytes() == after
 
     def test_read_round_trip(self, tmp_path):
         path = tmp_path / "x.log"
@@ -231,17 +232,6 @@ class TestEventLog:
             with pytest.raises(ValueError):
                 log.append("telemetry", {})
 
-    def test_torn_tail_refused_on_open(self, tmp_path):
-        path = tmp_path / "x.log"
-        with EventLog(path) as log:
-            log.append("observation", {"n": 1})
-            log.append("observation", {"text": "cut off mid-line"})
-        intact = path.read_bytes()
-        path.write_bytes(intact[: intact.index(b"mid-line")])
-        with pytest.raises(CorruptLogError, match="offset 1 is torn"):
-            EventLog(path)
-        assert intact.startswith(path.read_bytes())  # nothing was appended
-
     def test_every_truncation_reads_a_prefix_or_raises(self, tmp_path):
         path = tmp_path / "x.log"
         with EventLog(path) as log:
@@ -256,21 +246,41 @@ class TestEventLog:
             except CorruptLogError:
                 prefix = None
             assert prefix is None or prefix == full[: len(prefix)]
-            if cut == 0 or intact[cut - 1 : cut] == b"\n":
-                with EventLog(path) as log:
-                    assert log.append("observation", {}) == intact[:cut].count(b"\n")
-            else:
-                with pytest.raises(CorruptLogError):
-                    EventLog(path)
 
-    def test_reopen_resumes_dense_offsets(self, tmp_path):
+    @staticmethod
+    def old_log(path) -> bytes:
+        with EventLog(path) as log:
+            for n in range(3):
+                log.append("observation", {"n": n})
+        return path.read_bytes()
+
+    def test_failed_session_keeps_the_old_log(self, tmp_path):
+        """A log left by an exception is discarded: the file at its path,
+        whole or torn at any byte, keeps its bytes, and no temp file stays."""
         path = tmp_path / "x.log"
-        with EventLog(path) as log:
-            log.append("observation", {"n": 1})
-            log.append("observation", {"n": 2})
-        with EventLog(path) as log:
-            assert log.append("observation", {"n": 3}) == 2
-        assert [e.offset for e in read_log(path)] == [0, 1, 2]
+        intact = self.old_log(path)
+        for cut in range(len(intact) + 1):
+            path.write_bytes(intact[:cut])
+            with pytest.raises(ConnectorDownError):
+                with EventLog(path) as log:
+                    log.append("observation", {"n": "new"})
+                    raise ConnectorDownError("mid-session")
+            assert path.read_bytes() == intact[:cut]
+            assert [p.name for p in tmp_path.iterdir()] == ["x.log"]
+
+    def test_clean_close_replaces_the_old_log(self, tmp_path):
+        """A new log starts at offset 0 whatever the file at its path holds,
+        whole or torn at any byte, and a clean close leaves only its lines."""
+        path = tmp_path / "x.log"
+        intact = self.old_log(path)
+        for cut in range(len(intact) + 1):
+            path.write_bytes(intact[:cut])
+            log = EventLog(path)
+            assert log.append("plan", {"requests": []}) == 0
+            assert log.append("gate", {"results": []}) == 1
+            log.close()
+            assert [(e.offset, e.kind) for e in read_log(path)] == [(0, "plan"), (1, "gate")]
+            assert [p.name for p in tmp_path.iterdir()] == ["x.log"]
 
 
 class TestReplay:
