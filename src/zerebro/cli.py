@@ -2,8 +2,9 @@
 chain operations, and report generation.
 
 Every command resolves its configuration (config file overridden by
-flags), runs under simulated clocks and writes its artifacts beneath
---out. `main` then writes manifest.json: the command, every resolved
+flags), makes --out only once every config value it reads has parsed,
+runs under simulated clocks and writes its artifacts beneath --out.
+`main` then writes manifest.json: the command, every resolved
 value (each flag plus each config-file value the command read) and the
 artifact names, enough to reproduce the run byte for byte.
 
@@ -71,6 +72,7 @@ def _resolve(args, config: dict[str, str], dest: str, key: str, cast, default) -
 
 def cmd_collapse(args, config: dict[str, str], out: Path) -> tuple[int, list[str]]:
     _resolve(args, config, "seed", "collapse.seed", int, 0)
+    out.mkdir(parents=True, exist_ok=True)
     if args.model == "gaussian":
         origin = collapse_mod.GaussianModel(mu=args.mu, sigma2=args.sigma2)
     else:
@@ -104,6 +106,7 @@ def cmd_collapse(args, config: dict[str, str], out: Path) -> tuple[int, list[str
 def cmd_backrooms(args, config: dict[str, str], out: Path) -> tuple[int, list[str]]:
     _resolve(args, config, "seed", "backrooms.seed", int, 0)
     _resolve(args, config, "dimension", "embedding.dimension", int, EmbeddingConfig().dimension)
+    out.mkdir(parents=True, exist_ok=True)
     cfg = backrooms_mod.BackroomsConfig(
         turns=args.turns, seed=args.seed, injection_rate=args.injection_rate,
         opening_prompt=args.prompt, store_injected=args.store_injected,
@@ -131,6 +134,7 @@ def cmd_agent(args, config: dict[str, str], out: Path) -> tuple[int, list[str]]:
              agent_mod.DEFAULT_MAX_ACTIONS)
     _resolve(args, config, "eta", "agent.eta", float, agent_mod.DEFAULT_ETA)
     _resolve(args, config, "dimension", "embedding.dimension", int, 256)
+    out.mkdir(parents=True, exist_ok=True)
     # every refusal comes before --out is touched: the art is written after the session
     agent_mod.check_session_args(args.turns, args.eta, args.max_actions)
     seed = args.seed
@@ -187,6 +191,7 @@ def cmd_memory(args, config: dict[str, str], out: Path) -> tuple[int, list[str]]
                  EmbeddingConfig().dimension)
         _resolve(args, config, "embedding_seed", "embedding.seed", int, 0)
         store = MemoryStore(EmbeddingConfig(dimension=args.dimension, seed=args.embedding_seed))
+    out.mkdir(parents=True, exist_ok=True)
 
     if args.op == "upsert":
         store.add_text(args.id, args.text, source=args.source, timestamp=SimClock()())
@@ -211,6 +216,7 @@ def cmd_memory(args, config: dict[str, str], out: Path) -> tuple[int, list[str]]
 
 
 def cmd_chain(args, config: dict[str, str], out: Path) -> tuple[int, list[str]]:
+    out.mkdir(parents=True, exist_ok=True)
     ledger_path = Path(args.ledger) if args.ledger else out / "ledger.log"
     artifacts = [ledger_path.name]
     if args.op == "verify":
@@ -273,6 +279,7 @@ def _collapse_section(path: str) -> str:
 
 
 def cmd_report(args, config: dict[str, str], out: Path) -> tuple[int, list[str]]:
+    out.mkdir(parents=True, exist_ok=True)
     sections = []
     if args.collapse:
         sections.append("== collapse ==")
@@ -382,7 +389,6 @@ def main(argv: list[str] | None = None) -> int:
             raise ValueError(f"config key embedding.backend is retired: the hashed engine is "
                              f"the only one, got {backend!r}")
         out = Path(args.out or os.environ.get(OUT_ENV) or "zerebro-out")
-        out.mkdir(parents=True, exist_ok=True)
         code, artifacts = args.func(args, config, out)
         resolved = {k: v for k, v in vars(args).items() if k not in ("func", "config", "out")}
         manifest = {"command": args.command, "config": resolved, "artifacts": artifacts}

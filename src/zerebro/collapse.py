@@ -41,17 +41,28 @@ for bit, what advancing that (rho, seed) model alone would give:
   as a 1-D call. A model whose refit variance is not positive is marked
   collapsed and keeps its last good fit; a non-finite refit (an
   overflow) is refused, as GaussianModel refuses it.
-* A categorical model is a probability vector over the sorted support, 0
-  for a lost symbol. Draws are `searchsorted` on its cumsum, clipped to
-  the last symbol still present; adding 0.0 leaves a running sum as it
-  was, so a lost symbol's plateau gives the draws of the cumsum over the
-  present symbols alone. The refit is a `bincount` over the draws.
+* A categorical model is the sorted support indices of the m samples it
+  was fit to (the start model: its present symbols, one each), with each
+  symbol's probability at its last position and 0.0 at the others. Draws
+  are `searchsorted` on its cumsum over only those positions, and a draw
+  past the last step clips to the last position, the last present symbol.
+  These are the draws of the model's probability vector over the whole
+  sorted support: adding 0.0 leaves a running sum as it was, so the cumsum
+  at each symbol's last position is the float the vector's cumsum holds at
+  that symbol, and the first position whose cumsum exceeds u is always a
+  symbol's last, since the positions before it in its run hold the sum of
+  the symbols before it. The origin is searched the same way, once per
+  draw block. The refit sorts the samples, marks where each symbol's run
+  ends, and gathers one `bincount` at the sorted samples: `c / m`, the same
+  division as over a count vector, kept only at run ends.
 
 Memory is bounded however many seeds a regimen runs: `compare_regimens`
 advances SEED_CHUNK seeds at a time, and each seed draws at most
 DRAW_BLOCK numbers (or one generation's m, if larger) at a time, so a
-chunk holds its draws plus (R, SEED_CHUNK, m) samples, and for a
-categorical origin of K symbols (R, SEED_CHUNK, K) probabilities.
+chunk holds its draws plus (R, SEED_CHUNK, m) samples. A categorical chunk
+also holds (R, SEED_CHUNK, m) sorted samples and probabilities (the start
+model's width before the first refit), plus one transient R * SEED_CHUNK * K
+bincount per generation for an origin of K symbols.
 """
 
 from __future__ import annotations
@@ -214,6 +225,10 @@ class _GaussianBlock:
         np.copyto(self.s2, var, where=kept)
         return x
 
+    def generations(self, draws: np.ndarray):
+        """One generation per (S, m) normals of draws (G, S, m)."""
+        return map(self.advance, draws)
+
     def model(self, r: int, s: int) -> GaussianModel:
         return GaussianModel(mu=float(self.mu[r, s]), sigma2=float(self.s2[r, s]))
 
@@ -223,8 +238,9 @@ class _GaussianBlock:
 
 
 class _CategoricalBlock:
-    """An (R, S) block of categorical models, each row a probability vector
-    over the sorted support (0 for an absent symbol)."""
+    """An (R, S) block of categorical models. Each model is the W sorted
+    support indices it was fit to (the start model: its present symbols),
+    with each symbol's probability at its last position and 0.0 elsewhere."""
 
     @staticmethod
     def draw(rng, shape) -> np.ndarray:
@@ -239,46 +255,60 @@ class _CategoricalBlock:
             for model in (origin, start)
         )
         shape = (len(rhos), n_seeds)
-        self.human = _human_mask(m, rhos)
+        self.human_counts = [_human_count(m, rho) for rho in rhos]
         # rows with at least one sample from the model: at rho = 1 every one
         # is human, and such a row needs no search of its model
-        self.modeled = np.flatnonzero(~self.human[:, 0, -1])
-        self.origin_cdf, self.origin_last = np.cumsum(origin_p), np.flatnonzero(origin_p)[-1]
-        self.probs = np.broadcast_to(start_p, (*shape, len(self.support)))
-        self.last = np.full(shape, np.flatnonzero(start_p)[-1])  # last present symbol
+        self.modeled = [r for r, h in enumerate(self.human_counts) if h < m]
+        self.origin_idx = np.flatnonzero(origin_p)
+        self.origin_cdf = np.cumsum(origin_p[self.origin_idx])
+        start_idx = np.flatnonzero(start_p)
+        self.idx = np.broadcast_to(start_idx, (*shape, len(start_idx)))
+        self.p = np.broadcast_to(start_p[start_idx], self.idx.shape)
         self.collapsed = np.zeros(shape, dtype=bool)  # support loss is no collapse
         # where each model's counts start in the one bincount of a generation
         self.offsets = np.arange(math.prod(shape)).reshape(*shape, 1) * len(self.support)
 
-    def advance(self, u: np.ndarray) -> np.ndarray:
-        """One generation from each column's m uniforms u (S, m); returns the
-        (R, S, m) sample indices into the support."""
-        R, S, K = self.probs.shape
-        cdf = np.cumsum(self.probs[self.modeled], axis=-1)
-        drawn = np.zeros((R, S, self.m), dtype=np.intp)
-        for i, s in np.ndindex(len(self.modeled), S):
-            drawn[self.modeled[i], s] = np.searchsorted(cdf[i, s], u[s], side="right")
-        np.minimum(drawn, self.last[..., None], out=drawn)
-        human = np.minimum(np.searchsorted(self.origin_cdf, u, side="right"), self.origin_last)
-        idx = np.where(self.human, human, drawn)
-        counts = np.bincount((idx + self.offsets).ravel(), minlength=R * S * K)
-        self.probs = counts.reshape(R, S, K) / self.m
-        self.last = idx.max(axis=-1)
-        return idx
+    def generations(self, draws: np.ndarray):
+        """One generation per (S, m) uniforms of draws (G, S, m); yields each
+        one's (R, S, m) sample indices into the support, in draw order."""
+        top = max(self.human_counts, default=0)
+        # take's clip mode maps a uniform past the last cdf step to the last position, W - 1
+        found = self.origin_cdf.searchsorted(draws[..., :top], side="right")
+        for u, from_origin in zip(draws, self.origin_idx.take(found, mode="clip")):
+            # every row takes the origin draws; a modelled row then overwrites its own from h on
+            samples = np.empty(self.p.shape[:-1] + (self.m,), dtype=np.intp)
+            samples[..., :top] = from_origin
+            cdf = self.p.cumsum(axis=-1)
+            for r in self.modeled:
+                h = self.human_counts[r]
+                for c, idx, row, out in zip(cdf[r], self.idx[r], u[:, h:], samples[r, :, h:]):
+                    idx.take(c.searchsorted(row, side="right"), out=out, mode="clip")
+            self._refit(samples)
+            yield samples
+
+    def _refit(self, samples: np.ndarray) -> None:
+        """Each model becomes its sorted samples, with c / m at each symbol's last one."""
+        x = np.sort(samples, axis=-1)
+        end = np.empty(x.shape, dtype=bool)
+        np.not_equal(x[..., :-1], x[..., 1:], out=end[..., :-1])
+        end[..., -1] = True
+        at = x + self.offsets
+        self.p = np.bincount(at.ravel()).take(at) / self.m
+        self.p *= end
+        self.idx = x
 
     def model(self, r: int, s: int) -> CategoricalModel:
-        p = self.probs[r, s]
+        p = self.p[r, s]
         present = np.flatnonzero(p)
-        return CategoricalModel(
-            {self.support[i]: q for i, q in zip(present.tolist(), p[present].tolist())}
-        )
+        return CategoricalModel({self.support[i]: q for i, q in
+                                 zip(self.idx[r, s, present].tolist(), p[present].tolist())})
 
     def finals(self) -> list[tuple]:
         """Per row: (variance ratios, entropies, distincts) of every column."""
-        distincts = np.count_nonzero(self.probs, axis=-1).tolist()
+        distincts = np.count_nonzero(self.p, axis=-1).tolist()
         return [
             ((), tuple(_entropy_bits(p[p > 0].tolist()) for p in row), tuple(row_distincts))
-            for row, row_distincts in zip(self.probs, distincts)
+            for row, row_distincts in zip(self.p, distincts)
         ]
 
 
@@ -296,8 +326,7 @@ def _generations(block, rngs: Sequence[np.random.Generator], generations: int, m
     per_draw = max(1, DRAW_BLOCK // m)
     for first in range(0, generations, per_draw):
         shape = (min(per_draw, generations - first), m)
-        for draws in np.stack([block.draw(rng, shape) for rng in rngs], axis=1):
-            yield block.advance(draws)
+        yield from block.generations(np.stack([block.draw(rng, shape) for rng in rngs], axis=1))
 
 
 def step_generation(model, origin, m: int, rho: float, rng: np.random.Generator):
@@ -308,7 +337,7 @@ def step_generation(model, origin, m: int, rho: float, rng: np.random.Generator)
     Categorical refits keep empirical frequencies and drop absent symbols.
     """
     block = _block(origin, m, [rho], 1, start=model)
-    samples = block.advance(block.draw(rng, (1, m)))[0, 0]
+    samples = next(block.generations(block.draw(rng, (1, 1, m))))[0, 0]
     if block.collapsed[0, 0]:
         raise DegenerateFitError(f"all {m} samples identical at value {samples[0]!r}")
     if isinstance(block, _CategoricalBlock):

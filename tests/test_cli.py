@@ -345,6 +345,22 @@ class TestConfigFile:
         assert run_cli(*argv, "--out", str(unnamed)) == 0
         assert tree(named) == tree(unnamed)
 
+    @pytest.mark.parametrize("argv, key", [
+        (["agent", "--turns", "2"], "embedding.dimension"),
+        (["backrooms", "--turns", "2"], "embedding.dimension"),
+        (["collapse", "--model", "gaussian", "--G", "2"], "collapse.seed"),
+    ], ids=["agent", "backrooms", "collapse"])
+    def test_bad_config_value_makes_no_out(self, tmp_path, capsys, argv, key):
+        """--out is made only once every config value the command reads has
+        parsed, so a bad one leaves no directory behind."""
+        conf = tmp_path / "conf"
+        conf.write_text(f"{key}=abc\n", encoding="utf-8")
+        out = tmp_path / "nested" / "out"
+        assert run_cli(*argv, "--config", str(conf), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config value {key}='abc': ") and err.count("\n") == 1
+        assert not (tmp_path / "nested").exists()
+
     @pytest.mark.parametrize("text,message", [
         (b"embedding.dimension=abc\n", "config value embedding.dimension='abc': "),
         (b"agent.seed=\xff\n", "config file {conf} is not UTF-8 "),

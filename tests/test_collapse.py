@@ -1,6 +1,7 @@
 """Collapse lab: analytic decay oracles, absorbing extinction, regimen
 dominance, determinism, degenerate fits, trajectory files."""
 
+import itertools
 import math
 import re
 from collections import Counter
@@ -294,6 +295,18 @@ def reference_rows(base: RecursionConfig, rhos, n_seeds: int) -> list[tuple]:
     return rows
 
 
+class ScriptedUniforms:
+    """A stream of uniforms that cycles through values, read in order across
+    calls of any size, as a Generator's `random` reads its stream."""
+
+    def __init__(self, values):
+        self.values = itertools.cycle(values)
+
+    def random(self, size):
+        n = math.prod(np.atleast_1d(size).tolist())
+        return np.fromiter(itertools.islice(self.values, n), np.float64, n).reshape(size)
+
+
 def batched_rows(base: RecursionConfig, rhos, n_seeds: int) -> list[tuple]:
     report = compare_regimens(base, rhos, n_seeds)
     return [(row.rho, row.final_variance_ratios, row.final_entropies, row.final_distincts)
@@ -306,11 +319,15 @@ GAUSSIAN_ORIGINS = [
     GaussianModel(1.0, 1e-40),  # every fit degenerate: collapses at generation 1
     GaussianModel(1.0, 1e-32),  # spread near 1.0's ulp: collapses at a random generation
 ]
+HARMONIC = [1 / i for i in range(1, 21)]
 CATEGORICAL_ORIGINS = [
     uniform_categorical(1),
     uniform_categorical(7),
     uniform_categorical(300),
     CategoricalModel({"a": 0.1, "b": 0.2, "zz": 0.3, "c": 0.4}),
+    CategoricalModel({"a": 1e-300, "b": 1.0}),  # 1e-300 cannot move the running sum
+    # a skewed 1/i origin; "s10" sorts before "s2", so support order is not weight order
+    CategoricalModel({f"s{i}": w / math.fsum(HARMONIC) for i, w in enumerate(HARMONIC, 1)}),
 ]
 
 
@@ -354,16 +371,18 @@ class TestBatchedKernel:
 
     @settings(max_examples=40, deadline=None)
     @given(regimens("categorical", CATEGORICAL_ORIGINS))
-    @example((RecursionConfig("categorical", 50, 15, 0.5, 5, CATEGORICAL_ORIGINS[-1]),
+    @example((RecursionConfig("categorical", 50, 15, 0.5, 5, CATEGORICAL_ORIGINS[3]),
               [0.0, 0.5, 0.5, 1.0], 3))
     def test_categorical(self, case):
         self.check(*case)
 
-    # m = 100 is the CLI's default; past 128 numpy's pairwise sum splits a row
+    # m = 100 is the CLI's default; past 128 numpy's pairwise sum splits a row;
+    # 1000 symbols at m = 100 is the collapse-sweep workload's shape
     @pytest.mark.parametrize("m", [6, 100, 129, 1000], ids=lambda m: f"m{m}")
     @pytest.mark.parametrize("kind, origin", [("gaussian", GAUSSIAN_ORIGINS[0]),
                                               ("gaussian", GAUSSIAN_ORIGINS[3]),
-                                              ("categorical", CATEGORICAL_ORIGINS[1])])
+                                              ("categorical", CATEGORICAL_ORIGINS[1]),
+                                              ("categorical", uniform_categorical(1000))])
     def test_past_one_seed_chunk(self, kind, origin, m):
         base = RecursionConfig(kind, m, 8, 0.0, 2**64 - 3, origin)
         self.check(base, [0.0, 0.25, 1.0], SEED_CHUNK + 3)
@@ -382,9 +401,29 @@ class TestBatchedKernel:
         assert refit == reference_step(model, origin, 10, 0.0, TopOfUnitInterval())
         assert samples == [9] * 10
 
+    def test_origin_draw_past_the_last_cdf_step(self):
+        # as above, with the tenths as the origin that rho = 1 draws from
+        model, origin = uniform_categorical(12), CategoricalModel({i: 0.1 for i in range(10)})
+        samples, refit = step_generation(model, origin, 10, 1.0, ScriptedUniforms([1 - 2**-53]))
+        assert refit == reference_step(model, origin, 10, 1.0, ScriptedUniforms([1 - 2**-53]))
+        assert samples == [9] * 10
+
+    def test_draws_on_cdf_steps(self, monkeypatch):
+        # from four symbols at 0.25, rho = 0 draws the samples 0 0 2 2; the refit
+        # model's cumsum is then 0 .5 .5 1 over the sorted samples, and a draw
+        # of exactly .5 (or .25 or .75 from the origin) must pass the step to
+        # the next symbol, as a search on the right side of a cdf does
+        stream = [0.1, 0.2, 0.6, 0.7, 0.5, 0.25, 0.75, 0.0]
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: ScriptedUniforms(stream))
+        self.check(RecursionConfig("categorical", 4, 3, 0.0, 0, uniform_categorical(4)),
+                   [0.0, 0.5, 0.25], 2)
+
     @pytest.mark.parametrize("model, origin", [
         (GaussianModel(2.0, 0.5), GaussianModel(0.0, 1.0)),
-        (CategoricalModel({"a": 0.5, "zz": 0.5}), CATEGORICAL_ORIGINS[-1]),
+        (CategoricalModel({"a": 0.5, "zz": 0.5}), CATEGORICAL_ORIGINS[3]),
+        # "q" and "zzz" are not in the origin: the model's draws and refit still
+        # index the support both share
+        (CategoricalModel({"a": 0.25, "q": 0.5, "zzz": 0.25}), CATEGORICAL_ORIGINS[3]),
     ])
     def test_step_generation(self, model, origin):
         for rho in (0.0, 0.3, 1.0):

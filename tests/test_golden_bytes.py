@@ -43,7 +43,8 @@ AMOUNT_BUMP_DIGEST = "9c60386ef99cbc09d36e1cafbbf00c1b62e12432034a6b3fc8867401a5
 DUPLICATE_ART_DIGEST = "32f23d3b155aef0a0108b9563bfa95656a1959cf00526d63f7c8b50b0564245b"
 
 # trajectory.tsv per config; the one-symbol origin has sigma0 == 0 in the
-# tail-mass frame, and the 1e-40 variance run collapses at generation 1
+# tail-mass frame, the 1e-40 variance run collapses at generation 1, and
+# the tiny origin's 1e-300 cannot move the running sum past it
 TRAJECTORY_CONFIGS = {
     "gaussian-rho0.25": RecursionConfig(
         "gaussian", 100, 20, 0.25, 7, GaussianModel(mu=0.0, sigma2=1.0)
@@ -55,6 +56,9 @@ TRAJECTORY_CONFIGS = {
     ),
     "one-symbol": RecursionConfig("categorical", 10, 5, 0.0, 2, uniform_categorical(1)),
     "collapsed": RecursionConfig("gaussian", 10, 5, 0.0, 0, GaussianModel(mu=1.0, sigma2=1e-40)),
+    "tiny-probability": RecursionConfig(
+        "categorical", 20, 10, 0.5, 3, CategoricalModel({"a": 1e-300, "b": 1.0})
+    ),
 }
 TRAJECTORY_DIGESTS = {
     "gaussian-rho0.25": "fb1f930ca221d7578566e6c270cc0fcd23148d7ddf320521cec0e59625d85863",
@@ -62,6 +66,7 @@ TRAJECTORY_DIGESTS = {
     "string-symbols": "86c33f5b0126d84c86f0bf412898fbfdd3dc1175100b7bbbeea59549454a7715",
     "one-symbol": "1246a2eaa433426796cbfa9f37aa8ab613266f00c941a0999c39b743e2a20ac4",
     "collapsed": "a0a3faf3a2c43fc52966cada11cbfe04410cd0639b276df8aea650784cceee63",
+    "tiny-probability": "6a7c6b21ea4d5e154f9f271a37cd6d79b8ebdac5151efea23c2f82194c57a94e",
 }
 REPORT_DIGESTS = {
     "gaussian": "5962728460c38f626c4d2fd1d2c5f9e74e1cc091ac0a5695f568bc9dd0e35ee1",
@@ -94,6 +99,13 @@ CLI_PINS = {
         [["collapse", "--model", "categorical", "--G", "5", "--seeds", "2", "--seed", "1"]],
         "collapse_report.txt",
         "d5e8333112f31ddd2c199ee97e4d2bdcbb106aba7392396c42d07a9d81bece3f",
+    ),
+    # past one SEED_CHUNK, with rows drawing from both the origin and the model
+    "categorical-mixed-report": (
+        [["collapse", "--model", "categorical", "--G", "20", "--seeds", "70", "--rho", "0.3",
+          "--seed", "5"]],
+        "collapse_report.txt",
+        "1547e280757f649c5da06f4f84fbf3ea2c0b6e1bb9fcacd41f71acece74898c6",
     ),
     # chain deploy loads the minted ledger, appends to the text its load kept and saves it
     "chain-ledger": (
