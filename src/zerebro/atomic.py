@@ -17,7 +17,9 @@ from .errors import IoFailureError
 def staged(path):
     """Yield a binary file that replaces path's contents on a clean exit.
 
-    The file is a temp file beside path. On a clean exit it is fsynced and
+    path's directory is made first, with any missing parents; a new
+    directory's own entry is not fsynced into its parent. The file is a
+    temp file beside path. On a clean exit it is fsynced and
     moved over path with os.replace; the directory is then fsynced, so the
     rename too survives a power loss. An exception up to the rename removes
     the temp file and leaves path as it was. Any OSError raises
@@ -26,6 +28,7 @@ def staged(path):
     path = Path(path)
     tmp = path.with_name(f".{path.name}.tmp")
     try:
+        path.parent.mkdir(parents=True, exist_ok=True)
         try:
             with open(tmp, "wb") as fh:
                 yield fh

@@ -2,8 +2,8 @@
 chain operations, and report generation.
 
 Every command resolves its configuration (config file overridden by
-flags), makes --out only once every config value it reads has parsed,
-runs under simulated clocks and writes its artifacts beneath --out.
+flags), runs under simulated clocks and commits its artifacts beneath
+--out; the first commit makes --out, so an earlier refusal leaves none.
 `main` then writes manifest.json: the command, every resolved
 value (each flag plus each config-file value the command read) and the
 artifact names, enough to reproduce the run byte for byte.
@@ -52,7 +52,7 @@ def parse_config_file(path: str | None) -> dict[str, str]:
         if not line:
             continue
         if "=" not in line:
-            raise ZerebroError(f"config file {path}: line {raw!r} is not key=value")
+            raise ValueError(f"config file {path}: line {raw!r} is not key=value")
         key, value = line.split("=", 1)
         values[key.strip()] = value.strip()
     return values
@@ -72,7 +72,6 @@ def _resolve(args, config: dict[str, str], dest: str, key: str, cast, default) -
 
 def cmd_collapse(args, config: dict[str, str], out: Path) -> tuple[int, list[str]]:
     _resolve(args, config, "seed", "collapse.seed", int, 0)
-    out.mkdir(parents=True, exist_ok=True)
     if args.model == "gaussian":
         origin = collapse_mod.GaussianModel(mu=args.mu, sigma2=args.sigma2)
     else:
@@ -106,7 +105,6 @@ def cmd_collapse(args, config: dict[str, str], out: Path) -> tuple[int, list[str
 def cmd_backrooms(args, config: dict[str, str], out: Path) -> tuple[int, list[str]]:
     _resolve(args, config, "seed", "backrooms.seed", int, 0)
     _resolve(args, config, "dimension", "embedding.dimension", int, EmbeddingConfig().dimension)
-    out.mkdir(parents=True, exist_ok=True)
     cfg = backrooms_mod.BackroomsConfig(
         turns=args.turns, seed=args.seed, injection_rate=args.injection_rate,
         opening_prompt=args.prompt, store_injected=args.store_injected,
@@ -134,8 +132,6 @@ def cmd_agent(args, config: dict[str, str], out: Path) -> tuple[int, list[str]]:
              agent_mod.DEFAULT_MAX_ACTIONS)
     _resolve(args, config, "eta", "agent.eta", float, agent_mod.DEFAULT_ETA)
     _resolve(args, config, "dimension", "embedding.dimension", int, 256)
-    out.mkdir(parents=True, exist_ok=True)
-    # every refusal comes before --out is touched: the art is written after the session
     agent_mod.check_session_args(args.turns, args.eta, args.max_actions)
     seed = args.seed
 
@@ -191,7 +187,6 @@ def cmd_memory(args, config: dict[str, str], out: Path) -> tuple[int, list[str]]
                  EmbeddingConfig().dimension)
         _resolve(args, config, "embedding_seed", "embedding.seed", int, 0)
         store = MemoryStore(EmbeddingConfig(dimension=args.dimension, seed=args.embedding_seed))
-    out.mkdir(parents=True, exist_ok=True)
 
     if args.op == "upsert":
         store.add_text(args.id, args.text, source=args.source, timestamp=SimClock()())
@@ -216,7 +211,6 @@ def cmd_memory(args, config: dict[str, str], out: Path) -> tuple[int, list[str]]
 
 
 def cmd_chain(args, config: dict[str, str], out: Path) -> tuple[int, list[str]]:
-    out.mkdir(parents=True, exist_ok=True)
     ledger_path = Path(args.ledger) if args.ledger else out / "ledger.log"
     artifacts = [ledger_path.name]
     if args.op == "verify":
@@ -279,7 +273,6 @@ def _collapse_section(path: str) -> str:
 
 
 def cmd_report(args, config: dict[str, str], out: Path) -> tuple[int, list[str]]:
-    out.mkdir(parents=True, exist_ok=True)
     sections = []
     if args.collapse:
         sections.append("== collapse ==")
@@ -385,7 +378,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = parse_config_file(args.config)
         backend = config.get("embedding.backend", "hashed")
-        if backend != "hashed":  # a usage error, so refused before --out exists
+        if backend != "hashed":
             raise ValueError(f"config key embedding.backend is retired: the hashed engine is "
                              f"the only one, got {backend!r}")
         out = Path(args.out or os.environ.get(OUT_ENV) or "zerebro-out")
@@ -394,15 +387,12 @@ def main(argv: list[str] | None = None) -> int:
         manifest = {"command": args.command, "config": resolved, "artifacts": artifacts}
         write_atomic(out / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
         return code
-    except ZerebroError as exc:
+    except (ZerebroError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return 1
 
 
 def entry() -> None:

@@ -170,9 +170,9 @@ def load_connector_config(
         platform=twitter limit=280 seed=3 outage=5:8,20:22
     `limit` defaults to 1024, `seed` to 0; `outage` lists half-open
     post-attempt intervals during which the connector is down. A file that
-    defines no platform raises ValueError, and so does a line with a limit
-    below 1, an outage span whose start is not below its end, or a platform
-    an earlier line defined.
+    is not UTF-8 or defines no platform raises ValueError, and so does a
+    line with a limit below 1, an outage span whose start is not below its
+    end, or a platform an earlier line defined.
     """
     clock = clock or SimClock()
     connectors: dict[str, SimulatedConnector] = {}
@@ -181,6 +181,8 @@ def load_connector_config(
             lines = fh.read().splitlines()
     except OSError as exc:
         raise IoFailureError(f"cannot read connector config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"connector config {path} is not UTF-8 ({exc})") from None
     for raw in lines:
         line = raw.split("#", 1)[0].strip()
         if not line:

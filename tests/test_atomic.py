@@ -93,3 +93,9 @@ def test_rename_is_fsynced_in_its_directory(tmp_path, monkeypatch):
 def test_text_is_written_as_utf8(tmp_path):
     write_atomic(tmp_path / "state", "a lantern \u2014 at dusk\n")
     assert (tmp_path / "state").read_bytes() == "a lantern \u2014 at dusk\n".encode("utf-8")
+
+
+def test_missing_directories_are_made(tmp_path):
+    write_atomic(tmp_path / "a" / "b" / "f", b"new bytes")
+    assert (tmp_path / "a" / "b" / "f").read_bytes() == b"new bytes"
+    assert sorted(p.name for p in (tmp_path / "a" / "b").iterdir()) == ["f"]

@@ -66,6 +66,8 @@ class TestExitCodes:
              "connectors.conf: line 'platform=x outage=5'"),
             (["agent", "--turns", "1"], "platform=x limit=lots\n",
              "connectors.conf: line 'platform=x limit=lots'"),
+            (["agent", "--turns", "1"], b"platform=x \xff\n",
+             "connectors.conf is not UTF-8 ("),
             (["agent", "--turns", "60", "--eta", "-5"], None, "eta must be"),
             (["agent", "--turns", "5", "--max-actions", "-2"], None, "max_actions must be"),
             (["agent", "--threshold", "5"], None, "sentiment_threshold must lie in [-1, 1]"),
@@ -80,7 +82,8 @@ class TestExitCodes:
              "amount '1e5000' is too large: the ledger maximum"),
         ],
         ids=["memory-source", "deploy-supply", "connector-line", "connector-none",
-             "connector-outage", "connector-limit", "agent-eta", "agent-max-actions",
+             "connector-outage", "connector-limit", "connector-not-utf8",
+             "agent-eta", "agent-max-actions",
              "agent-threshold", "agent-negative-turns",
              "mint-endowment-inf", "mint-endowment-huge", "agent-endowment-inf",
              "mint-endowment-above-maximum", "agent-endowment-above-maximum"],
@@ -88,14 +91,15 @@ class TestExitCodes:
     def test_bad_value_is_usage_error(self, tmp_path, capsys, argv, connectors, named):
         if connectors is not None:
             path = tmp_path / "connectors.conf"
-            path.write_text(connectors, encoding="utf-8")
+            path.write_bytes(connectors if isinstance(connectors, bytes)
+                             else connectors.encode("utf-8"))
             argv = [*argv, "--connectors", str(path)]
-        code = run_cli(*argv, "--out", str(tmp_path))
+        code = run_cli(*argv, "--out", str(tmp_path / "out"))
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
         assert named in err
-        # a usage error writes no artifact, not even an empty directory
+        # a usage error writes no artifact, not even an empty --out
         assert sorted(p.name for p in tmp_path.iterdir()) == (
             [] if connectors is None else ["connectors.conf"])
 
@@ -120,19 +124,36 @@ class TestExitCodes:
         assert capsys.readouterr().out.strip() == "ok"
 
     @pytest.mark.parametrize("argv", [
-        ["chain", "verify", "--ledger", "{out}/no-such/ledger.log"],
-        ["memory", "query", "--text", "a lantern", "--store", "{out}/no-such/memory.snapshot"],
-        ["memory", "stats", "--store", "{out}/no-such/memory.snapshot"],
+        ["chain", "verify", "--ledger", "{tmp}/no-such/ledger.log"],
+        ["memory", "query", "--text", "a lantern", "--store", "{tmp}/no-such/memory.snapshot"],
+        ["memory", "stats", "--store", "{tmp}/no-such/memory.snapshot"],
         ["memory", "stats"],
     ], ids=["chain-verify", "memory-query", "memory-stats", "memory-stats-default-store"])
     def test_read_only_command_on_missing_file_is_one_error_line(self, tmp_path, capsys,
                                                                  argv):
-        argv = [a.replace("{out}", str(tmp_path)) for a in argv]
-        assert run_cli(*argv, "--out", str(tmp_path)) == 1
+        argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+        assert run_cli(*argv, "--out", str(tmp_path / "out")) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("error: cannot read ") and captured.err.count("\n") == 1
         assert captured.out == ""
-        assert list(tmp_path.iterdir()) == []  # no manifest names a missing file
+        assert list(tmp_path.iterdir()) == []  # no --out, and no manifest names a missing file
+
+    @pytest.mark.parametrize("argv, named", [
+        (["collapse", "--model", "gaussian", "--seeds", "0"], "n_seeds must be positive"),
+        (["collapse", "--model", "gaussian", "--mu", "nan"], "mu must be finite"),
+        (["backrooms", "--turns", "0"], "turns must be positive"),
+        (["report", "--collapse", "{tmp}/missing.txt"], "No such file or directory"),
+        (["agent", "--config", "{tmp}/missing.conf"], "No such file or directory"),
+    ], ids=["collapse-seeds", "collapse-mu", "backrooms-turns", "report-missing-input",
+            "missing-config"])
+    def test_runtime_refusal_makes_no_out(self, tmp_path, capsys, argv, named):
+        """A command that fails before its first commit leaves no --out."""
+        argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+        assert run_cli(*argv, "--out", str(tmp_path / "out")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert named in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_module_entrypoint_runs(self, tmp_path):
         (tmp_path / "ledger.log").write_bytes(b"")
@@ -204,6 +225,12 @@ class TestMemoryCommand:
         assert run_cli("memory", "stats", "--store", str(store),
                        "--out", str(tmp_path)) == 0
         assert "count=1" in capsys.readouterr().out
+
+    def test_upsert_makes_the_store_directory(self, tmp_path):
+        store = tmp_path / "new" / "dir" / "m.snap"
+        assert run_cli("memory", "upsert", "--id", "a", "--text", "hello there",
+                       "--store", str(store), "--out", str(tmp_path / "out")) == 0
+        assert sorted(p.name for p in store.parent.iterdir()) == ["m.snap"]
 
     def test_stats_on_refused_header_is_runtime_failure(self, tmp_path, capsys):
         import hashlib
@@ -364,16 +391,19 @@ class TestConfigFile:
     @pytest.mark.parametrize("text,message", [
         (b"embedding.dimension=abc\n", "config value embedding.dimension='abc': "),
         (b"agent.seed=\xff\n", "config file {conf} is not UTF-8 "),
-    ], ids=["bad-value", "non-utf8"])
+        (b"junk\n", "config file {conf}: line 'junk' is not key=value"),
+    ], ids=["bad-value", "non-utf8", "not-key-value"])
     def test_config_error_names_its_source(self, tmp_path, capsys, text, message):
         """A value that does not parse names its key; a file that is not
-        UTF-8 names the file. Either is one line and exit 2."""
+        UTF-8, or has a line that is not key=value, names the file. Each is
+        one line and exit 2, and leaves no --out."""
         conf = tmp_path / "conf"
         conf.write_bytes(text)
         assert run_cli("agent", "--turns", "2", "--config", str(conf),
                        "--out", str(tmp_path / "out")) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: " + message.format(conf=conf)) and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
 
 class TestManifestReproducibility:
@@ -465,6 +495,7 @@ class TestReportCommand:
         assert code == 1
         assert err.startswith(f"error: report: {path} ") and err.count("\n") == 1
         assert named in err
+        assert not (tmp_path / "merged").exists()
 
 
 class TestOutEnvDefault:
