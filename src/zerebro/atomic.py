@@ -7,7 +7,7 @@ writes a whole file through it, and the event log streams its lines into it.
 from __future__ import annotations
 
 import os
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from pathlib import Path
 
 from .errors import IoFailureError
@@ -22,14 +22,15 @@ def staged(path):
     temp file beside path. On a clean exit it is fsynced and
     moved over path with os.replace; the directory is then fsynced, so the
     rename too survives a power loss. An exception up to the rename removes
-    the temp file and leaves path as it was. Any OSError raises
-    IoFailureError.
+    the temp file, and each directory made here that is left empty, and
+    leaves path as it was. Any OSError raises IoFailureError.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.tmp")
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
+        made = [parent for parent in path.parents if not parent.exists()]  # deepest first
         try:
+            path.parent.mkdir(parents=True, exist_ok=True)
             with open(tmp, "wb") as fh:
                 yield fh
                 fh.flush()
@@ -37,6 +38,9 @@ def staged(path):
             os.replace(tmp, path)
         except BaseException:
             tmp.unlink(missing_ok=True)
+            for parent in made:  # one that holds a file, or was never made, stays
+                with suppress(OSError):
+                    parent.rmdir()
             raise
         directory = os.open(path.parent, os.O_RDONLY)
         try:

@@ -3,10 +3,10 @@ chain operations, and report generation.
 
 Every command resolves its configuration (config file overridden by
 flags), runs under simulated clocks and commits its artifacts beneath
---out; the first commit makes --out, so an earlier refusal leaves none.
-`main` then writes manifest.json: the command, every resolved
-value (each flag plus each config-file value the command read) and the
-artifact names, enough to reproduce the run byte for byte.
+--out; the first commit makes --out and a discarded one unmakes it, so a
+refusal leaves none. `main` then writes manifest.json: the command, every
+resolved value (each flag plus each config-file value the command read)
+and the artifact names, enough to reproduce the run byte for byte.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage error (including a bad
 flag or config value).
@@ -28,7 +28,7 @@ from .atomic import write_atomic
 from .clock import SimClock
 from .corpus import human_corpus
 from .embedding import EmbeddingConfig
-from .errors import ZerebroError
+from .errors import IoFailureError, ZerebroError
 from .generator import MarkovGenerator
 from .memory import DEFAULT_TOP_K, MemoryStore
 from .offsetlog import canonical_json
@@ -47,6 +47,8 @@ def parse_config_file(path: str | None) -> dict[str, str]:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ValueError(f"config file {path} is not UTF-8 ({exc})") from None
+    except OSError as exc:
+        raise IoFailureError(f"cannot read config file {path}: {exc}") from exc
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -251,6 +253,8 @@ def _report_input(path: str) -> str:
         text = Path(path).read_bytes().decode("utf-8").rstrip("\n")
     except UnicodeDecodeError as exc:
         raise ZerebroError(f"report: {path} is not UTF-8 text ({exc})") from None
+    except OSError as exc:
+        raise IoFailureError(f"report: cannot read {path}: {exc}") from exc
     if not text.strip():
         raise ZerebroError(f"report: {path} is empty")
     return text

@@ -54,21 +54,21 @@ included), to skip those functions' Python wrappers. Only
 filled rows are scanned: the tail of an np.empty block is uninitialised
 memory.
 
-Snapshot format (utf-8, "\\n" line endings):
-    memstore v1 dim=<D> ngram_min=3 ngram_max=5 seed=<s> backend=hashed
-    <one JSON record per line, vector as base64 little-endian float64;
-     a field of another JSON type than _RECORD_FIELDS states is corrupt>
-    checksum=<sha256 hex of every prior byte>
-The n-gram range is embedding's fixed NGRAM_MIN..NGRAM_MAX, and the hashed
-engine is the only backend; a snapshot stating any other range or backend
-is refused as corrupt.
+Snapshot format: an `offsetlog` file whose bodies are _FIELDS' fields, of
+exactly those JSON types:
+    0\tconfig\t0\t{"dim", "format": "memstore v2", "ngram_max", "ngram_min", "seed"}
+    <offset>\trecord\t<timestamp>\t{"id", "screened", "source", "text", "vector"}
+    <offset>\tchecksum\t0\t{"sha256": <hex of every earlier byte>}
+one record line per row, its vector base64 little-endian float64. load
+compares the last line byte for byte with the checksum line re-encoded from
+the bytes before it. A snapshot stating an n-gram range other than
+embedding's fixed one, or in the retired `memstore v1` format, is corrupt.
 """
 
 from __future__ import annotations
 
 import base64
 import hashlib
-import json
 import math
 import threading
 from dataclasses import dataclass, replace
@@ -81,20 +81,23 @@ from .diversity import embedding_dispersion
 from .embedding import NGRAM_MAX, NGRAM_MIN, EmbeddingConfig, HashedEngine
 from .errors import (
     BadConfigError,
+    CorruptLogError,
     CorruptSnapshotError,
     DimensionMismatchError,
     EmptyTextError,
     IoFailureError,
     ZerebroError,
 )
-from .offsetlog import canonical_json
+from . import offsetlog
 
 SOURCES = ("human", "agent", "platform-feedback")
 DEFAULT_TOP_K = 5
-SNAPSHOT_VERSION = "memstore v1"
-# each snapshot record field's exact JSON type; a bool is not an int here
-_RECORD_FIELDS = {"id": str, "text": str, "vector": str, "source": str, "timestamp": int,
-                 "screened": bool}
+SNAPSHOT_FORMAT = "memstore v2"
+# each snapshot line kind's body fields and their exact JSON types; a bool is not an int here
+_FIELDS = {
+    "config": {"dim": int, "format": str, "ngram_max": int, "ngram_min": int, "seed": int},
+    "record": {"id": str, "screened": bool, "source": str, "text": str, "vector": str},
+}
 BLOCK_ROWS = 512
 
 
@@ -380,80 +383,64 @@ class MemoryStore:
 
     def persist(self, path) -> None:
         """Write the snapshot; vectors round-trip bit-exact."""
-        cfg = self.config
-        lines = [
-            f"{SNAPSHOT_VERSION} dim={cfg.dimension} ngram_min={NGRAM_MIN} "
-            f"ngram_max={NGRAM_MAX} seed={cfg.seed} backend=hashed"
-        ]
-        for r in self.records():
-            payload = {
-                "id": r.id,
-                "text": r.text,
-                "source": r.source,
-                "timestamp": r.timestamp,
-                "screened": r.screened,
-                "vector": base64.b64encode(
-                    np.ascontiguousarray(r.vector, dtype="<f8").tobytes()
-                ).decode("ascii"),
-            }
-            lines.append(canonical_json(payload))
-        body = ("\n".join(lines) + "\n").encode("utf-8")
-        checksum = hashlib.sha256(body).hexdigest()
-        write_atomic(path, body + f"checksum={checksum}\n".encode("ascii"))
+        lines = [offsetlog.encode(0, "config", 0, _config_body(self.config))]
+        for offset, r in enumerate(self.records(), start=1):
+            vector = base64.b64encode(np.ascontiguousarray(r.vector, dtype="<f8").tobytes())
+            lines.append(offsetlog.encode(offset, "record", r.timestamp, {
+                "id": r.id, "screened": r.screened, "source": r.source, "text": r.text,
+                "vector": vector.decode("ascii")}))
+        body = "".join(lines).encode("utf-8")
+        write_atomic(path, body + _checksum_line(len(lines), body))
 
     @classmethod
     def load(cls, path) -> "MemoryStore":
         try:
             with open(path, "rb") as fh:
-                raw = fh.read()
+                lines = fh.readlines()
         except OSError as exc:
             raise IoFailureError(f"cannot read snapshot {path}: {exc}") from exc
-
-        lines = raw.split(b"\n")
-        if len(lines) < 2 or not lines[-2].startswith(b"checksum="):
-            raise CorruptSnapshotError(f"{path}: missing checksum line")
-        if lines[-1] != b"":
-            raise CorruptSnapshotError(f"{path}: trailing bytes after checksum")
-        body = b"\n".join(lines[:-2]) + b"\n"
-        stated = lines[-2].split(b"=", 1)[1].decode("ascii", "replace")
-        actual = hashlib.sha256(body).hexdigest()
-        if stated != actual:
-            raise CorruptSnapshotError(f"{path}: checksum mismatch ({stated} != {actual})")
-
-        header = lines[0].decode("utf-8", "replace")
-        if not header.startswith(SNAPSHOT_VERSION + " "):
-            raise CorruptSnapshotError(f"{path}: bad header {header!r}")
+        if lines and lines[0].startswith(b"memstore v1 "):
+            raise CorruptSnapshotError(f"{path}: memstore v1 is a snapshot format no longer "
+                                       "read; rebuild the store with `zerebro memory upsert`")
+        if len(lines) < 2 or lines[-1] != _checksum_line(len(lines) - 1, b"".join(lines[:-1])):
+            raise CorruptSnapshotError(f"{path}: checksum mismatch: the last line is not the "
+                                       "checksum line of the lines before it")
         try:
-            fields = dict(part.split("=", 1) for part in header.split(" ")[2:])
-            ngrams = int(fields["ngram_min"]), int(fields["ngram_max"])
-            config = EmbeddingConfig(dimension=int(fields["dim"]), seed=int(fields["seed"]))
-            store = cls(config, backend=fields.get("backend", "hashed"))
-        except (KeyError, ValueError, BadConfigError) as exc:
-            raise CorruptSnapshotError(f"{path}: unreadable header {header!r}: {exc}") from exc
-        if ngrams != (NGRAM_MIN, NGRAM_MAX):
+            for offset, kind, timestamp, body in offsetlog.parse(lines[:-1], _FIELDS, path):
+                fields = _FIELDS[kind]
+                if body.keys() != fields.keys():
+                    raise CorruptSnapshotError(f"fields {sorted(body)} are not {list(fields)}")
+                for name, json_type in fields.items():
+                    if type(body[name]) is not json_type:
+                        raise CorruptSnapshotError(
+                            f"field {name!r} must be {json_type.__name__}, got {body[name]!r}")
+                if (kind == "config") != (offset == 0):
+                    raise CorruptSnapshotError("the config line, and only it, is at offset 0")
+                if kind == "config":
+                    store = cls(EmbeddingConfig(dimension=body["dim"], seed=body["seed"]))
+                    got, expected = (timestamp, body), (0, _config_body(store.config))
+                    if got != expected:
+                        raise CorruptSnapshotError(f"timestamp and body {got} are not {expected}")
+                elif body["id"] in store:
+                    raise CorruptSnapshotError(f"duplicate record id {body['id']!r}")
+                else:
+                    vector = np.frombuffer(base64.b64decode(body["vector"], validate=True), "<f8")
+                    store.upsert(MemoryRecord(body["id"], body["text"], vector, body["source"],
+                                              timestamp, body["screened"]))
+        except CorruptLogError as exc:
+            raise CorruptSnapshotError(str(exc)) from exc
+        except (ValueError, ZerebroError) as exc:
             raise CorruptSnapshotError(
-                f"{path}: n-gram range {list(ngrams)} is not [{NGRAM_MIN}, {NGRAM_MAX}]"
-            )
-
-        for lineno, line in enumerate(lines[1:-2], start=2):
-            try:
-                payload = json.loads(line.decode("utf-8"))
-                for name, kind in _RECORD_FIELDS.items():
-                    if type(payload[name]) is not kind:
-                        raise CorruptSnapshotError(f"field {name!r} must be {kind.__name__}, "
-                                                   f"got {payload[name]!r}")
-                vector = np.frombuffer(base64.b64decode(payload["vector"]), dtype="<f8")
-                record = MemoryRecord(
-                    id=payload["id"],
-                    text=payload["text"],
-                    vector=vector,
-                    source=payload["source"],
-                    timestamp=payload["timestamp"],
-                    screened=payload["screened"],
-                )
-                if record.id in store:
-                    raise CorruptSnapshotError(f"duplicate record id {record.id!r}")
-                store.upsert(record)
-            except (ValueError, KeyError, TypeError, ZerebroError) as exc:
-                raise CorruptSnapshotError(f"{path}: bad record at line {lineno}: {exc}") from exc
+                f"{path}: bad {kind} line at offset {offset}: {exc}") from exc
         return store
+
+
+def _config_body(config: EmbeddingConfig) -> dict:
+    return {"dim": config.dimension, "format": SNAPSHOT_FORMAT, "ngram_max": NGRAM_MAX,
+            "ngram_min": NGRAM_MIN, "seed": config.seed}
+
+
+def _checksum_line(offset: int, earlier: bytes) -> bytes:
+    """The snapshot's last line: the sha256 of every byte before it."""
+    line = offsetlog.encode(offset, "checksum", 0, {"sha256": hashlib.sha256(earlier).hexdigest()})
+    return line.encode("ascii")

@@ -1,11 +1,12 @@
-"""The dense-offset line log: the one file format behind replay.
+"""The dense-offset line log: the one format of every log and snapshot zerebro reads back.
 
-Both the agent's event log and the ledger are files of lines
+The agent's event log, the ledger and the memory snapshot are files of lines
     <offset>\\t<kind>\\t<timestamp>\\t<json body, sorted keys>\\n
 with offsets dense from 0, so line i carries offset i. This module is the
 only code that writes or parses that format. `encode` writes a line from
 a body dict; `encode_text` frames a body its caller has already written as
-canonical JSON, as the ledger does with the text it also hashes.
+canonical JSON, as the ledger does with the text it also hashes. `parse`
+reads lines already read, as the snapshot's loader does; `read`, a file.
 
 Nothing appends to an existing file: each log is committed whole by `atomic.staged`,
 so a new log starts at offset 0 and a torn last line is never built on.
@@ -14,7 +15,7 @@ so a new log starts at offset 0 and a torn last line is never built on.
 from __future__ import annotations
 
 import json
-from typing import Collection, Iterator
+from typing import Collection, Iterable, Iterator
 
 from .errors import CorruptLogError, IoFailureError
 
@@ -48,37 +49,41 @@ def encode_text(offset: int, kind: str, timestamp: int, body_json: str) -> str:
 
 
 def read(path, kinds: Collection[str]) -> Iterator[tuple[int, str, int, dict]]:
-    """Yield (offset, kind, timestamp, body) for each line of a log file.
-
-    Raises IoFailureError when the file cannot be opened and CorruptLogError
-    on a line that is not UTF-8 or is malformed, a kind outside `kinds`, or
-    an offset gap. The file is read line by line and rows are yielded as
-    they are parsed, so a caller that folds them holds one line and one
-    parsed body at a time.
-    """
+    """`parse` over a file, read a line at a time, so a caller folding the rows
+    holds one line and one body at a time; IoFailureError if it cannot be opened."""
     try:
         fh = open(path, "rb")
     except OSError as exc:
         raise IoFailureError(f"cannot read {path}: {exc}") from exc
     with fh:
-        for expected, raw in enumerate(fh):
-            try:
-                parts = raw.decode("utf-8").removesuffix("\n").split("\t", 3)
-            except UnicodeDecodeError as exc:
-                raise CorruptLogError(f"{path}: line at offset {expected} is not UTF-8") from exc
-            if len(parts) != 4:
-                raise CorruptLogError(f"{path}: malformed line at offset {expected}")
-            try:
-                offset, timestamp, body = int(parts[0]), int(parts[2]), json.loads(parts[3])
-            except ValueError as exc:
-                raise CorruptLogError(
-                    f"{path}: unparseable line at offset {expected}: {exc}"
-                ) from exc
-            if offset != expected:
-                raise CorruptLogError(f"{path}: offset gap, expected {expected} found {offset}")
-            if parts[1] not in kinds:
-                raise CorruptLogError(f"{path}: unknown kind {parts[1]!r} at offset {offset}")
-            if not isinstance(body, dict):
-                raise CorruptLogError(f"{path}: body at offset {offset} is not a JSON object")
-            yield offset, parts[1], timestamp, body
+        yield from parse(fh, kinds, path)
 
+
+def parse(lines: Iterable[bytes], kinds: Collection[str], path) -> Iterator[tuple]:
+    """Yield (offset, kind, timestamp, body) for each line, as it is parsed.
+
+    Raises CorruptLogError, naming path and the offset, on a line that is not
+    UTF-8 or is malformed, an offset or timestamp column that is not its
+    integer's own str (so "+1", " 1" and "1_000", which int() takes, are
+    refused), a kind outside `kinds`, or a body that is not a JSON object.
+    """
+    for offset, raw in enumerate(lines):
+        try:
+            parts = raw.decode("utf-8").removesuffix("\n").split("\t", 3)
+        except UnicodeDecodeError as exc:
+            raise CorruptLogError(f"{path}: line at offset {offset} is not UTF-8") from exc
+        if len(parts) != 4:
+            raise CorruptLogError(f"{path}: malformed line at offset {offset}")
+        if parts[0] != str(offset):
+            raise CorruptLogError(f"{path}: line at offset {offset} has offset {parts[0]!r}")
+        try:
+            timestamp, body = int(parts[2]), json.loads(parts[3])
+        except ValueError as exc:
+            raise CorruptLogError(f"{path}: unparseable line at offset {offset}: {exc}") from exc
+        if str(timestamp) != parts[2]:
+            raise CorruptLogError(f"{path}: line at offset {offset} has timestamp {parts[2]!r}")
+        if parts[1] not in kinds:
+            raise CorruptLogError(f"{path}: unknown kind {parts[1]!r} at offset {offset}")
+        if not isinstance(body, dict):
+            raise CorruptLogError(f"{path}: body at offset {offset} is not a JSON object")
+        yield offset, parts[1], timestamp, body

@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from zerebro.atomic import write_atomic
+from zerebro.atomic import staged, write_atomic
 from zerebro.backrooms import BackroomsConfig, run_backrooms, write_transcript
 from zerebro.chain import Ledger, to_nanos
 from zerebro.collapse import GaussianModel, RecursionConfig, run_recursion, write_trajectory
@@ -99,3 +99,23 @@ def test_missing_directories_are_made(tmp_path):
     write_atomic(tmp_path / "a" / "b" / "f", b"new bytes")
     assert (tmp_path / "a" / "b" / "f").read_bytes() == b"new bytes"
     assert sorted(p.name for p in (tmp_path / "a" / "b").iterdir()) == ["f"]
+
+
+def test_discarded_commit_removes_the_directories_it_made(tmp_path):
+    """A staged block that raises leaves none of the directories staged made
+    for it, and keeps one that was there before."""
+    with pytest.raises(RuntimeError, match="mid-write"):
+        with staged(tmp_path / "a" / "b" / "c" / "f") as fh:
+            fh.write(b"half a file")
+            assert (tmp_path / "a" / "b" / "c").is_dir()
+            raise RuntimeError("mid-write")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_discarded_commit_keeps_a_made_directory_another_commit_filled(tmp_path):
+    with pytest.raises(RuntimeError):
+        with staged(tmp_path / "a" / "b" / "f"):
+            write_atomic(tmp_path / "a" / "kept", b"committed meanwhile")
+            raise RuntimeError("mid-write")
+    assert sorted(p.name for p in (tmp_path / "a").iterdir()) == ["kept"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a"]

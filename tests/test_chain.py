@@ -357,6 +357,32 @@ class TestPersistence:
         with pytest.raises(CorruptLogError):
             Ledger.load(path)
 
+    @pytest.mark.parametrize("edit", [
+        lambda o, t: ("+" + o, t),
+        lambda o, t: (o, f" {int(t):_}"),
+        lambda o, t: ("+" + o, f" {int(t):_}"),
+    ], ids=["offset", "timestamp", "both"])
+    def test_non_canonical_integer_column_is_corrupt(self, tmp_path, capsys, edit):
+        """An offset or timestamp column int() reads but that is not its
+        integer's own str: Ledger.load and `chain verify` refuse it, where
+        either would have loaded a ledger that serializes to other bytes."""
+        from zerebro.cli import main
+
+        ledger, _ = fresh_ledger(2)
+        path = tmp_path / "ledger.log"
+        ledger.save(path)
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        offset, kind, timestamp, body = lines[1].split("\t", 3)
+        offset, timestamp = edit(offset, timestamp)
+        lines[1] = "\t".join([offset, kind, timestamp, body])
+        path.write_text("".join(lines), encoding="utf-8")
+        with pytest.raises(CorruptLogError, match="line at offset 1 has "):
+            Ledger.load(path)
+        assert main(["chain", "verify", "--ledger", str(path), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: line at offset 1 has ")
+        assert err.count("\n") == 1
+
     def test_line_without_a_field_is_corrupt(self, tmp_path):
         ledger, _ = fresh_ledger(1)
         path = tmp_path / "ledger.log"

@@ -142,8 +142,10 @@ class TestExitCodes:
         (["collapse", "--model", "gaussian", "--seeds", "0"], "n_seeds must be positive"),
         (["collapse", "--model", "gaussian", "--mu", "nan"], "mu must be finite"),
         (["backrooms", "--turns", "0"], "turns must be positive"),
-        (["report", "--collapse", "{tmp}/missing.txt"], "No such file or directory"),
-        (["agent", "--config", "{tmp}/missing.conf"], "No such file or directory"),
+        (["report", "--collapse", "{tmp}/missing.txt"],
+         "report: cannot read {tmp}/missing.txt: [Errno 2] No such file or directory"),
+        (["agent", "--config", "{tmp}/missing.conf"],
+         "cannot read config file {tmp}/missing.conf: [Errno 2] No such file or directory"),
     ], ids=["collapse-seeds", "collapse-mu", "backrooms-turns", "report-missing-input",
             "missing-config"])
     def test_runtime_refusal_makes_no_out(self, tmp_path, capsys, argv, named):
@@ -152,7 +154,7 @@ class TestExitCodes:
         assert run_cli(*argv, "--out", str(tmp_path / "out")) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert named in err
+        assert named.replace("{tmp}", str(tmp_path)) in err
         assert list(tmp_path.iterdir()) == []
 
     def test_module_entrypoint_runs(self, tmp_path):
@@ -232,22 +234,32 @@ class TestMemoryCommand:
                        "--store", str(store), "--out", str(tmp_path / "out")) == 0
         assert sorted(p.name for p in store.parent.iterdir()) == ["m.snap"]
 
-    def test_stats_on_refused_header_is_runtime_failure(self, tmp_path, capsys):
-        import hashlib
-
+    def test_stats_on_refused_header_is_runtime_failure(self, tmp_path, capsys, rechecksum):
+        """A re-checksummed config line whose seed the store refuses."""
         store = tmp_path / "memory.snapshot"
         run_cli("memory", "upsert", "--id", "a", "--text", "hello there",
                 "--store", str(store), "--out", str(tmp_path))
         capsys.readouterr()
-        lines = store.read_bytes().split(b"\n")
-        lines[0] = lines[0].replace(b"seed=0", b"seed=-1")
-        body = b"\n".join(lines[:-2]) + b"\n"
-        store.write_bytes(body + f"checksum={hashlib.sha256(body).hexdigest()}\n".encode())
+        rechecksum(store, lambda rows: rows[0][3].update(seed=-1))
         code = run_cli("memory", "stats", "--store", str(store), "--out", str(tmp_path))
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert f"{store}: unreadable header" in err
+        assert f"{store}: bad config line at offset 0: seed must fit" in err
+
+    def test_stats_on_cut_snapshot_leaves_no_out(self, tmp_path, capsys):
+        """A snapshot without its checksum line, as `head -n -1` leaves it."""
+        store = tmp_path / "memory.snapshot"
+        run_cli("memory", "upsert", "--id", "a", "--text", "hello there",
+                "--store", str(store), "--out", str(tmp_path / "first"))
+        capsys.readouterr()
+        store.write_bytes(b"".join(store.read_bytes().splitlines(keepends=True)[:-1]))
+        code = run_cli("memory", "stats", "--store", str(store), "--out", str(tmp_path / "o"))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == (f"error: {store}: checksum mismatch: the last line is not the checksum "
+                       "line of the lines before it\n")
+        assert not (tmp_path / "o").exists()
 
 
 class TestChainCommand:
@@ -727,6 +739,26 @@ def test_failed_write_is_one_error_line_and_keeps_files(tmp_path, capsys, monkey
     assert "simulated I/O error" in err
     after = tree(out)
     assert after == before
+
+
+def test_failed_fresh_session_leaves_no_out(tmp_path, capsys, monkeypatch):
+    """A session that raises on a fresh --out exits 1 with one error line
+    and leaves no --out: the log's discarded commit takes the directory it
+    made with it."""
+    real_step, turns = agent_mod.step, []
+
+    def step(*args, **kwargs):
+        turns.append(None)
+        if len(turns) == 3:
+            raise ConnectorDownError("every connector is down")
+        return real_step(*args, **kwargs)
+
+    monkeypatch.setattr(agent_mod, "step", step)
+    out = tmp_path / "o"
+    assert run_cli("agent", "--turns", "5", "--out", str(out)) == 1
+    assert capsys.readouterr().err == "error: every connector is down\n"
+    assert len(turns) == 3
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_failed_session_keeps_the_old_log(tmp_path, capsys, monkeypatch):

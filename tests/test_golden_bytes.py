@@ -3,11 +3,13 @@
 The agent's event log, its ledger and state hash, a serialized ledger after
 a fixed mix of operations, verify_entries' reports on two tampered copies,
 the collapse lab's trajectory files and regimen reports, backrooms
-transcripts, and the files of three console runs (two `collapse` reports
-and a ledger that `chain mint` then `chain deploy` wrote) are all pinned by
-sha256. Any change to the log line format, the ledger's state transition,
-its verification messages, the collapse lab's sampling, refitting or
-tail-mass scoring, or the backrooms window's diversity figures fails here.
+transcripts, and the files of five console runs (three `collapse` reports,
+a ledger that `chain mint` then `chain deploy` wrote, and a memory snapshot
+that three `memory upsert` runs wrote) are all pinned by sha256. Any change
+to the log line format, the ledger's state transition, its verification
+messages, the snapshot's records or embeddings, the collapse lab's sampling,
+refitting or tail-mass scoring, or the backrooms window's diversity figures
+fails here.
 """
 
 import hashlib
@@ -113,6 +115,14 @@ CLI_PINS = {
          ["chain", "deploy", "--name", "t", "--symbol", "CORR"]],
         "ledger.log",
         "09cb27872356b63361f7bb35bccf829cdee9411fc528f20965ae057a548e60ed",
+    ),
+    # each upsert loads the snapshot the one before persisted; m1 is replaced in its row
+    "memory-snapshot": (
+        [["memory", "upsert", "--id", "m1", "--text", "a lantern at dusk"],
+         ["memory", "upsert", "--id", "m1", "--text", "the lantern at the ferry"],
+         ["memory", "upsert", "--id", "m2", "--text", "an owl over the mill", "--source", "agent"]],
+        "memory.snapshot",
+        "5b2cb5511b02966a49ee37c8737e9743dce34671d01dbc802666471bbc4e2376",
     ),
 }
 

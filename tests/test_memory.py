@@ -242,80 +242,137 @@ class TestPersistence:
         with pytest.raises(CorruptSnapshotError):
             MemoryStore.load(path)
 
-    def test_wrong_width_vector_line_is_corrupt(self, tmp_path):
-        import base64 as b64
-        import hashlib
-        import json as js
-
+    def test_wrong_width_vector_line_is_corrupt(self, tmp_path, rechecksum):
         store = MemoryStore(CFG)
         store.add_text("r1", "short vector ahead")
         path = tmp_path / "store.snapshot"
         store.persist(path)
-        lines = path.read_bytes().split(b"\n")
-        payload = js.loads(lines[1])
-        payload["vector"] = b64.b64encode(b"\x00" * 8).decode("ascii")
-        lines[1] = js.dumps(payload, sort_keys=True).encode()
-        body = b"\n".join(lines[:-2]) + b"\n"
-        checksum = hashlib.sha256(body).hexdigest()
-        path.write_bytes(body + f"checksum={checksum}\n".encode())
-        with pytest.raises(CorruptSnapshotError):
+        rechecksum(path, lambda rows: rows[1][3].update(vector="AAAAAAAAAAA="))  # one float64
+        with pytest.raises(CorruptSnapshotError, match="offset 1: record vector has shape"):
             MemoryStore.load(path)
 
-    def test_duplicate_id_is_corrupt(self, tmp_path):
-        import hashlib
+    @pytest.mark.parametrize("vector", [
+        "AAAAAAAAAA==",  # seven bytes: no whole float64
+        "AAAA!AAAAAA=",  # a byte outside the base64 alphabet
+    ], ids=["ragged", "not-base64"])
+    def test_undecodable_vector_is_corrupt(self, tmp_path, rechecksum, vector):
+        store = MemoryStore(CFG)
+        store.add_text("r1", "a vector that does not decode")
+        path = tmp_path / "store.snapshot"
+        store.persist(path)
+        rechecksum(path, lambda rows: rows[1][3].update(vector=vector))
+        with pytest.raises(CorruptSnapshotError, match="bad record line at offset 1: "):
+            MemoryStore.load(path)
 
+    def test_duplicate_id_is_corrupt(self, tmp_path, rechecksum):
         store = MemoryStore(CFG)
         store.add_text("r1", "the first of two")
         path = tmp_path / "store.snapshot"
         store.persist(path)
-        lines = path.read_bytes().split(b"\n")
-        body = b"\n".join([lines[0], lines[1], lines[1]]) + b"\n"
-        checksum = hashlib.sha256(body).hexdigest()
-        path.write_bytes(body + f"checksum={checksum}\n".encode())
-        with pytest.raises(CorruptSnapshotError, match="duplicate record id 'r1'"):
+        rechecksum(path, lambda rows: rows.append(["2", *rows[1][1:]]))
+        with pytest.raises(CorruptSnapshotError, match="offset 2: duplicate record id 'r1'"):
             MemoryStore.load(path)
 
-    def test_other_ngram_range_is_corrupt(self, tmp_path):
-        import hashlib
-
+    def test_other_ngram_range_is_corrupt(self, tmp_path, rechecksum):
         store = MemoryStore(CFG)
         store.add_text("r1", "a range the engine cannot embed")
         path = tmp_path / "store.snapshot"
         store.persist(path)
-        lines = path.read_bytes().split(b"\n")
-        assert b" ngram_min=3 ngram_max=5 " in lines[0]
-        lines[0] = lines[0].replace(b"ngram_min=3", b"ngram_min=2")
-        body = b"\n".join(lines[:-2]) + b"\n"
-        checksum = hashlib.sha256(body).hexdigest()
-        path.write_bytes(body + f"checksum={checksum}\n".encode())
-        with pytest.raises(CorruptSnapshotError, match=r"n-gram range \[2, 5\]"):
+        rechecksum(path, lambda rows: rows[0][3].update(ngram_min=2))
+        with pytest.raises(CorruptSnapshotError, match=r"'ngram_min': 2, 'seed': 0}\) are not "
+                                                       r"\(0, {.*'ngram_min': 3, 'seed': 0}\)"):
             MemoryStore.load(path)
 
-    @pytest.mark.parametrize("stated, edited", [
-        (b"seed=0", b"seed=-1"),
-        (b"dim=64", b"dim=1"),
-        (b"backend=hashed", b"backend=bogus"),
-        (b"backend=hashed", b"backend=remote-stub"),  # the retired engine's snapshots
-        (b"dim=64", b"dim64"),
-    ])
-    def test_header_config_refused_is_corrupt(self, tmp_path, stated, edited):
-        """A re-checksummed header stating a config the engine refuses."""
-        import hashlib
-
+    @pytest.mark.parametrize("field, value, named", [
+        ("seed", -1, "seed must fit in 64 unsigned bits"),
+        ("dim", 1, "dimension must be >= 2, got 1"),
+        ("dim", "64", "field 'dim' must be int, got '64'"),
+        ("seed", True, "field 'seed' must be int, got True"),
+        ("ngram_max", 5.0, "field 'ngram_max' must be int, got 5.0"),
+        ("format", "memstore v3", "'format': 'memstore v3', 'ngram_max'"),
+        ("format", None, "field 'format' must be str, got None"),
+        ("backend", "hashed", "fields ['backend', 'dim', "),
+    ], ids=["seed=0-seed=-1", "dim=64-dim=1", "dim=64-dim64", "seed-bool", "ngram_max-float",
+            "format-v3", "format-null", "backend-field"])
+    def test_header_config_refused_is_corrupt(self, tmp_path, rechecksum, field, value, named):
+        """A re-checksummed config line stating a config the store refuses."""
         store = MemoryStore(CFG)
-        store.add_text("r1", "a header the engine refuses")
+        store.add_text("r1", "a config the store refuses")
         path = tmp_path / "store.snapshot"
         store.persist(path)
-        lines = path.read_bytes().split(b"\n")
-        assert stated in lines[0]
-        lines[0] = lines[0].replace(stated, edited)
-        body = b"\n".join(lines[:-2]) + b"\n"
-        checksum = hashlib.sha256(body).hexdigest()
-        path.write_bytes(body + f"checksum={checksum}\n".encode())
-        with pytest.raises(CorruptSnapshotError, match="unreadable header") as excinfo:
+        rechecksum(path, lambda rows: rows[0][3].update({field: value}))
+        with pytest.raises(CorruptSnapshotError) as excinfo:
+            MemoryStore.load(path)
+        assert str(excinfo.value).startswith(f"{path}: bad config line at offset 0: ")
+        assert named in str(excinfo.value)
+
+    def test_config_timestamp_other_than_zero_is_corrupt(self, tmp_path, rechecksum):
+        """persist writes 0 there, so another value would not write back as read."""
+        store = MemoryStore(CFG)
+        store.add_text("r1", "a config line with a timestamp")
+        path = tmp_path / "store.snapshot"
+        store.persist(path)
+        rechecksum(path, lambda rows: rows[0].__setitem__(2, "5"))
+        with pytest.raises(CorruptSnapshotError, match=r"offset 0: timestamp and body \(5, "):
+            MemoryStore.load(path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda rows: rows.append(["2", *rows[0][1:]]),
+        lambda rows: rows.insert(1, rows.pop(0)),
+    ], ids=["second-config", "config-after-record"])
+    def test_config_line_only_at_offset_zero(self, tmp_path, rechecksum, edit):
+        store = MemoryStore(CFG)
+        store.add_text("r1", "the config line comes first")
+        path = tmp_path / "store.snapshot"
+        store.persist(path)
+
+        def renumbered(rows):
+            edit(rows)
+            for offset, row in enumerate(rows):
+                row[0] = str(offset)
+
+        rechecksum(path, renumbered)
+        with pytest.raises(CorruptSnapshotError, match="only it, is at offset 0"):
+            MemoryStore.load(path)
+
+    @pytest.mark.parametrize("column", ["+4", " 4", "4 ", "4_0", "04", "-0"])
+    def test_non_canonical_timestamp_column_is_corrupt(self, tmp_path, rechecksum, column):
+        """A timestamp column int() reads but that is not its integer's own str."""
+        store = MemoryStore(CFG)
+        store.add_text("r1", "a timestamp of the wrong shape", timestamp=4)
+        path = tmp_path / "store.snapshot"
+        store.persist(path)
+        rechecksum(path, lambda rows: rows[1].__setitem__(2, column))
+        with pytest.raises(CorruptSnapshotError,
+                           match="line at offset 1 has timestamp ") as excinfo:
             MemoryStore.load(path)
         assert str(path) in str(excinfo.value)
-        assert edited.decode() in str(excinfo.value)
+
+    @pytest.mark.parametrize("cut", [1, 20, None], ids=["newline", "digest", "whole-line"])
+    def test_cut_checksum_line_is_corrupt(self, tmp_path, cut):
+        store = MemoryStore(CFG)
+        store.add_text("r1", "a checksum line cut short")
+        path = tmp_path / "store.snapshot"
+        store.persist(path)
+        raw = path.read_bytes()
+        checksum_line = raw.splitlines(keepends=True)[-1]
+        path.write_bytes(raw[:-(cut or len(checksum_line))])
+        with pytest.raises(CorruptSnapshotError, match="checksum mismatch"):
+            MemoryStore.load(path)
+
+    def test_v1_snapshot_is_no_longer_read(self, tmp_path):
+        """A snapshot in the retired memstore v1 format, with a valid checksum."""
+        import hashlib
+
+        body = (b"memstore v1 dim=64 ngram_min=3 ngram_max=5 seed=0 backend=hashed\n"
+                b'{"id": "r1", "screened": false, "source": "human", "text": "t", '
+                b'"timestamp": 0, "vector": ""}\n')
+        path = tmp_path / "store.snapshot"
+        path.write_bytes(body + b"checksum=" + hashlib.sha256(body).hexdigest().encode() + b"\n")
+        with pytest.raises(CorruptSnapshotError, match="memstore v1 is a snapshot format no "
+                                                       "longer read") as excinfo:
+            MemoryStore.load(path)
+        assert str(path) in str(excinfo.value)
 
     def test_flipped_byte_detected(self, tmp_path):
         rng = np.random.default_rng(41)
@@ -347,26 +404,37 @@ class TestPersistence:
         ("timestamp", True),
         ("timestamp", "4"),
     ])
-    def test_wrong_typed_field_is_corrupt(self, tmp_path, field, value):
-        """A re-checksummed record line holding a field of another JSON type."""
-        import hashlib
-        import json as js
+    def test_wrong_typed_field_is_corrupt(self, tmp_path, rechecksum, field, value):
+        """A re-checksummed record line holding a field of another JSON type;
+        the timestamp is the line's column, written as that JSON value."""
+        import json
 
         store = MemoryStore(CFG)
         store.add_text("r1", "a field of the wrong type", timestamp=4)
         path = tmp_path / "store.snapshot"
         store.persist(path)
-        lines = path.read_bytes().split(b"\n")
-        payload = js.loads(lines[1])
-        payload[field] = value
-        lines[1] = js.dumps(payload, sort_keys=True).encode()
-        body = b"\n".join(lines[:-2]) + b"\n"
-        checksum = hashlib.sha256(body).hexdigest()
-        path.write_bytes(body + f"checksum={checksum}\n".encode())
-        with pytest.raises(CorruptSnapshotError,
-                           match=f"bad record at line 2: field '{field}' must be ") as excinfo:
+        if field == "timestamp":
+            rechecksum(path, lambda rows: rows[1].__setitem__(2, json.dumps(value)))
+            named = "unparseable line at offset 1"
+        else:
+            rechecksum(path, lambda rows: rows[1][3].update({field: value}))
+            named = f"bad record line at offset 1: field '{field}' must be "
+        with pytest.raises(CorruptSnapshotError, match=named) as excinfo:
             MemoryStore.load(path)
         assert str(path) in str(excinfo.value)
+
+    @pytest.mark.parametrize("edit", [
+        lambda body: body.pop("screened"),
+        lambda body: body.update(timestamp=4),  # the timestamp lives in its column
+    ], ids=["missing", "extra"])
+    def test_other_field_set_is_corrupt(self, tmp_path, rechecksum, edit):
+        store = MemoryStore(CFG)
+        store.add_text("r1", "fields missing or left over", timestamp=4)
+        path = tmp_path / "store.snapshot"
+        store.persist(path)
+        rechecksum(path, lambda rows: edit(rows[1][3]))
+        with pytest.raises(CorruptSnapshotError, match="bad record line at offset 1: fields "):
+            MemoryStore.load(path)
 
     def test_load_then_persist_keeps_the_bytes(self, tmp_path):
         rng = np.random.default_rng(43)
@@ -420,9 +488,10 @@ class TestPersistence:
 
 BIG = 600  # more rows than one block of the store holds (BLOCK_ROWS)
 CFG16 = EmbeddingConfig(dimension=16)  # filled_store's default
-# sha256 of the snapshot test_persist_bytes_unchanged writes, recorded with
-# the dict-backed store this one replaced
-PERSIST_DIGEST = "9cdb23590df938bc9500d49337f9bf92f445c930ca83ec2e933d62b6e7ff3438"
+# sha256 of the snapshot test_persist_bytes_unchanged writes, in the
+# offsetlog format; its content, written back as a memstore v1 file, gives
+# 9cdb2359..., the digest the dict-backed store this one replaced recorded
+PERSIST_DIGEST = "b587cd502db3bb11f2bb4030822e7c1b3d2be1d4b14443bb2e4cfc1dfeec165d"
 
 
 def oracle_admission(store: MemoryStore, vector, tau: float):
@@ -670,7 +739,7 @@ class TestBlockStoreOracle:
             store.retrieve("anything at all", 1)
 
     def test_persist_bytes_unchanged(self, tmp_path):
-        """Snapshot bytes equal those of the dict-backed store."""
+        """Snapshot bytes hold what the dict-backed store's held."""
         import hashlib
 
         rng = np.random.default_rng(77)
