@@ -29,7 +29,6 @@ import math
 import operator
 import re
 import sys
-import threading
 from dataclasses import dataclass
 from decimal import MAX_PREC, Context, Decimal, InvalidOperation, Overflow
 from typing import Callable, Sequence
@@ -38,7 +37,7 @@ import numpy as np
 
 from . import offsetlog, seeding
 from .atomic import write_atomic
-from .clock import SimClock
+from .clock import STEP_MS, SimClock
 from .errors import (
     BadSymbolError,
     CorruptLogError,
@@ -190,7 +189,7 @@ _ART_HASH = re.compile("[0-9a-f]{64}")
 
 
 class Ledger:
-    """Single-writer ledger; committed entries are immutable."""
+    """Append-only ledger; committed entries are immutable. Not thread-safe."""
 
     def __init__(self, fees: ChainFees = ChainFees(), clock: Callable[[], int] | None = None):
         self.fees = fees
@@ -204,7 +203,6 @@ class Ledger:
         self._nft_owner: dict[int, str] = {}
         self._tokens: dict[str, TokenRecord] = {}
         self._token_balances: dict[str, dict[str, int]] = {}
-        self._lock = threading.RLock()
         # the file text: the lines serialize has joined, and those committed since
         self._text = ""
         self._pending: list[str] = []
@@ -302,18 +300,16 @@ class Ledger:
         _check_count("endowment", amount)
         if amount < 0:
             raise ValueError("endowment must be non-negative")
-        with self._lock:
-            # every address that has moved or held money has a balance key
-            if amount > 0 and address not in self._balances:
-                self._append("transfer", GENESIS, address, amount, {"endowment": True})
+        # every address that has moved or held money has a balance key
+        if amount > 0 and address not in self._balances:
+            self._append("transfer", GENESIS, address, amount, {"endowment": True})
 
     def transfer(self, src: str, dst: str, amount: int) -> LedgerEntry:
         _check_count("amount", amount)
         if amount < 0:
             raise ValueError("amount must be non-negative")
-        with self._lock:
-            self._require_funds(src, amount, "needs")
-            return self._append("transfer", src, dst, amount, {})
+        self._require_funds(src, amount, "needs")
+        return self._append("transfer", src, dst, amount, {})
 
     def mint_nft(self, wallet: Wallet | str, art: bytes) -> MintRecord:
         """Mint art bytes as an NFT; duplicate art is rejected by content hash."""
@@ -325,18 +321,17 @@ class Ledger:
         if not _ART_HASH.fullmatch(art_hash):  # a TypeError for a non-str
             raise ValueError(f"art_hash must be 64 lowercase hex digits, got {art_hash!r}")
         fee = self.fees.mint
-        with self._lock:
-            self._require_funds(address, fee, "mint fee is")
-            if art_hash in self._art_index:
-                raise DuplicateArtError(f"art {art_hash[:16]} already minted "
-                                        f"as token {self._art_index[art_hash]}")
-            token_id = len(self._mints)
-            self._append(
-                "mint", address, address, 0,
-                {"token_id": token_id, "art_hash": art_hash},
-            )
-            self._append("fee", address, FEE_SINK, fee, {"for": "mint", "token_id": token_id})
-            return self._mints[token_id]
+        self._require_funds(address, fee, "mint fee is")
+        if art_hash in self._art_index:
+            raise DuplicateArtError(f"art {art_hash[:16]} already minted "
+                                    f"as token {self._art_index[art_hash]}")
+        token_id = len(self._mints)
+        self._append(
+            "mint", address, address, 0,
+            {"token_id": token_id, "art_hash": art_hash},
+        )
+        self._append("fee", address, FEE_SINK, fee, {"for": "mint", "token_id": token_id})
+        return self._mints[token_id]
 
     def deploy_token(
         self, wallet: Wallet | str, name: str, symbol: str, total_supply: int
@@ -348,16 +343,15 @@ class Ledger:
         _check_count("total_supply", total_supply)
         if total_supply < 1:
             raise ValueError(f"total_supply must be positive, got {total_supply}")
-        with self._lock:
-            if symbol in self._tokens:
-                raise SymbolTakenError(f"symbol {symbol} already deployed")
-            self._require_funds(address, fee, "deploy fee is")
-            self._append(
-                "deploy", address, address, 0,
-                {"name": name, "symbol": symbol, "total_supply": total_supply},
-            )
-            self._append("fee", address, FEE_SINK, fee, {"for": "deploy", "symbol": symbol})
-            return self._tokens[symbol]
+        if symbol in self._tokens:
+            raise SymbolTakenError(f"symbol {symbol} already deployed")
+        self._require_funds(address, fee, "deploy fee is")
+        self._append(
+            "deploy", address, address, 0,
+            {"name": name, "symbol": symbol, "total_supply": total_supply},
+        )
+        self._append("fee", address, FEE_SINK, fee, {"for": "deploy", "symbol": symbol})
+        return self._tokens[symbol]
 
     def execute_sale(self, asset, seller: str, buyer: str, price: int) -> LedgerEntry:
         """Sell an NFT (asset=token_id) or token units (asset=(symbol, units)).
@@ -368,26 +362,25 @@ class Ledger:
         _check_count("price", price)
         if price < 0:
             raise ValueError("price must be non-negative")
-        with self._lock:
-            if isinstance(asset, int):
-                _check_count("nft", asset)  # a bool is no NFT id
-                owner = self._nft_owner.get(asset)
-                if owner is None or owner != seller:
-                    raise NotOwnerError(f"{seller} does not own NFT {asset}")
-                payload = {"nft": asset, "price": price}
-            else:
-                symbol, units = asset
-                _check_count("units", units)
-                if units < 1:
-                    raise ValueError("units must be positive")
-                if self.token_balance(symbol, seller) < units:
-                    raise NotOwnerError(
-                        f"{seller} holds {self.token_balance(symbol, seller)} {symbol}, "
-                        f"sale needs {units}"
-                    )
-                payload = {"token": symbol, "units": units, "price": price}
-            self._require_funds(buyer, price, "price is", holder="buyer ")
-            return self._append("sale", buyer, seller, price, payload)
+        if isinstance(asset, int):
+            _check_count("nft", asset)  # a bool is no NFT id
+            owner = self._nft_owner.get(asset)
+            if owner is None or owner != seller:
+                raise NotOwnerError(f"{seller} does not own NFT {asset}")
+            payload = {"nft": asset, "price": price}
+        else:
+            symbol, units = asset
+            _check_count("units", units)
+            if units < 1:
+                raise ValueError("units must be positive")
+            if self.token_balance(symbol, seller) < units:
+                raise NotOwnerError(
+                    f"{seller} holds {self.token_balance(symbol, seller)} {symbol}, "
+                    f"sale needs {units}"
+                )
+            payload = {"token": symbol, "units": units, "price": price}
+        self._require_funds(buyer, price, "price is", holder="buyer ")
+        return self._append("sale", buyer, seller, price, payload)
 
     # --- verification ------------------------------------------------------------
 
@@ -403,11 +396,10 @@ class Ledger:
         The text is kept, and a call joins onto it the lines committed since
         the last one; with none, it returns the kept text itself.
         """
-        with self._lock:
-            if self._pending:
-                self._text += "".join(self._pending)
-                self._pending.clear()
-            return self._text
+        if self._pending:
+            self._text += "".join(self._pending)
+            self._pending.clear()
+        return self._text
 
     def save(self, path) -> None:
         write_atomic(path, self.serialize())
@@ -420,7 +412,8 @@ class Ledger:
         so entries appended after a load keep the file's timestamps in order.
         """
         entries = read_entries(path)
-        ledger = cls(fees=fees, clock=SimClock.after(entries[-1].timestamp) if entries else None)
+        clock = SimClock(entries[-1].timestamp + STEP_MS) if entries else None
+        ledger = cls(fees=fees, clock=clock)
         violations = _fold_checked(entries, ledger).violations
         if violations:
             raise CorruptLogError("ledger entries fail verification: " + "; ".join(violations))

@@ -161,7 +161,6 @@ def cmd_agent(args, config: dict[str, str], out: Path) -> tuple[int, list[str]]:
             state, memory, connectors, client, MarkovGenerator(), observations,
             args.turns, log=log, clock=clock, eta=args.eta, max_actions=args.max_actions,
         )
-    (out / "art").mkdir(exist_ok=True)
     for art_hash, art in arts.items():
         write_atomic(out / "art" / f"{art_hash}.ppm", art)
     ledger_path = out / "ledger.log"

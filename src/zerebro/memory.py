@@ -70,7 +70,6 @@ from __future__ import annotations
 import base64
 import hashlib
 import math
-import threading
 from dataclasses import dataclass, replace
 from typing import Iterator
 
@@ -163,8 +162,7 @@ class MemoryStore:
     `backend` is accepted for callers that still name the engine; "hashed"
     is its only value.
 
-    Concurrency: a single lock serializes writers and scans, so readers
-    never observe a partially applied upsert.
+    Not thread-safe: a store belongs to one thread (see the README).
     """
 
     def __init__(self, config: EmbeddingConfig = EmbeddingConfig(), backend: str = "hashed"):
@@ -178,7 +176,6 @@ class MemoryStore:
         self._vectors: dict[str, np.ndarray] = {}  # text -> its engine's read-only vector
         # (query text, top_k) -> (rows scanned, their top_k results)
         self._ranked: dict[tuple[str, int], tuple[int, list[RetrievalResult]]] = {}
-        self._lock = threading.Lock()
 
     @property
     def config(self) -> EmbeddingConfig:
@@ -208,8 +205,8 @@ class MemoryStore:
     def _embed(self, text: str) -> np.ndarray:
         """The engine's read-only vector for text, embedded on its first use."""
         vector = self._vectors.get(text)
-        if vector is None:  # no lock: setdefault keeps a concurrent miss's entry
-            vector = self._vectors.setdefault(text, _read_only(self._engine.embed_text(text)))
+        if vector is None:
+            vector = self._vectors[text] = _read_only(self._engine.embed_text(text))
         return vector
 
     # --- writes -------------------------------------------------------------
@@ -233,8 +230,7 @@ class MemoryStore:
     def upsert(self, record: MemoryRecord) -> str:
         """Insert or replace by id. Count grows by at most one."""
         self._check_dimension(record, "record")
-        with self._lock:
-            self._put(record)
+        self._put(record)
         return record.id
 
     def add_text(
@@ -255,19 +251,18 @@ class MemoryStore:
         """
         self._check_dimension(candidate, "candidate")
         tau = policy.max_similarity_threshold
-        with self._lock:
-            similarities = self._similarities(candidate.vector)
-            # the running maximum starts at 0.0, so nothing at or below 0 rejects
-            over = np.flatnonzero(similarities > max(tau, 0.0))
-            if over.size:
-                worst = float(similarities[over[0]])
-                return AdmissionDecision(
-                    admitted=False,
-                    reason=f"max similarity {worst:.6f} exceeds threshold {tau}",
-                    max_similarity=worst,
-                )
-            worst = max(0.0, float(similarities.max())) if similarities.size else 0.0
-            self._put(replace(candidate, screened=True))
+        similarities = self._similarities(candidate.vector)
+        # the running maximum starts at 0.0, so nothing at or below 0 rejects
+        over = np.flatnonzero(similarities > max(tau, 0.0))
+        if over.size:
+            worst = float(similarities[over[0]])
+            return AdmissionDecision(
+                admitted=False,
+                reason=f"max similarity {worst:.6f} exceeds threshold {tau}",
+                max_similarity=worst,
+            )
+        worst = max(0.0, float(similarities.max())) if similarities.size else 0.0
+        self._put(replace(candidate, screened=True))
         return AdmissionDecision(admitted=True, max_similarity=worst)
 
     def _check_dimension(self, record: MemoryRecord, role: str) -> None:
@@ -277,7 +272,7 @@ class MemoryStore:
             )
 
     def _put(self, record: MemoryRecord) -> None:
-        """Store record in its row, a new one for a new id; lock held."""
+        """Store record in its row, a new one for a new id."""
         row = self._rows.get(record.id, len(self._records))
         replacing = row < len(self._records)
         block, offset = divmod(row, BLOCK_ROWS)
@@ -294,7 +289,7 @@ class MemoryStore:
             self._vectors[record.text] = view
         if replacing:
             self._records[row] = stored
-        else:  # published last, so unlocked readers never see a half-made row
+        else:
             self._records.append(stored)
             self._rows[record.id] = row
 
@@ -327,30 +322,29 @@ class MemoryStore:
             raise ValueError(f"top_k must be positive, got {top_k}")
         query = self._embed(query_text)
         key = (query_text, top_k)
-        with self._lock:
-            # rows before start are ranked in kept (see the module docstring)
-            start, kept = self._ranked.get(key, (0, []))
-            similarities = self._similarities(query, start)
-            rows = np.arange(len(similarities))
-            if len(kept) == top_k:  # a new row enters only at or above the k-th kept
-                rows = np.flatnonzero(similarities >= kept[-1].similarity)
-            cut = len(rows) - top_k
-            if cut > 0:
-                # keep every row tied with the k-th largest: ids break the tie
-                kth = np.partition(similarities[rows], cut)[cut]
-                rows = rows[similarities[rows] >= kth]
-            scored = kept + [
-                RetrievalResult(record=self._records[row], similarity=similarity)
-                for row, similarity in zip((rows + start).tolist(), similarities[rows].tolist())
-            ]
-            scored.sort(key=lambda rr: (-rr.similarity, rr.record.id))
-            del scored[top_k:]
-            self._ranked[key] = (len(self._records), scored)
+        # rows before start are ranked in kept (see the module docstring)
+        start, kept = self._ranked.get(key, (0, []))
+        similarities = self._similarities(query, start)
+        rows = np.arange(len(similarities))
+        if len(kept) == top_k:  # a new row enters only at or above the k-th kept
+            rows = np.flatnonzero(similarities >= kept[-1].similarity)
+        cut = len(rows) - top_k
+        if cut > 0:
+            # keep every row tied with the k-th largest: ids break the tie
+            kth = np.partition(similarities[rows], cut)[cut]
+            rows = rows[similarities[rows] >= kth]
+        scored = kept + [
+            RetrievalResult(record=self._records[row], similarity=similarity)
+            for row, similarity in zip((rows + start).tolist(), similarities[rows].tolist())
+        ]
+        scored.sort(key=lambda rr: (-rr.similarity, rr.record.id))
+        del scored[top_k:]
+        self._ranked[key] = (len(self._records), scored)
         return list(scored)
 
     def _similarities(self, vector: np.ndarray, start: int = 0) -> np.ndarray:
         """cosine_similarity(vector, r.vector) for the records from row start
-        on, in row order, bit for bit (see the module docstring); lock held."""
+        on, in row order, bit for bit (see the module docstring)."""
         query_norm = math.sqrt(vector.dot(vector))
         parts = []
         for block in range(start // BLOCK_ROWS, len(self._blocks)):
@@ -368,16 +362,14 @@ class MemoryStore:
         return np.minimum(similarities, 1.0, out=similarities)
 
     def stats(self) -> MemoryStats:
-        with self._lock:
-            snapshot = list(self._records)
         histogram: dict[str, int] = {}
-        for r in snapshot:
+        for r in self._records:
             histogram[r.source] = histogram.get(r.source, 0) + 1
-        if len(snapshot) < 2:
+        if len(self) < 2:
             dispersion = 0.0
         else:
-            dispersion = embedding_dispersion([r.vector for r in snapshot])
-        return MemoryStats(count=len(snapshot), source_histogram=histogram, dispersion=dispersion)
+            dispersion = embedding_dispersion([r.vector for r in self._records])
+        return MemoryStats(count=len(self), source_histogram=histogram, dispersion=dispersion)
 
     # --- persistence ------------------------------------------------------------
 

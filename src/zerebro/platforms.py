@@ -1,7 +1,7 @@
 """Simulated social connectors and the append-only event log.
 
-Connectors assign dense, strictly increasing post ids under a lock and
-enforce per-platform length limits (280 for the short-form analog, 1024
+Connectors assign dense, strictly increasing post ids and enforce
+per-platform length limits (280 for the short-form analog, 1024
 elsewhere). Engagement is a pure seeded function of content length and
 distinct-1 token diversity, monotone in diversity at fixed length, which
 lets the feedback loop reward diverse output end to end. Its three random
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -93,7 +92,6 @@ class SimulatedConnector:
         # the engagement multipliers drawn for each post length: at most
         # char_limit + 1 entries, since no post is longer
         self._multipliers: dict[int, np.ndarray] = {}
-        self._lock = threading.Lock()
 
     @property
     def post_count(self) -> int:
@@ -104,19 +102,18 @@ class SimulatedConnector:
         return len(self._posts) - 1
 
     def post(self, content: str) -> PostReceipt:
-        with self._lock:
-            attempt = self._attempts
-            self._attempts += 1
-            if any(start <= attempt < end for start, end in self.outages):
-                raise ConnectorDownError(f"{self.platform} is down")
-            if not content:
-                raise TooLongError(f"{self.platform}: content must be non-empty")
-            if len(content) > self.char_limit:
-                raise TooLongError(
-                    f"{self.platform}: {len(content)} chars exceeds limit {self.char_limit}"
-                )
-            post_id = len(self._posts)
-            self._posts[post_id] = content
+        attempt = self._attempts
+        self._attempts += 1
+        if any(start <= attempt < end for start, end in self.outages):
+            raise ConnectorDownError(f"{self.platform} is down")
+        if not content:
+            raise TooLongError(f"{self.platform}: content must be non-empty")
+        if len(content) > self.char_limit:
+            raise TooLongError(
+                f"{self.platform}: {len(content)} chars exceeds limit {self.char_limit}"
+            )
+        post_id = len(self._posts)
+        self._posts[post_id] = content
         return PostReceipt(
             post_id=post_id,
             platform=self.platform,
@@ -223,7 +220,7 @@ def load_connector_config(
 
 
 class EventLog:
-    """Log file with dense offsets from 0, committed whole. One writer at a time.
+    """Log file with dense offsets from 0, committed whole. Not thread-safe.
 
     The lines stream, flushed one at a time, into the file `atomic.staged`
     opens beside the path given, and `self.path` names that staged file
@@ -234,7 +231,6 @@ class EventLog:
 
     def __init__(self, path, clock: Callable[[], int] | None = None):
         self._clock = clock or SimClock()
-        self._lock = threading.Lock()
         self._offset = 0
         self._final = Path(path)
         self._staged = atomic.staged(path)
@@ -244,15 +240,14 @@ class EventLog:
     def append(self, kind: str, payload: dict) -> int:
         if kind not in LOG_KINDS:
             raise ValueError(f"unknown log kind {kind!r}")
-        with self._lock:
-            offset = self._offset
-            line = offsetlog.encode(offset, kind, self._clock(), payload)
-            try:
-                self._fh.write(line.encode("utf-8"))
-                self._fh.flush()
-            except OSError as exc:
-                raise IoFailureError(f"cannot append to log {self.path}: {exc}") from exc
-            self._offset += 1
+        offset = self._offset
+        line = offsetlog.encode(offset, kind, self._clock(), payload)
+        try:
+            self._fh.write(line.encode("utf-8"))
+            self._fh.flush()
+        except OSError as exc:
+            raise IoFailureError(f"cannot append to log {self.path}: {exc}") from exc
+        self._offset += 1
         return offset
 
     def close(self) -> None:

@@ -761,6 +761,15 @@ def test_failed_fresh_session_leaves_no_out(tmp_path, capsys, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_session_that_mints_nothing_makes_no_art_dir(tmp_path, capsys):
+    """art/ is made by the commit of the first .ppm, so a session that
+    mints nothing leaves no empty art/."""
+    out = tmp_path / "o"
+    assert run_cli("agent", "--turns", "0", "--out", str(out)) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "agent.log", "ledger.log", "manifest.json", "state_hash.txt"]
+
+
 def test_failed_session_keeps_the_old_log(tmp_path, capsys, monkeypatch):
     """A session that raises mid-run on a reused --out exits 1 with one
     error line, and the previous run's files keep their bytes, agent.log
