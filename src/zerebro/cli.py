@@ -5,8 +5,9 @@ Every command resolves its configuration (config file overridden by
 flags), runs under simulated clocks and commits its artifacts beneath
 --out; the first commit makes --out and a discarded one unmakes it, so a
 refusal leaves none. `main` then writes manifest.json: the command, every
-resolved value (each flag plus each config-file value the command read)
-and the artifact names, enough to reproduce the run byte for byte.
+resolved value (each flag plus each config-file value the command read),
+enough to reproduce the run byte for byte, and the files the command
+committed under --out, by their paths relative to it.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage error (including a bad
 flag or config value).
@@ -72,7 +73,7 @@ def _resolve(args, config: dict[str, str], dest: str, key: str, cast, default) -
 # --- collapse --------------------------------------------------------------------
 
 
-def cmd_collapse(args, config: dict[str, str], out: Path) -> tuple[int, list[str]]:
+def cmd_collapse(args, config: dict[str, str], out: Path) -> tuple[int, list[Path]]:
     _resolve(args, config, "seed", "collapse.seed", int, 0)
     if args.model == "gaussian":
         origin = collapse_mod.GaussianModel(mu=args.mu, sigma2=args.sigma2)
@@ -98,13 +99,13 @@ def cmd_collapse(args, config: dict[str, str], out: Path) -> tuple[int, list[str
 
     mean = row.mean_variance_ratio if row.mean_variance_ratio is not None else row.mean_entropy_bits
     print(f"collapse: wrote {traj_path} and {report_path} (final metric mean {mean:.6f})")
-    return 0, [traj_path.name, report_path.name]
+    return 0, [traj_path, report_path]
 
 
 # --- backrooms -------------------------------------------------------------------
 
 
-def cmd_backrooms(args, config: dict[str, str], out: Path) -> tuple[int, list[str]]:
+def cmd_backrooms(args, config: dict[str, str], out: Path) -> tuple[int, list[Path]]:
     _resolve(args, config, "seed", "backrooms.seed", int, 0)
     _resolve(args, config, "dimension", "embedding.dimension", int, EmbeddingConfig().dimension)
     cfg = backrooms_mod.BackroomsConfig(
@@ -121,13 +122,13 @@ def cmd_backrooms(args, config: dict[str, str], out: Path) -> tuple[int, list[st
         f"backrooms: {args.turns} turns, final distinct_2={final.distinct_2:.4f} "
         f"dispersion={final.embedding_dispersion:.4f} -> {transcript_path}"
     )
-    return 0, [transcript_path.name]
+    return 0, [transcript_path]
 
 
 # --- agent -----------------------------------------------------------------------
 
 
-def cmd_agent(args, config: dict[str, str], out: Path) -> tuple[int, list[str]]:
+def cmd_agent(args, config: dict[str, str], out: Path) -> tuple[int, list[Path]]:
     _resolve(args, config, "seed", "agent.seed", int, 0)
     _resolve(args, config, "threshold", "agent.sentiment_threshold", float, 0.0)
     _resolve(args, config, "max_actions", "agent.max_actions_per_turn", int,
@@ -161,8 +162,9 @@ def cmd_agent(args, config: dict[str, str], out: Path) -> tuple[int, list[str]]:
             state, memory, connectors, client, MarkovGenerator(), observations,
             args.turns, log=log, clock=clock, eta=args.eta, max_actions=args.max_actions,
         )
-    for art_hash, art in arts.items():
-        write_atomic(out / "art" / f"{art_hash}.ppm", art)
+    art_paths = {out / "art" / f"{art_hash}.ppm": art for art_hash, art in arts.items()}
+    for art_path, art in art_paths.items():
+        write_atomic(art_path, art)
     ledger_path = out / "ledger.log"
     ledger.save(ledger_path)
     hash_path = out / "state_hash.txt"
@@ -172,13 +174,13 @@ def cmd_agent(args, config: dict[str, str], out: Path) -> tuple[int, list[str]]:
         f"agent: {final.turn_counter} turns, memory {len(memory)} records, "
         f"state hash {state_digest[:16]}... -> {out}"
     )
-    return 0, [log_path.name, ledger_path.name, hash_path.name]
+    return 0, [log_path, *art_paths, ledger_path, hash_path]
 
 
 # --- memory ----------------------------------------------------------------------
 
 
-def cmd_memory(args, config: dict[str, str], out: Path) -> tuple[int, list[str]]:
+def cmd_memory(args, config: dict[str, str], out: Path) -> tuple[int, list[Path]]:
     store_path = Path(args.store) if args.store else out / "memory.snapshot"
     # only upsert may start a store; query and stats report on one that exists
     if args.op != "upsert" or store_path.exists():
@@ -205,15 +207,14 @@ def cmd_memory(args, config: dict[str, str], out: Path) -> tuple[int, list[str]]
             f"count={stats.count} dispersion={stats.dispersion:.6f} "
             f"histogram={canonical_json(stats.source_histogram)}"
         )
-    return 0, [store_path.name]
+    return 0, [store_path] if args.op == "upsert" else []
 
 
 # --- chain -----------------------------------------------------------------------
 
 
-def cmd_chain(args, config: dict[str, str], out: Path) -> tuple[int, list[str]]:
+def cmd_chain(args, config: dict[str, str], out: Path) -> tuple[int, list[Path]]:
     ledger_path = Path(args.ledger) if args.ledger else out / "ledger.log"
-    artifacts = [ledger_path.name]
     if args.op == "verify":
         # the entries as read, since Ledger.load refuses a ledger that fails verification
         entries = chain_mod.read_entries(ledger_path)
@@ -223,23 +224,23 @@ def cmd_chain(args, config: dict[str, str], out: Path) -> tuple[int, list[str]]:
         else:
             for violation in report.violations:
                 print(f"violation: {violation}")
-        return (0 if report.ok else 1), artifacts
+        return (0 if report.ok else 1), []
 
     ledger = chain_mod.Ledger.load(ledger_path) if ledger_path.exists() else chain_mod.Ledger()
     wallet = ledger.create_wallet(seed=args.seed, endowment=chain_mod.to_nanos(args.endowment))
+    committed = [ledger_path]
     if args.op == "mint":
         art = chain_mod.generate_art(args.art_seed, args.theme)
         record = ledger.mint_nft(wallet, art)
-        art_path = out / f"{record.art_hash}.ppm"
-        write_atomic(art_path, art)
-        artifacts.append(art_path.name)
+        committed.append(out / f"{record.art_hash}.ppm")
+        write_atomic(committed[-1], art)
         done = f"minted token {record.token_id} (art {record.art_hash[:16]}...)"
     else:
         record = ledger.deploy_token(wallet, args.name, args.symbol, args.supply)
         done = f"deployed {record.symbol} supply {record.total_supply}"
     ledger.save(ledger_path)
     print(f"chain: {done}")
-    return 0, artifacts
+    return 0, committed
 
 
 # --- report ----------------------------------------------------------------------
@@ -275,7 +276,7 @@ def _collapse_section(path: str) -> str:
                       f"final [{columns}]: {rows[-1]}"])
 
 
-def cmd_report(args, config: dict[str, str], out: Path) -> tuple[int, list[str]]:
+def cmd_report(args, config: dict[str, str], out: Path) -> tuple[int, list[Path]]:
     sections = []
     if args.collapse:
         sections.append("== collapse ==")
@@ -291,7 +292,7 @@ def cmd_report(args, config: dict[str, str], out: Path) -> tuple[int, list[str]]
     report_path = out / "report.txt"
     write_atomic(report_path, merged)
     print(merged, end="")
-    return 0, [report_path.name]
+    return 0, [report_path]
 
 
 # --- parser ----------------------------------------------------------------------
@@ -305,7 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--config", default=None, help="key=value config file")
         p.add_argument("--out", default=None, help=f"output directory (default ${OUT_ENV})")
 
@@ -318,6 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", type=float, default=0.0)
     p.add_argument("--sigma2", type=float, default=1.0)
     p.add_argument("--symbols", type=int, default=1000)
+    p.add_argument("--seed", type=int, default=None)
     common(p)
     p.set_defaults(func=cmd_collapse)
 
@@ -326,6 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--injection-rate", dest="injection_rate", type=float, default=0.0)
     p.add_argument("--prompt", default=backrooms_mod.DEFAULT_OPENING_PROMPT)
     p.add_argument("--store-injected", dest="store_injected", action="store_true")
+    p.add_argument("--seed", type=int, default=None)
     common(p)
     p.set_defaults(func=cmd_backrooms)
 
@@ -337,10 +339,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--endowment", default="100")
     p.add_argument("--connectors", default=None,
                    help="connector config file (limits, seeds, outage schedule)")
+    p.add_argument("--seed", type=int, default=None)
     common(p)
     p.set_defaults(func=cmd_agent)
 
-    def group(name, help_text, func, shared, ops, **defaults):
+    def group(name, help_text, func, shared, ops):
         """A command with one subparser per op: the op's flags, then the
         flags every op shares, then the common ones."""
         op_sub = sub.add_parser(name, help=help_text).add_subparsers(dest="op", required=True)
@@ -349,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
             for flag, options in {**flags, **shared}.items():
                 op_parser.add_argument(flag, **options)
             common(op_parser)
-            op_parser.set_defaults(func=func, **defaults)
+            op_parser.set_defaults(func=func)
 
     required, endowment = {"required": True}, {"default": "1"}
     group("memory", "inspect or edit a memory snapshot", cmd_memory,
@@ -358,8 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
               "query": {"--text": required, "--k": {"type": int, "default": DEFAULT_TOP_K}},
               "stats": {},
           })
-    group("chain", "simulated ledger operations", cmd_chain, seed=0,
-          shared={"--ledger": {"default": None}}, ops={
+    group("chain", "simulated ledger operations", cmd_chain,
+          shared={"--ledger": {"default": None}, "--seed": {"type": int, "default": 0}}, ops={
               "mint": {"--art-seed": {"type": int, "default": 1},
                        "--theme": {"default": "corridor"}, "--endowment": endowment},
               "deploy": {"--name": required, "--symbol": required,
@@ -385,7 +388,10 @@ def main(argv: list[str] | None = None) -> int:
             raise ValueError(f"config key embedding.backend is retired: the hashed engine is "
                              f"the only one, got {backend!r}")
         out = Path(args.out or os.environ.get(OUT_ENV) or "zerebro-out")
-        code, artifacts = args.func(args, config, out)
+        code, committed = args.func(args, config, out)
+        root = out.resolve()
+        artifacts = [path.resolve().relative_to(root).as_posix() for path in committed
+                     if path.resolve().is_relative_to(root)]
         resolved = {k: v for k, v in vars(args).items() if k not in ("func", "config", "out")}
         manifest = {"command": args.command, "config": resolved, "artifacts": artifacts}
         write_atomic(out / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")

@@ -10,9 +10,9 @@ np.empty((BLOCK_ROWS, D)), one row per record in insertion order; a full
 block is followed by a new one, so no vector is ever copied as the store
 grows. A record's norm is cached beside its row at insert, and the stored
 record's `vector` is a read-only view of that row, so no vector is held
-twice. An upsert of an existing id overwrites its row, keeping its place,
-in a copy of the row's block, so vectors already handed out never change;
-a replacement therefore costs O(BLOCK_ROWS), an insert O(1).
+twice. An upsert of an existing id stores every record again in new
+blocks, the new one in its id's row, so rows keep their order and vectors
+handed out never change; a replacement costs O(N), an insert O(1).
 
 Embedding cache: make_record and retrieve embed through the store, which
 maps each text to the vector its engine made, read-only so no caller can
@@ -23,9 +23,9 @@ vector points the entry at the record's row view, so no vector is held
 twice. Nothing is invalidated: the engine is a pure function of
 the text; only a cache miss inserts, so a caller-made or snapshot-loaded
 vector never enters; and no published row is written again, since a
-replacement writes into a copy of its block. That copy takes the
-entries viewing the block with it, and the overwritten row's old text
-keeps a copy of its own vector, so the old block is freed.
+replacement stores every record again. Entries viewing the old blocks
+follow their records' new rows, and the replaced row's old text keeps a
+copy of its own vector, so the old blocks are freed.
 
 Ranked cache: retrieve keeps each (query text, top_k)'s results with the
 number of rows it scanned, and a repeated call scans only the rows
@@ -33,9 +33,9 @@ stored since, merging them with the kept results by (-similarity, id).
 That is a total order, so the top k of the union is the top k of the
 whole store; and a row's similarity does not depend on which rows are
 scanned with it (below). Appends leave the cache as it is; a replacement
-clears it, since it changes a scanned row and re-points records. It
-holds at most top_k references per distinct (query text, top_k), beside
-the embedding cache's one vector per text.
+clears it, since it stores every row again. It holds at most top_k
+references per distinct (query text, top_k), beside the embedding
+cache's one vector per text.
 
 Exactness: retrieval and admission scan the filled rows of each block with
     np.clip(np.vecdot(q, rows) / (float(np.linalg.norm(q)) * norms), -1, 1)
@@ -272,45 +272,36 @@ class MemoryStore:
             )
 
     def _put(self, record: MemoryRecord) -> None:
-        """Store record in its row, a new one for a new id."""
-        row = self._rows.get(record.id, len(self._records))
-        replacing = row < len(self._records)
-        block, offset = divmod(row, BLOCK_ROWS)
-        if replacing:
-            self._copy_block(block, row)
-        elif block == len(self._blocks):
+        """Store record in a new row; a known id rebuilds the store."""
+        if record.id in self._rows:
+            return self._rebuild(record)
+        block, offset = divmod(len(self._records), BLOCK_ROWS)
+        if block == len(self._blocks):
             self._blocks.append(np.empty((BLOCK_ROWS, self.dimension)))
             self._norms.append(np.empty(BLOCK_ROWS))
         self._blocks[block][offset] = record.vector
         view = _read_only(self._blocks[block][offset])
         self._norms[block][offset] = float(np.linalg.norm(view))
-        stored = replace(record, vector=view)
         if self._vectors.get(record.text) is record.vector:
             self._vectors[record.text] = view
-        if replacing:
-            self._records[row] = stored
-        else:
-            self._records.append(stored)
-            self._rows[record.id] = row
+        self._rows[record.id] = len(self._records)
+        self._records.append(replace(record, vector=view))
 
-    def _copy_block(self, block: int, overwritten: int) -> None:
-        """Move a block to new memory before row `overwritten` of it is
-        overwritten: vectors handed out are views of the old memory, and must
-        not change. Cache entries viewing the block follow it, the overwritten
-        row's as a copy of its own, so nothing the store holds keeps the old
-        memory alive; the ranked cache is cleared."""
-        start = block * BLOCK_ROWS
-        filled = min(BLOCK_ROWS, len(self._records) - start)
-        vectors = np.empty_like(self._blocks[block])
-        vectors[:filled] = self._blocks[block][:filled]
-        self._blocks[block] = vectors
-        for row in range(start, start + filled):
-            record = self._records[row]
-            moved = _read_only(vectors[row - start])
-            if self._vectors.get(record.text) is record.vector:
-                self._vectors[record.text] = _read_only(moved.copy()) if row == overwritten else moved
-            self._records[row] = replace(record, vector=moved)
+    def _rebuild(self, record: MemoryRecord) -> None:
+        """Store every record again in new blocks, in row order, with record
+        in its id's row. Records and vectors handed out view the old blocks,
+        which nothing writes again; the replaced text's cache entry becomes a
+        copy of its own, so nothing the store holds keeps them alive."""
+        row = self._rows[record.id]
+        old = self._records[row]
+        if self._vectors.get(old.text) is old.vector:
+            self._vectors[old.text] = _read_only(old.vector.copy())
+        records = self._records
+        records[row] = record
+        self._records, self._rows, self._blocks, self._norms = [], {}, [], []
         self._ranked.clear()
+        for r in records:
+            self._put(r)
 
     # --- reads ----------------------------------------------------------------
 

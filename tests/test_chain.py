@@ -356,6 +356,27 @@ class TestPersistence:
         assert err.startswith(f"error: {path}: line at offset 1 has ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("column, value, named", [
+        (1, "telemetry", "unknown kind 'telemetry' at offset 1"),
+        (3, "[1]", "body at offset 1 is not a JSON object"),
+    ], ids=["unknown-kind", "body-not-an-object"])
+    def test_line_outside_the_entry_kinds_is_corrupt(self, tmp_path, capsys, column, value,
+                                                     named):
+        from zerebro.cli import main
+
+        ledger, _ = fresh_ledger(2)
+        path = tmp_path / "ledger.log"
+        ledger.save(path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        fields = lines[1].split("\t", 3)
+        fields[column] = value
+        lines[1] = "\t".join(fields)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(CorruptLogError, match=re.escape(f"{path}: {named}")):
+            read_entries(path)
+        assert main(["chain", "verify", "--ledger", str(path), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"error: {path}: {named}\n"
+
     def test_line_without_a_field_is_corrupt(self, tmp_path):
         ledger, _ = fresh_ledger(1)
         path = tmp_path / "ledger.log"

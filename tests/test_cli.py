@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -159,10 +160,14 @@ class TestExitCodes:
 
     def test_module_entrypoint_runs(self, tmp_path):
         (tmp_path / "ledger.log").write_bytes(b"")
+        # src first on the path, so the test runs from a checkout without installing
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+            str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH")])))
         result = subprocess.run(
             [sys.executable, "-m", "zerebro", "chain", "verify", "--out", str(tmp_path)],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert result.returncode == 0
         assert result.stdout.strip() == "ok"
@@ -639,6 +644,9 @@ class TestManifestIsWholeRun:
         first = tree(tmp_path / "a")
         assert "manifest.json" in first
         assert first == tree(tmp_path / "b")
+        # the manifest names every file the run committed, art/ included
+        artifacts = json.loads(first["manifest.json"])["artifacts"]
+        assert sorted(artifacts) == sorted(set(first) - {"manifest.json"})
 
     @pytest.mark.parametrize("argv", [
         ["collapse", "--model", "gaussian", "--G", "2"],
@@ -669,6 +677,42 @@ class TestManifestIsWholeRun:
         assert dests <= set(manifest["config"])
         assert manifest["command"] == argv[0]
         assert set(manifest) == {"command", "config", "artifacts"}
+
+    def test_artifacts_leave_out_reads_and_files_outside_out(self, tmp_path, capsys):
+        ledger, store = tmp_path / "a" / "ledger.log", tmp_path / "m" / "memory.snapshot"
+        runs = [
+            (["chain", "mint", "--ledger", str(ledger)], {".ppm"}),
+            (["chain", "verify", "--ledger", str(ledger)], set()),
+            (["memory", "upsert", "--id", "m1", "--text", "a lantern", "--store", str(store)],
+             set()),
+            (["memory", "query", "--text", "lantern", "--store", str(store)], set()),
+            (["memory", "stats", "--store", str(store)], set()),
+        ]
+        for i, (argv, suffixes) in enumerate(runs):
+            out = tmp_path / f"out-{i}"
+            assert run_cli(*argv, "--out", str(out)) == 0
+            artifacts = json.loads((out / "manifest.json").read_text())["artifacts"]
+            assert {Path(a).suffix for a in artifacts} == suffixes, argv
+            assert sorted(artifacts) == sorted(set(tree(out)) - {"manifest.json"})
+        # a --store inside --out, spelled another way, is listed by its name under it
+        assert run_cli("memory", "upsert", "--id", "m1", "--text", "a lantern",
+                       "--store", str(tmp_path / "in" / "." / "s.snap"),
+                       "--out", str(tmp_path / "in")) == 0
+        manifest = json.loads((tmp_path / "in" / "manifest.json").read_text())
+        assert manifest["artifacts"] == ["s.snap"]
+
+    @pytest.mark.parametrize("argv", [
+        ["memory", "upsert", "--id", "m1", "--text", "a lantern"],
+        ["memory", "query", "--text", "a lantern"],
+        ["memory", "stats"],
+        ["report", "--collapse", "report.txt"],
+    ], ids=["memory-upsert", "memory-query", "memory-stats", "report"])
+    def test_commands_that_draw_nothing_take_no_seed(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli(*argv, "--seed", "5", "--out", str(tmp_path / "out"))
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_chain_mint_rerun_from_manifest_alone(self, tmp_path, capsys):
         first, second = tmp_path / "first", tmp_path / "second"

@@ -2,6 +2,7 @@
 diversity admission, snapshot persistence."""
 
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -333,6 +334,20 @@ class TestPersistence:
 
         rechecksum(path, renumbered)
         with pytest.raises(CorruptSnapshotError, match="only it, is at offset 0"):
+            MemoryStore.load(path)
+
+    @pytest.mark.parametrize("edit, named", [
+        (lambda row: row.__setitem__(1, "telemetry"), "unknown kind 'telemetry' at offset 1"),
+        (lambda row: row.__setitem__(3, ["r1"]), "body at offset 1 is not a JSON object"),
+    ], ids=["unknown-kind", "body-not-an-object"])
+    def test_line_outside_the_snapshot_kinds_is_corrupt(self, tmp_path, rechecksum, edit,
+                                                        named):
+        store = MemoryStore(CFG)
+        store.add_text("r1", "a line of another kind or shape")
+        path = tmp_path / "store.snapshot"
+        store.persist(path)
+        rechecksum(path, lambda rows: edit(rows[1]))
+        with pytest.raises(CorruptSnapshotError, match=re.escape(f"{path}: {named}")):
             MemoryStore.load(path)
 
     @pytest.mark.parametrize("column", ["+4", " 4", "4 ", "4_0", "04", "-0"])

@@ -3,6 +3,7 @@ injection, engagement determinism, append-only replay."""
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -208,6 +209,19 @@ class TestEventLog:
             log.append("observation", {"text": "soon mangled"})
         path.write_bytes(path.read_bytes().replace(b"mangled", b"mangl\xff"))
         with pytest.raises(CorruptLogError, match="offset 1 is not UTF-8"):
+            read_log(path)
+
+    @pytest.mark.parametrize("kind, body, named", [
+        ("telemetry", '{"n": 2}', "unknown kind 'telemetry' at offset 1"),
+        ("observation", "[2]", "body at offset 1 is not a JSON object"),
+    ], ids=["unknown-kind", "body-not-an-object"])
+    def test_line_outside_the_log_kinds_is_corrupt(self, tmp_path, kind, body, named):
+        path = tmp_path / "x.log"
+        with EventLog(path) as log:
+            log.append("observation", {"n": 1})
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(f"1\t{kind}\t0\t{body}\n")
+        with pytest.raises(CorruptLogError, match=re.escape(f"{path}: {named}")):
             read_log(path)
 
     def test_unknown_kind_rejected_at_append(self, tmp_path):
