@@ -17,13 +17,13 @@ from .errors import IoFailureError
 def staged(path):
     """Yield a binary file that replaces path's contents on a clean exit.
 
-    path's directory is made first, with any missing parents; a new
-    directory's own entry is not fsynced into its parent. The file is a
-    temp file beside path. On a clean exit it is fsynced and
-    moved over path with os.replace; the directory is then fsynced, so the
-    rename too survives a power loss. An exception up to the rename removes
-    the temp file, and each directory made here that is left empty, and
-    leaves path as it was. Any OSError raises IoFailureError.
+    path's directory is made first, with any missing parents. The file is a
+    temp file beside path. On a clean exit it is fsynced and moved over path
+    with os.replace. The directory is then fsynced, so the rename too
+    survives a power loss, and so is the parent of each directory made here,
+    so a new directory survives with the file in it. An exception up to the
+    rename removes the temp file, and each directory made here that is left
+    empty, and leaves path as it was. Any OSError raises IoFailureError.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.tmp")
@@ -42,11 +42,12 @@ def staged(path):
                 with suppress(OSError):
                     parent.rmdir()
             raise
-        directory = os.open(path.parent, os.O_RDONLY)
-        try:
-            os.fsync(directory)
-        finally:
-            os.close(directory)
+        for synced in [path.parent, *(new.parent for new in made)]:
+            directory = os.open(synced, os.O_RDONLY)
+            try:
+                os.fsync(directory)
+            finally:
+                os.close(directory)
     except OSError as exc:
         raise IoFailureError(f"cannot write {path}: {exc}") from exc
 

@@ -354,19 +354,21 @@ def build_parser() -> argparse.ArgumentParser:
             common(op_parser)
             op_parser.set_defaults(func=func)
 
-    required, endowment = {"required": True}, {"default": "1"}
+    required = {"required": True}
     group("memory", "inspect or edit a memory snapshot", cmd_memory,
           shared={"--store": {"default": None}}, ops={
               "upsert": {"--id": required, "--text": required, "--source": {"default": "human"}},
               "query": {"--text": required, "--k": {"type": int, "default": DEFAULT_TOP_K}},
               "stats": {},
           })
+    # the flags of the wallet that mint and deploy make; verify makes none, so draws nothing
+    wallet = {"--endowment": {"default": "1"}, "--seed": {"type": int, "default": 0}}
     group("chain", "simulated ledger operations", cmd_chain,
-          shared={"--ledger": {"default": None}, "--seed": {"type": int, "default": 0}}, ops={
+          shared={"--ledger": {"default": None}}, ops={
               "mint": {"--art-seed": {"type": int, "default": 1},
-                       "--theme": {"default": "corridor"}, "--endowment": endowment},
+                       "--theme": {"default": "corridor"}, **wallet},
               "deploy": {"--name": required, "--symbol": required,
-                         "--supply": {"type": int, "default": 10**9}, "--endowment": endowment},
+                         "--supply": {"type": int, "default": 10**9}, **wallet},
               "verify": {},
           })
 

@@ -28,19 +28,22 @@ for bit, what advancing that (rho, seed) model alone would give:
 
 * Column s draws from its own `default_rng(seed_for(base, s))`, and every
   row of the column uses those numbers. numpy fills an array from the
-  stream element by element, so one (G, m) draw equals G draws of m.
-* A Gaussian model's samples are `sqrt(s2)*z + mu`, with `mu0 + sd0*z`
-  copied over them where the row draws from the origin: element by
-  element the same operations as for one model (IEEE addition commutes,
-  so `sqrt(s2)*z + mu` is `mu + sqrt(s2)*z` bit for bit). The refit runs
-  `np.var`'s own steps once over the (R, S, m) samples: `mean` is the
-  axis-1 sum divided by m, then the sum of `(x - mean)**2` (one correctly
-  rounded product each) divided by m. That `mean` is what `np.mean`
-  returns, so mu and sigma2 equal the one-seed `np.mean`/`np.var` by ==.
-  numpy reduces each contiguous length-m row with the same pairwise sum
-  as a 1-D call. A model whose refit variance is not positive is marked
-  collapsed and keeps its last good fit; a non-finite refit (an
-  overflow) is refused, as GaussianModel refuses it.
+  stream element by element, so one (G, m) draw equals G draws of m. A
+  chunk's draws land in one (S, G, m) array, read as its (G, S, m) transpose.
+* A Gaussian model's samples are `sqrt(s2)*z + mu` (mu and s2 are (R, S, 1)),
+  with `sd0*z + mu0`, made once per draw block, copied over them where the
+  row draws from the origin: element by element the same operations as for
+  one model (IEEE addition commutes, so `sqrt(s2)*z + mu` is
+  `mu + sqrt(s2)*z` bit for bit). The refit runs `np.var`'s own steps once
+  over the (R, S, m) samples: `mean` is the axis-1 sum divided by m, then
+  the sum of `(x - mean)**2` (one correctly rounded product each) divided
+  by m. That `mean` is what `np.mean` returns, so mu and sigma2 equal the
+  one-seed `np.mean`/`np.var` by ==. numpy reduces each contiguous length-m
+  row with the same pairwise sum as a 1-D call. A non-finite refit (an
+  overflow) is refused, as GaussianModel refuses it. While no model has
+  collapsed and every refit variance is positive, the refits are the models,
+  with no bookkeeping; from then on, a model whose refit variance is not
+  positive is marked collapsed and keeps its last good fit.
 * A categorical model is the sorted support indices of the m samples it
   was fit to (the start model: its present symbols, one each), with each
   symbol's probability at its last position and 0.0 at the others. Draws
@@ -59,10 +62,12 @@ for bit, what advancing that (rho, seed) model alone would give:
 Memory is bounded however many seeds a regimen runs: `compare_regimens`
 advances SEED_CHUNK seeds at a time, and each seed draws at most
 DRAW_BLOCK numbers (or one generation's m, if larger) at a time, so a
-chunk holds its draws plus (R, SEED_CHUNK, m) samples. A categorical chunk
-also holds (R, SEED_CHUNK, m) sorted samples and probabilities (the start
-model's width before the first refit), plus one transient R * SEED_CHUNK * K
-bincount per generation for an origin of K symbols.
+chunk holds its draws plus (R, SEED_CHUNK, m) samples. A Gaussian chunk holds
+its draws twice, as normals and as origin samples: 2 * SEED_CHUNK * DRAW_BLOCK
+floats (8 MiB) when m <= DRAW_BLOCK. A categorical chunk also holds
+(R, SEED_CHUNK, m) sorted samples and probabilities (the start model's width
+before the first refit), plus one transient R * SEED_CHUNK * K bincount per
+generation for an origin of K symbols.
 """
 
 from __future__ import annotations
@@ -196,45 +201,52 @@ class _GaussianBlock:
         return rng.standard_normal(shape)
 
     def __init__(self, origin: GaussianModel, m: int, rhos, n_seeds: int, start: GaussianModel):
-        shape = (len(rhos), n_seeds)
+        shape = (len(rhos), n_seeds, 1)
         self.m = m
         self.human = _human_mask(m, rhos)
         self.mu0, self.sd0, self.sigma2_0 = origin.mu, math.sqrt(origin.sigma2), origin.sigma2
         self.mu = np.full(shape, start.mu, dtype=np.float64)
         self.s2 = np.full(shape, start.sigma2, dtype=np.float64)
         self.collapsed = np.zeros(shape, dtype=bool)
+        self.any_collapsed = False
 
-    def advance(self, z: np.ndarray) -> np.ndarray:
-        """One generation from each column's m normals z (S, m); returns the (R, S, m) samples."""
-        x = np.sqrt(self.s2)[..., None] * z
-        x += self.mu[..., None]
-        np.copyto(x, self.mu0 + self.sd0 * z, where=self.human)
+    def advance(self, z: np.ndarray, from_origin: np.ndarray) -> np.ndarray:
+        """One generation from normals z (S, m) and origin samples `sd0*z + mu0`."""
+        x = np.sqrt(self.s2) * z
+        x += self.mu
+        np.copyto(x, from_origin, where=self.human)
         # np.var's own steps, once; its mean is the refit mu
         mean = np.add.reduce(x, axis=-1, keepdims=True)
         mean /= self.m
         d = x - mean
         d *= d
-        var = np.add.reduce(d, axis=-1)
+        var = np.add.reduce(d, axis=-1, keepdims=True)
         var /= self.m
-        finite = np.isfinite(var)
-        if not finite.all():  # an overflowed refit, which no model may hold
-            raise BadConfigError(f"sigma2 must be positive and finite, got {var[~finite][0]}")
-        self.collapsed |= var <= 0.0
-        kept = ~self.collapsed
-        np.copyto(self.mu, mean[..., 0], where=kept)
-        np.copyto(self.s2, var, where=kept)
+        if not np.maximum.reduce(var, axis=None, initial=0.0) < np.inf:
+            overflowed = var[~np.isfinite(var)][0]  # a refit that no model may hold
+            raise BadConfigError(f"sigma2 must be positive and finite, got {overflowed}")
+        # while every model is sound, the refit is the model; from a model's first
+        # refit that is not positive, it is collapsed and keeps its last good fit
+        if self.any_collapsed or not np.minimum.reduce(var, axis=None, initial=np.inf) > 0.0:
+            self.any_collapsed = True
+            self.collapsed |= var <= 0.0
+            mean = np.where(self.collapsed, self.mu, mean)
+            var = np.where(self.collapsed, self.s2, var)
+        self.mu, self.s2 = mean, var
         return x
 
     def generations(self, draws: np.ndarray):
         """One generation per (S, m) normals of draws (G, S, m)."""
-        return map(self.advance, draws)
+        from_origin = draws * self.sd0
+        from_origin += self.mu0
+        return map(self.advance, draws, from_origin)
 
     def model(self, r: int, s: int) -> GaussianModel:
-        return GaussianModel(mu=float(self.mu[r, s]), sigma2=float(self.s2[r, s]))
+        return GaussianModel(mu=float(self.mu[r, s, 0]), sigma2=float(self.s2[r, s, 0]))
 
     def finals(self) -> list[tuple]:
         """Per row: (variance ratios, entropies, distincts) of every column."""
-        return [(tuple(row), (), ()) for row in (self.s2 / self.sigma2_0).tolist()]
+        return [(tuple(row), (), ()) for row in (self.s2[..., 0] / self.sigma2_0).tolist()]
 
 
 class _CategoricalBlock:
@@ -250,10 +262,9 @@ class _CategoricalBlock:
                  start: CategoricalModel):
         self.m = m
         self.support = sorted(origin.probabilities.keys() | start.probabilities.keys())
-        origin_p, start_p = (
-            np.array([model.probabilities.get(s, 0.0) for s in self.support], dtype=np.float64)
-            for model in (origin, start)
-        )
+        origin_p = np.array([origin.probabilities.get(s, 0.0) for s in self.support], float)
+        start_p = origin_p if start is origin else np.array(
+            [start.probabilities.get(s, 0.0) for s in self.support], float)
         shape = (len(rhos), n_seeds)
         self.human_counts = [_human_count(m, rho) for rho in rhos]
         # rows with at least one sample from the model: at rho = 1 every one
@@ -326,7 +337,8 @@ def _generations(block, rngs: Sequence[np.random.Generator], generations: int, m
     per_draw = max(1, DRAW_BLOCK // m)
     for first in range(0, generations, per_draw):
         shape = (min(per_draw, generations - first), m)
-        yield from block.generations(np.stack([block.draw(rng, shape) for rng in rngs], axis=1))
+        draws = np.array([block.draw(rng, shape) for rng in rngs])  # (S, G, m)
+        yield from block.generations(draws.swapaxes(0, 1))
 
 
 def step_generation(model, origin, m: int, rho: float, rng: np.random.Generator):
@@ -338,7 +350,7 @@ def step_generation(model, origin, m: int, rho: float, rng: np.random.Generator)
     """
     block = _block(origin, m, [rho], 1, start=model)
     samples = next(block.generations(block.draw(rng, (1, 1, m))))[0, 0]
-    if block.collapsed[0, 0]:
+    if block.collapsed.any():
         raise DegenerateFitError(f"all {m} samples identical at value {samples[0]!r}")
     if isinstance(block, _CategoricalBlock):
         samples = [block.support[i] for i in samples.tolist()]
@@ -404,7 +416,7 @@ def run_recursion(config: RecursionConfig) -> CollapseTrajectory:
     rng = np.random.default_rng(config.seed)
     status = "completed"
     for t, samples in enumerate(_generations(block, [rng], config.generations, config.m), 1):
-        if block.collapsed[0, 0]:
+        if block.collapsed.any():
             status = "collapsed"
             break
         records.append(_record(t, block.model(0, 0), _sample_tail(samples[0, 0], mu0, sigma0)))

@@ -90,6 +90,28 @@ def test_rename_is_fsynced_in_its_directory(tmp_path, monkeypatch):
     assert (tmp_path / "state").read_bytes() == b"new bytes"
 
 
+def test_each_made_directory_is_fsynced_into_its_parent(tmp_path, monkeypatch):
+    """A new directory's entry reaches the disk too: after the rename, the
+    file's directory and the parent of each directory made for it are fsynced."""
+    (tmp_path / "old").mkdir()
+    synced = []
+    real_fsync = os.fsync
+
+    def fsync(fd):
+        directories = [tmp_path, *(d for d in tmp_path.rglob("*") if d.is_dir())]
+        synced.append(next((d for d in directories
+                            if os.path.samestat(os.fstat(fd), d.stat())), "a file"))
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    write_atomic(tmp_path / "old" / "new" / "deeper" / "f", b"new bytes")
+    old = tmp_path / "old"
+    assert synced == ["a file", old / "new" / "deeper", old / "new", old]
+    synced.clear()
+    write_atomic(old / "new" / "g", b"into a directory that is there")
+    assert synced == ["a file", old / "new"]
+
+
 def test_text_is_written_as_utf8(tmp_path):
     write_atomic(tmp_path / "state", "a lantern \u2014 at dusk\n")
     assert (tmp_path / "state").read_bytes() == "a lantern \u2014 at dusk\n".encode("utf-8")

@@ -706,13 +706,24 @@ class TestManifestIsWholeRun:
         ["memory", "query", "--text", "a lantern"],
         ["memory", "stats"],
         ["report", "--collapse", "report.txt"],
-    ], ids=["memory-upsert", "memory-query", "memory-stats", "report"])
+        ["chain", "verify"],
+    ], ids=["memory-upsert", "memory-query", "memory-stats", "report", "chain-verify"])
     def test_commands_that_draw_nothing_take_no_seed(self, tmp_path, capsys, argv):
         with pytest.raises(SystemExit) as excinfo:
             run_cli(*argv, "--seed", "5", "--out", str(tmp_path / "out"))
         assert excinfo.value.code == 2
         assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_only_the_chain_ops_that_make_a_wallet_record_a_seed(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        config = lambda: json.loads((out / "manifest.json").read_text())["config"]
+        assert run_cli("chain", "mint", "--seed", "5", "--out", str(out)) == 0
+        assert config()["seed"] == 5
+        assert run_cli("chain", "deploy", "--name", "t", "--symbol", "CORR", "--out", str(out)) == 0
+        assert config()["seed"] == 0
+        assert run_cli("chain", "verify", "--out", str(out)) == 0
+        assert "seed" not in config()
 
     def test_chain_mint_rerun_from_manifest_alone(self, tmp_path, capsys):
         first, second = tmp_path / "first", tmp_path / "second"

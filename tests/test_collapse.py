@@ -5,6 +5,7 @@ import itertools
 import math
 import re
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -366,6 +367,13 @@ class TestBatchedKernel:
 
     @settings(max_examples=40, deadline=None)
     @given(regimens("gaussian", GAUSSIAN_ORIGINS))
+    # m = 2000 draws DRAW_BLOCK // m = 4 generations at a time, so G = 10 spans
+    # three draw blocks
+    @example((RecursionConfig("gaussian", 2000, 10, 0.0, 2**64 - 5, GAUSSIAN_ORIGINS[1]),
+              [0.0, 0.5, 1.0], 3))
+    # seed 8 first collapses at generation 455, in the second block of 409, and its
+    # last good fit then draws refits that are positive again; seed 9 never collapses
+    @example((RecursionConfig("gaussian", 20, 600, 0.0, 8, GAUSSIAN_ORIGINS[3]), [0.0], 2))
     def test_gaussian(self, case):
         self.check(*case)
 
@@ -373,8 +381,25 @@ class TestBatchedKernel:
     @given(regimens("categorical", CATEGORICAL_ORIGINS))
     @example((RecursionConfig("categorical", 50, 15, 0.5, 5, CATEGORICAL_ORIGINS[3]),
               [0.0, 0.5, 0.5, 1.0], 3))
+    # three draw blocks, as for the Gaussian kind
+    @example((RecursionConfig("categorical", 2000, 10, 0.0, 11, CATEGORICAL_ORIGINS[2]),
+              [0.0, 0.3, 1.0], 3))
     def test_categorical(self, case):
         self.check(*case)
+
+    def test_overflow_past_the_first_generation(self):
+        # from sigma2 = 1e307, seed 8's refits stay finite for five generations and
+        # overflow at the sixth: the model is refused there, as the one-seed rule's
+        # GaussianModel refuses it, with the same message
+        base = RecursionConfig("gaussian", 10, 5, 0.0, 8, GaussianModel(0.0, 1e307))
+        refused = "^sigma2 must be positive and finite, got inf$"
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.check(base, [0.0], 1)
+            base = replace(base, generations=8)
+            for run in (lambda: compare_regimens(base, [0.0, 0.5], 2),
+                        lambda: run_recursion(base), lambda: reference_final(base)):
+                with pytest.raises(BadConfigError, match=refused):
+                    run()
 
     # m = 100 is the CLI's default; past 128 numpy's pairwise sum splits a row;
     # 1000 symbols at m = 100 is the collapse-sweep workload's shape
