@@ -31,19 +31,18 @@ for bit, what advancing that (rho, seed) model alone would give:
   stream element by element, so one (G, m) draw equals G draws of m. A
   chunk's draws land in one (S, G, m) array, read as its (G, S, m) transpose.
 * A Gaussian model's samples are `sqrt(s2)*z + mu` (mu and s2 are (R, S, 1)),
-  with `sd0*z + mu0`, made once per draw block, copied over them where the
-  row draws from the origin: element by element the same operations as for
-  one model (IEEE addition commutes, so `sqrt(s2)*z + mu` is
-  `mu + sqrt(s2)*z` bit for bit). The refit runs `np.var`'s own steps once
-  over the (R, S, m) samples: `mean` is the axis-1 sum divided by m, then
-  the sum of `(x - mean)**2` (one correctly rounded product each) divided
-  by m. That `mean` is what `np.mean` returns, so mu and sigma2 equal the
-  one-seed `np.mean`/`np.var` by ==. numpy reduces each contiguous length-m
-  row with the same pairwise sum as a 1-D call. A non-finite refit (an
-  overflow) is refused, as GaussianModel refuses it. While no model has
-  collapsed and every refit variance is positive, the refits are the models,
-  with no bookkeeping; from then on, a model whose refit variance is not
-  positive is marked collapsed and keeps its last good fit.
+  with `sd0*z + mu0`, made once per draw block, copied over them where the row
+  draws from the origin: element by element the same operations as for one
+  model (IEEE addition commutes, so `sqrt(s2)*z + mu` is `mu + sqrt(s2)*z` bit
+  for bit). The refit runs `np.var`'s own steps once over the (R, S, m)
+  samples: `mean` is the axis-1 sum divided by m, then the sum of
+  `(x - mean)**2` (one correctly rounded product each) divided by m. That
+  `mean` is what `np.mean` returns, so mu and sigma2 equal the one-seed
+  `np.mean`/`np.var` by ==. numpy reduces each contiguous length-m row with the
+  same pairwise sum as a 1-D call. A non-finite refit (an overflow) is refused,
+  as GaussianModel refuses it. A model whose refit variance is not positive is
+  marked collapsed and keeps its last good fit; until one is, the refits are
+  the models, with no bookkeeping.
 * A categorical model is the sorted support indices of the m samples it
   was fit to (the start model: its present symbols, one each), with each
   symbol's probability at its last position and 0.0 at the others. Draws
@@ -208,7 +207,7 @@ class _GaussianBlock:
         self.mu = np.full(shape, start.mu, dtype=np.float64)
         self.s2 = np.full(shape, start.sigma2, dtype=np.float64)
         self.collapsed = np.zeros(shape, dtype=bool)
-        self.any_collapsed = False
+        self.any_collapsed = False  # collapsed.any(), which every generation asks
 
     def advance(self, z: np.ndarray, from_origin: np.ndarray) -> np.ndarray:
         """One generation from normals z (S, m) and origin samples `sd0*z + mu0`."""
@@ -262,9 +261,10 @@ class _CategoricalBlock:
                  start: CategoricalModel):
         self.m = m
         self.support = sorted(origin.probabilities.keys() | start.probabilities.keys())
-        origin_p = np.array([origin.probabilities.get(s, 0.0) for s in self.support], float)
-        start_p = origin_p if start is origin else np.array(
-            [start.probabilities.get(s, 0.0) for s in self.support], float)
+        origin_p, start_p = (
+            np.array([model.probabilities.get(s, 0.0) for s in self.support], dtype=np.float64)
+            for model in (origin, start)
+        )
         shape = (len(rhos), n_seeds)
         self.human_counts = [_human_count(m, rho) for rho in rhos]
         # rows with at least one sample from the model: at rho = 1 every one
