@@ -205,26 +205,23 @@ def plan(
 
 def integrate_feedback(
     state: AgentState,
-    engagements: Sequence,
+    engagements: Sequence[Mapping],
     *,
-    kinds: Sequence[str] | None = None,
     eta: float = DEFAULT_ETA,
 ) -> AgentState:
     """Multiplicative-weights update from engagement, then renormalize.
 
-    `kinds` pairs each engagement with the action kind that earned it;
-    posts are the default. An empty engagement list is the identity.
+    `engagements` are the entries of a feedback log line: dicts whose
+    "kind" names the action kind their "likes", "shares" and "comments"
+    credit. An empty list is the identity.
     """
     if not engagements:
         return state
-    if kinds is None:
-        kinds = ["post_text"] * len(engagements)
-    if len(kinds) != len(engagements):
-        raise ValueError("kinds must pair one-to-one with engagements")
 
     totals: dict[str, float] = {}
-    for kind, eng in zip(kinds, engagements):
-        totals[kind] = totals.get(kind, 0.0) + eng.likes + eng.shares + eng.comments
+    for e in engagements:
+        kind = e["kind"]
+        totals[kind] = totals.get(kind, 0.0) + e["likes"] + e["shares"] + e["comments"]
     peak = max(totals.values())
 
     weights = dict(state.strategy_weights)
@@ -425,7 +422,6 @@ def run_session(
             state, memory, connectors, chain_client, observations(turn),
             generator=generator, log=log, clock=clock, max_actions=max_actions,
         )
-        engagements = []
         fb_payload = []
         for receipt in receipts:
             if receipt.request.kind != "post_text":
@@ -433,13 +429,13 @@ def run_session(
             platform = receipt.request.target
             post_id = int(receipt.ref.rsplit(":", 1)[1])
             metrics = connectors[platform].fetch_engagement(post_id)
-            engagements.append(metrics)
             fb_payload.append(
                 {"platform": platform, "post_id": post_id, "kind": receipt.request.kind,
                  "likes": metrics.likes, "shares": metrics.shares,
                  "comments": metrics.comments}
             )
-        state = integrate_feedback(state, engagements, eta=eta)
+        # the feedback line's entries are what replay folds too
+        state = integrate_feedback(state, fb_payload, eta=eta)
         if fb_payload:
             log.append("feedback", {"turn": turn, "eta": eta, "engagements": fb_payload})
     return state, session_state_hash(state, memory, connectors)

@@ -72,7 +72,7 @@ generation for an origin of K symbols.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -131,6 +131,12 @@ def uniform_categorical(n_symbols: int) -> CategoricalModel:
     return CategoricalModel({i: p for i in range(n_symbols)})
 
 
+def _check_rho(rho: float) -> None:
+    """Refuse a human-data fraction outside [0, 1], NaN included."""
+    if not 0.0 <= rho <= 1.0:
+        raise BadConfigError(f"rho must lie in [0, 1], got {rho}")
+
+
 @dataclass(frozen=True)
 class RecursionConfig:
     model_kind: str
@@ -147,8 +153,7 @@ class RecursionConfig:
             raise BadConfigError(f"m must be >= 2, got {self.m}")
         if self.generations < 0:
             raise BadConfigError(f"generations must be >= 0, got {self.generations}")
-        if not 0.0 <= self.rho <= 1.0:
-            raise BadConfigError(f"rho must lie in [0, 1], got {self.rho}")
+        _check_rho(self.rho)
         expected = GaussianModel if self.model_kind == "gaussian" else CategoricalModel
         if not isinstance(self.origin, expected):
             raise BadConfigError(
@@ -475,7 +480,7 @@ def compare_regimens(
     if n_seeds < 1:
         raise BadConfigError(f"n_seeds must be positive, got {n_seeds}")
     for rho in rhos:
-        replace(base, rho=rho)  # RecursionConfig's check of each rho
+        _check_rho(rho)
     finals = [((), (), ()) for _ in rhos]
     for first in range(0, n_seeds, SEED_CHUNK):
         indices = range(first, min(n_seeds, first + SEED_CHUNK))

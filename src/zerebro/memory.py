@@ -62,7 +62,8 @@ exactly those JSON types:
 one record line per row, its vector base64 little-endian float64. load
 compares the last line byte for byte with the checksum line re-encoded from
 the bytes before it. A snapshot stating an n-gram range other than
-embedding's fixed one, or in the retired `memstore v1` format, is corrupt.
+embedding's fixed one, in the retired `memstore v1` format, or with a
+record vector whose norm is not finite and nonzero, is corrupt.
 """
 
 from __future__ import annotations
@@ -410,6 +411,9 @@ class MemoryStore:
                     vector = np.frombuffer(base64.b64decode(body["vector"], validate=True), "<f8")
                     store.upsert(MemoryRecord(body["id"], body["text"], vector, body["source"],
                                               timestamp, body["screened"]))
+                    # after upsert's width check; a NaN norm fails it too
+                    if not 0.0 < np.linalg.norm(vector) < math.inf:
+                        raise CorruptSnapshotError("record vector needs a finite, nonzero norm")
         except CorruptLogError as exc:
             raise CorruptSnapshotError(str(exc)) from exc
         except (ValueError, ZerebroError) as exc:

@@ -10,7 +10,9 @@ connector draws them once per length it sees and keeps them.
 
 The event log is the remote-logging analog: a local file in the
 dense-offset line format of `zerebro.offsetlog`. Replaying a session's log
-reproduces the live run's final state hash.
+reproduces the live run's final state hash: replay folds each feedback
+line's entries through the same `agent.integrate_feedback` call the live
+run made on them.
 """
 
 from __future__ import annotations
@@ -224,9 +226,9 @@ class EventLog:
 
     The lines stream, flushed one at a time, into the file `atomic.staged`
     opens beside the path given, and `self.path` names that staged file
-    while the log is open. A clean close commits it over the path given,
-    which `self.path` then names; an exception out of the `with` block
-    discards it, so a file already at the path keeps its bytes.
+    while the log is open. A clean exit from the `with` block commits it
+    over the path given, which `self.path` then names; an exception out of
+    the block discards it, so a file already at the path keeps its bytes.
     """
 
     def __init__(self, path, clock: Callable[[], int] | None = None):
@@ -249,9 +251,6 @@ class EventLog:
             raise IoFailureError(f"cannot append to log {self.path}: {exc}") from exc
         self._offset += 1
         return offset
-
-    def close(self) -> None:
-        self.__exit__(None, None, None)
 
     def __enter__(self) -> "EventLog":
         return self
@@ -295,14 +294,6 @@ def replay_log(path, *, persona_seed: int = 0) -> str:
             post_counters[platform] = (count + 1, p["post_id"])
             memory_items.append((p["memory_id"], plan_contents[p["index"]]))
         elif kind == "feedback":
-            engagements = [
-                EngagementMetrics(
-                    post_id=e["post_id"], likes=e["likes"],
-                    shares=e["shares"], comments=e["comments"],
-                )
-                for e in p["engagements"]
-            ]
-            kinds = [e["kind"] for e in p["engagements"]]
-            state = agent_mod.integrate_feedback(state, engagements, kinds=kinds, eta=p["eta"])
+            state = agent_mod.integrate_feedback(state, p["engagements"], eta=p["eta"])
 
     return agent_mod.state_hash(turns, state.strategy_weights, memory_items, post_counters)

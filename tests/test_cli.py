@@ -252,6 +252,29 @@ class TestMemoryCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert f"{store}: bad config line at offset 0: seed must fit" in err
 
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "0.0"])
+    def test_query_on_unrankable_vector_is_runtime_failure(self, tmp_path, capsys, rechecksum,
+                                                           value):
+        """A re-checksummed record vector with a NaN, inf or zero norm."""
+        import base64
+        import struct
+
+        store = tmp_path / "memory.snapshot"
+        run_cli("memory", "upsert", "--id", "r1", "--text", "hello there",
+                "--store", str(store), "--out", str(tmp_path))
+        capsys.readouterr()
+        def every_entry_value(rows):
+            raw = struct.pack("<d", float(value)) * rows[0][3]["dim"]
+            rows[1][3]["vector"] = base64.b64encode(raw).decode("ascii")
+
+        rechecksum(store, every_entry_value)
+        code = run_cli("memory", "query", "--text", "hello", "--store", str(store),
+                       "--out", str(tmp_path / "o"))
+        out, err = capsys.readouterr()
+        assert (code, out) == (1, "")
+        assert err == (f"error: {store}: bad record line at offset 1: record vector needs "
+                       "a finite, nonzero norm\n")
+
     def test_stats_on_cut_snapshot_leaves_no_out(self, tmp_path, capsys):
         """A snapshot without its checksum line, as `head -n -1` leaves it."""
         store = tmp_path / "memory.snapshot"

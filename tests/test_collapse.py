@@ -188,6 +188,12 @@ class TestCompareRegimens:
         report = compare_regimens(gaussian_config(G=5), [], n_seeds=3)
         assert report.rows == ()
 
+    @pytest.mark.parametrize("rho", [1.5, -0.25, math.nan], ids=["above", "below", "nan"])
+    def test_rho_outside_unit_interval_refused(self, rho):
+        """Each listed rho meets RecursionConfig's rule and message."""
+        with pytest.raises(BadConfigError, match=re.escape(f"rho must lie in [0, 1], got {rho}")):
+            compare_regimens(gaussian_config(G=5), [0.5, rho], n_seeds=2)
+
     def test_rho_one_exceeds_rho_zero(self):
         report = compare_regimens(gaussian_config(G=10), [0.0, 1.0], n_seeds=100)
         lo, hi = report.rows

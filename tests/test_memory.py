@@ -1,6 +1,7 @@
 """Memory store: upsert/replace semantics, brute-force retrieval oracle,
 diversity admission, snapshot persistence."""
 
+import base64
 import math
 import re
 from collections import Counter
@@ -263,6 +264,22 @@ class TestPersistence:
         store.persist(path)
         rechecksum(path, lambda rows: rows[1][3].update(vector=vector))
         with pytest.raises(CorruptSnapshotError, match="bad record line at offset 1: "):
+            MemoryStore.load(path)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0], ids=["nan", "inf", "zero"])
+    def test_vector_without_finite_nonzero_norm_is_corrupt(self, tmp_path, rechecksum, value):
+        """Cosine ranks a NaN or inf vector as garbage and refuses a zero one."""
+        store = MemoryStore(CFG)
+        store.add_text("r0", "a sound vector first")
+        store.add_text("r1", "a vector that cannot be ranked")
+        path = tmp_path / "store.snapshot"
+        store.persist(path)
+        vector = np.zeros(CFG.dimension)
+        vector[3] = value
+        encoded = base64.b64encode(vector.astype("<f8").tobytes()).decode("ascii")
+        rechecksum(path, lambda rows: rows[2][3].update(vector=encoded))
+        with pytest.raises(CorruptSnapshotError, match="bad record line at offset 2: record "
+                           "vector needs a finite, nonzero norm"):
             MemoryStore.load(path)
 
     def test_duplicate_id_is_corrupt(self, tmp_path, rechecksum):

@@ -8,7 +8,14 @@ import re
 import numpy as np
 import pytest
 
-from zerebro.agent import initial_state, run_session, session_state_hash
+from zerebro.agent import (
+    DEFAULT_WEIGHTS,
+    initial_state,
+    integrate_feedback,
+    run_session,
+    session_state_hash,
+    state_hash,
+)
 from zerebro.chain import AgentChainClient, Ledger, to_nanos
 from zerebro.clock import SimClock
 from zerebro.corpus import human_corpus
@@ -272,10 +279,9 @@ class TestEventLog:
         intact = self.old_log(path)
         for cut in range(len(intact) + 1):
             path.write_bytes(intact[:cut])
-            log = EventLog(path)
-            assert log.append("plan", {"requests": []}) == 0
-            assert log.append("gate", {"results": []}) == 1
-            log.close()
+            with EventLog(path) as log:
+                assert log.append("plan", {"requests": []}) == 0
+                assert log.append("gate", {"results": []}) == 1
             assert [(e.offset, e.kind) for e in read_log(path)] == [(0, "plan"), (1, "gate")]
             assert [p.name for p in tmp_path.iterdir()] == ["x.log"]
 
@@ -327,6 +333,22 @@ class TestReplay:
                 break
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         assert replay_log(path, persona_seed=77) != digest
+
+    def test_replay_credits_each_entry_its_own_kind(self, tmp_path):
+        """A feedback entry crediting mint_art replays to the weights
+        integrate_feedback gives for that very entry."""
+        entry = {"platform": "simchain", "post_id": 0, "kind": "mint_art",
+                 "likes": 7, "shares": 2, "comments": 1}
+        path = tmp_path / "run.log"
+        with EventLog(path) as log:
+            log.append("observation", {"turn": 0, "id": "obs-000000", "text": "a lantern",
+                                       "source": "human"})
+            log.append("feedback", {"turn": 0, "eta": 0.5, "engagements": [entry]})
+        weights = integrate_feedback(initial_state(0), [entry], eta=0.5).strategy_weights
+        assert weights["mint_art"] > DEFAULT_WEIGHTS["mint_art"]
+        memory_items = [("obs-000000", "a lantern")]
+        assert replay_log(path) == state_hash(1, weights, memory_items, {})
+        assert replay_log(path) != state_hash(1, DEFAULT_WEIGHTS, memory_items, {})
 
     def test_replay_reads_the_log_line_by_line(self, tmp_path):
         """Lines the fold ignores cost no memory: the log is never held whole."""
